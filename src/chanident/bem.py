@@ -5,14 +5,23 @@ Slepian sequences whose band matches the Doppler spread; the coefficients of
 all (delay, basis-order) pairs are solved jointly from the received samples
 at the observation positions.  Long frames are fitted window by window with
 independent coefficient sets and the reconstructions concatenated.
+
+The normal equations are assembled from their structure rather than from
+the dense regressor (Zemen & Mecklenbraeker, IEEE TSP 53(9), 2005): every
+Gram block is G[(l,d),(m,e)] = sum_n conj(x_l[n]) x_m[n] u_d[n] u_e[n],
+symmetric in (d, e), and G is Hermitian, so one real matrix product of the
+delay-pair products with the cached basis-pair products P[n, (d<=e)] =
+u_d[n] u_e[n] gives every distinct entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import slepian
 from .errors import IdentifiabilityError
 from .modulation import PilotPattern
 from .simulate import ComplexSignal
@@ -54,19 +63,117 @@ class CIREstimate:
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "delay_grid", tuple(int(d) for d in self.delay_grid))
 
+    @classmethod
+    def on_grid(cls, rows: np.ndarray, delays, grid, source: str) -> "CIREstimate":
+        """The gain ``rows`` of ``delays`` placed on ``grid``; rows of grid
+        entries that are not among ``delays`` are zero."""
+        grid = tuple(int(g) for g in grid)
+        index = {g: i for i, g in enumerate(grid)}
+        if len(index) != len(grid):
+            raise ValueError("grid entries must be unique")
+        missing = [int(d) for d in delays if int(d) not in index]
+        if missing:
+            raise ValueError(f"delays {missing} are not on the grid")
+        gains = np.zeros((len(grid), rows.shape[1]), dtype=np.complex128)
+        gains[[index[int(d)] for d in delays]] = rows
+        return cls(gains, grid, source)
+
     @property
     def n_samples(self) -> int:
         return self.gains.shape[1]
 
 
-def _shifted_frame(frame: np.ndarray, delays, start: int, stop: int) -> np.ndarray:
-    """Columns x[n - tau] for n in [start, stop), zeros before the frame."""
-    out = np.zeros((stop - start, len(delays)), dtype=np.complex128)
+def _shifted_frame(frame: np.ndarray, delays) -> np.ndarray:
+    """Rows x[n - tau_l] for every frame index n, zeros before the frame."""
+    n = len(frame)
+    out = np.zeros((len(delays), n), dtype=np.complex128)
     for j, d in enumerate(delays):
-        lo, hi = start - d, stop - d
-        src_lo, src_hi = max(lo, 0), max(hi, 0)
-        out[src_lo - lo:src_hi - lo, j] = frame[src_lo:src_hi]
+        out[j, min(d, n):] = frame[:max(n - d, 0)]
     return out
+
+
+@lru_cache(maxsize=16)
+def _pair_products(length: int, half_bandwidth: float, count: int) -> np.ndarray:
+    """P[n, k] = u_d[n] u_e[n] for the k-th pair (d, e) of triu_indices(count).
+
+    Keyed by the basis parameters, never by a basis object: Slepian bases
+    are themselves cached with eviction, so an object identity can return
+    for a different basis.
+    """
+    u = slepian.generate_dpss(length, half_bandwidth, count).sequences
+    d, e = np.triu_indices(count)
+    products = np.ascontiguousarray((u[d] * u[e]).T)
+    products.flags.writeable = False
+    return products
+
+
+@lru_cache(maxsize=16)
+def _pair_index(count: int) -> np.ndarray:
+    """index[d, e]: the column of the pair (min(d, e), max(d, e)) in the
+    triu_indices(count) order of ``_pair_products``."""
+    d, e = np.triu_indices(count)
+    index = np.empty((count, count), dtype=np.intp)
+    index[d, e] = index[e, d] = np.arange(len(d))
+    index.flags.writeable = False
+    return index
+
+
+def _normal_equations(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
+                      positions: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and right-hand side of the least-squares model
+    y[n] = sum_l sum_d c[l, d] u_d[n] shifts[l, n] over the observed n.
+
+    ``shifts`` and ``samples`` cover the basis length; ``positions`` selects
+    the observed indices (None: all of them).  The unknowns are ordered
+    l * D + d.
+    """
+    products = _pair_products(basis.length, basis.time_half_bandwidth, basis.count)
+    u = basis.sequences
+    if positions is not None:
+        shifts, samples = shifts[:, positions], samples[positions]
+        products, u = products[positions], u[:, positions]
+    taps, count = len(shifts), basis.count
+    li, lj = np.triu_indices(taps)
+    z = shifts[li].conj() * shifts[lj]
+    z.imag[li == lj] = 0.0  # |x_l|^2 exactly, so diagonal blocks stay Hermitian
+    # Real operands: a complex-by-real product would be promoted to complex.
+    w = np.concatenate((z.real, z.imag)) @ products
+    # blocks[k, d, e] = G[(li[k], d), (lj[k], e)]; the mirrored block
+    # G[(lj[k], e), (li[k], d)] is its conjugate, and blocks are symmetric.
+    blocks = (w[:len(z)] + 1j * w[len(z):])[:, _pair_index(count)]
+    gram = np.empty((taps, count, taps, count), dtype=np.complex128)
+    gram[lj, :, li, :] = blocks.conj()
+    gram[li, :, lj, :] = blocks
+    rhs = (shifts.conj() * samples) @ u.T
+    return gram.reshape(taps * count, -1), rhs.reshape(-1)
+
+
+def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
+         positions: np.ndarray | None, where: str = "") -> np.ndarray:
+    """Least-squares basis coefficients ``c[l, d]``; ``where`` prefixes
+    error messages with the location of the fit."""
+    taps, count = len(shifts), basis.count
+    observed = basis.length if positions is None else len(positions)
+    if observed < taps * count:
+        raise IdentifiabilityError(
+            f"{where}{observed} observations cannot identify {taps} delays x "
+            f"{count} basis terms = {taps * count} unknowns")
+    gram, rhs = _normal_equations(shifts, samples, basis, positions)
+    try:
+        return np.linalg.solve(gram, rhs).reshape(taps, count)
+    except np.linalg.LinAlgError as exc:
+        raise IdentifiabilityError(
+            f"{where}normal equations singular for {taps} delays x {count} basis "
+            f"terms from {observed} observations") from exc
+
+
+def _unique_delays(delay_grid) -> tuple[int, ...]:
+    delays = tuple(int(d) for d in delay_grid)
+    if len(set(delays)) != len(delays):
+        raise ValueError("delay_grid entries must be unique")
+    if any(d < 0 for d in delays):
+        raise ValueError("delay_grid entries must be >= 0")
+    return delays
 
 
 def bem_ls_estimate(received: ComplexSignal, pilots: PilotPattern,
@@ -78,84 +185,51 @@ def bem_ls_estimate(received: ComplexSignal, pilots: PilotPattern,
     mu_l[n] = sum_d c[l, d] u_d[n] covers every n in the window regardless
     of which positions were observed.
     """
-    delays = tuple(int(d) for d in delay_grid)
-    if len(set(delays)) != len(delays):
-        raise ValueError("delay_grid entries must be unique")
+    delays = _unique_delays(delay_grid)
     n = len(received)
     if basis.length != n:
         raise ValueError(f"basis length {basis.length} != received length {n}")
-    n_unknown = len(delays) * basis.count
-    pos = pilots.positions
-    if len(pos) < n_unknown:
-        raise IdentifiabilityError(
-            f"{len(pos)} observations cannot identify {len(delays)} delays x "
-            f"{basis.count} basis terms = {n_unknown} unknowns")
     if len(pilots.symbols) != n:
         raise ValueError(f"frame length {len(pilots.symbols)} != received length {n}")
-    shifts = _shifted_frame(pilots.symbols, delays, 0, n)  # (n, L)
-    u = basis.sequences  # (D, n)
-    # A[i, l*D + d] = u_d[pos_i] * x[pos_i - tau_l]
-    a = (shifts[pos, :, None] * u.T[pos, None, :]).reshape(len(pos), n_unknown)
-    b = received.samples[pos]
-    gram = a.conj().T @ a
-    rhs = a.conj().T @ b
-    try:
-        coeffs_flat = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IdentifiabilityError(
-            f"normal equations singular for {len(delays)} delays x "
-            f"{basis.count} basis terms from {len(pos)} observations") from exc
-    coeffs = coeffs_flat.reshape(len(delays), basis.count)
-    gains = coeffs @ u
-    return BEMCoefficients(coeffs), CIREstimate(gains, delays, "bem-ls")
+    coeffs = _fit(_shifted_frame(pilots.symbols, delays), received.samples, basis,
+                  pilots.positions)
+    return BEMCoefficients(coeffs), CIREstimate(coeffs @ basis.sequences, delays, "bem-ls")
 
 
 def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid,
                           normalized_doppler: float,
                           window_len: int = DEFAULT_WINDOW_LEN,
-                          positions: np.ndarray | None = None) -> CIREstimate:
+                          positions: np.ndarray | None = None,
+                          grid=None) -> CIREstimate:
     """Windowed BEM-LS over a long frame.
 
     Windows are fitted independently with a basis sized by
     ``basis_dimension`` for the window length; a short tail is merged into
     the final window.  ``positions`` (frame indices) defaults to every
     sample; the known ``frame`` is global, so regressors near a window's
-    start reach back into the previous window's symbols.
+    start reach back into the previous window's symbols.  The estimate is
+    returned on ``grid`` (default: ``delay_grid``), whose entries outside
+    ``delay_grid`` get zero rows.
     """
-    delays = tuple(int(d) for d in delay_grid)
-    if len(set(delays)) != len(delays):
-        raise ValueError("delay_grid entries must be unique")
+    delays = _unique_delays(delay_grid)
     n = len(received)
     if window_len < 2:
         raise ValueError("window_len must be >= 2")
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
-    if positions is None:
-        positions = np.arange(n)
     starts = list(range(0, n, window_len))
     if len(starts) > 1 and n - starts[-1] < window_len // 2:
         starts.pop()  # merge short tail into the previous window
-    gains = np.zeros((len(delays), n), dtype=np.complex128)
-    for i, w0 in enumerate(starts):
-        w1 = starts[i + 1] if i + 1 < len(starts) else n
+    shifts = _shifted_frame(frame, delays)
+    gains = np.empty((len(delays), n), dtype=np.complex128)
+    for w0, w1 in zip(starts, starts[1:] + [n]):
         wlen = w1 - w0
         count = min(basis_dimension(normalized_doppler, wlen), wlen)
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
-        pos = positions[(positions >= w0) & (positions < w1)] - w0
-        shifts = _shifted_frame(frame, delays, w0, w1)
-        a = (shifts[pos, :, None] * basis.sequences.T[pos, None, :]).reshape(
-            len(pos), len(delays) * count)
-        if len(pos) < len(delays) * count:
-            raise IdentifiabilityError(
-                f"window [{w0}, {w1}): {len(pos)} observations cannot identify "
-                f"{len(delays)} delays x {count} basis terms")
-        b = received.samples[w0:w1][pos]
-        gram = a.conj().T @ a
-        rhs = a.conj().T @ b
-        try:
-            coeffs = np.linalg.solve(gram, rhs).reshape(len(delays), count)
-        except np.linalg.LinAlgError as exc:
-            raise IdentifiabilityError(
-                f"normal equations singular in window [{w0}, {w1})") from exc
+        pos = None
+        if positions is not None:
+            pos = positions[(positions >= w0) & (positions < w1)] - w0
+        coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis, pos,
+                      where=f"window [{w0}, {w1}): ")
         gains[:, w0:w1] = coeffs @ basis.sequences
-    return CIREstimate(gains, delays, "bem-ls")
+    return CIREstimate.on_grid(gains, delays, delays if grid is None else grid, "bem-ls")

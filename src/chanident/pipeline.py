@@ -25,7 +25,7 @@ from .features import FEATURE_LENGTH, N_SCENARIOS, build_ddpdp, flatten_ddpdp, F
 from .modulation import random_frame
 from .mseq import MSequence
 from .mlp import MLPParams, classify
-from .simulate import CIRMatrix, ComplexSignal, SimConfig, add_awgn, apply_channel, generate_fading
+from .simulate import ComplexSignal, SimConfig, add_awgn, apply_channel, generate_fading
 from .sounding import DelayAmplitudeEstimate, OrderEstimate, estimate_order, fold_periods, probe_spectrum, relax_estimate
 
 DATASET_FORMAT = "chanident-dataset v1"
@@ -33,6 +33,8 @@ REPORT_FORMAT = "chanident-report v1"
 NOISELESS = "noiseless"
 
 ESTIMATION_MODES = ("bem-ls", "oracle-cir")
+# The classifier's delay grid: one feature row per delay unit.
+_FEATURE_GRID = tuple(range(profiles.MAX_DELAY_UNITS))
 
 
 @dataclass(frozen=True)
@@ -134,13 +136,6 @@ def _snr_token(snr_db: float | None) -> str:
     return NOISELESS if snr_db is None else repr(float(snr_db))
 
 
-def _oracle_cir(true_cir: CIRMatrix) -> CIREstimate:
-    gains = np.zeros((profiles.MAX_DELAY_UNITS, true_cir.n_samples), dtype=np.complex128)
-    for row, delay in zip(true_cir.gains, true_cir.delay_units):
-        gains[delay] = row
-    return CIREstimate(gains, tuple(range(profiles.MAX_DELAY_UNITS)), "true-sim")
-
-
 def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int) -> DatasetRecord:
     """Simulate, estimate and featurize one dataset record.
 
@@ -160,19 +155,17 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     received = apply_channel(frame.signal, true_cir)
     received = add_awgn(received, snr_db, seed=derive_seed(seed, "noise"))
     if spec.estimation == "oracle-cir":
-        cir = _oracle_cir(true_cir)
+        cir = CIREstimate.on_grid(true_cir.gains, true_cir.delay_units, _FEATURE_GRID,
+                                  "true-sim")
     else:
         try:
-            fitted = estimate_cir_windowed(received, frame.symbols, profile.delay_units,
-                                           spec.sim.doppler_per_sample, spec.window_len)
+            cir = estimate_cir_windowed(received, frame.symbols, profile.delay_units,
+                                        spec.sim.doppler_per_sample, spec.window_len,
+                                        grid=_FEATURE_GRID)
         except IdentifiabilityError as exc:
             raise IdentifiabilityError(
                 f"record (scenario {label}, snr {_snr_token(snr_db)}, index {index}): "
                 f"{exc}") from exc
-        gains = np.zeros((profiles.MAX_DELAY_UNITS, n), dtype=np.complex128)
-        for row, delay in zip(fitted.gains, fitted.delay_grid):
-            gains[delay] = row
-        cir = CIREstimate(gains, tuple(range(profiles.MAX_DELAY_UNITS)), "bem-ls")
     feature = FeatureVector(flatten_ddpdp(build_ddpdp(cir)), label)
     return DatasetRecord(feature, label, snr_db, seed)
 

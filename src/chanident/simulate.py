@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,13 +139,13 @@ def _synthesis_grid(n_samples: int, fd: float) -> int:
     return 1 << max(0, math.ceil(math.log2(target)))
 
 
-def _shaped_tap(n_samples: int, fd: float, power: float,
-                spectrum: DopplerSpectrum, rng: np.random.Generator) -> np.ndarray:
-    nfft = _synthesis_grid(n_samples, fd)
-    noise = (rng.standard_normal(nfft) + 1j * rng.standard_normal(nfft)) / math.sqrt(2.0)
-    if fd == 0.0:
-        # Degenerate limit: all spectral mass at DC, i.e. a frozen tap.
-        return np.full(n_samples, math.sqrt(power) * noise[0])
+@lru_cache(maxsize=8)
+def _grid_mass(spectrum: DopplerSpectrum, fd: float, nfft: int) -> tuple[np.ndarray, float]:
+    """Per-bin spectral mass on the ``nfft``-bin synthesis grid and its sum.
+
+    It depends only on (spectrum, fd, nfft), which every tap of a run with
+    that spectrum shares; the returned array is read-only.
+    """
     k = np.arange(nfft, dtype=np.float64)
     f = k / nfft
     f[f >= 0.5] -= 1.0
@@ -153,6 +154,18 @@ def _shaped_tap(n_samples: int, fd: float, power: float,
     total = mass.sum()
     if total <= 0:
         raise ValueError("doppler spectrum has no mass on the frequency grid")
+    mass.flags.writeable = False
+    return mass, total
+
+
+def _shaped_tap(n_samples: int, fd: float, power: float,
+                spectrum: DopplerSpectrum, rng: np.random.Generator) -> np.ndarray:
+    nfft = _synthesis_grid(n_samples, fd)
+    noise = (rng.standard_normal(nfft) + 1j * rng.standard_normal(nfft)) / math.sqrt(2.0)
+    if fd == 0.0:
+        # Degenerate limit: all spectral mass at DC, i.e. a frozen tap.
+        return np.full(n_samples, math.sqrt(power) * noise[0])
+    mass, total = _grid_mass(spectrum, fd, nfft)
     amp = np.sqrt(mass * (power / total)) * noise
     # x[n] = sum_k amp[k] exp(j 2 pi k n / nfft): E|x|^2 = sum mass = power
     x = np.fft.ifft(amp) * nfft

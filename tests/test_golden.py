@@ -1,0 +1,75 @@
+"""Golden digests: a byte-level lock on the dataset, model and report files.
+
+The determinism tests elsewhere compare one run against another, so a
+change that alters every output byte the same way passes them.  These
+digests are pinned: a refactor that keeps behaviour must reproduce them
+exactly.  Output may change only on purpose, with a file-format version
+bump and re-pinned digests.
+
+Records are short (1200 samples: one 512-sample window, then a 688-sample
+window that absorbs the short tail) so the whole module runs in a few
+seconds.  The digests hold for this platform's numpy and BLAS builds.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from chanident.features import FEATURE_LENGTH, N_SCENARIOS, one_hot
+from chanident.mlp import TrainConfig, config_fingerprint, init_mlp, save_mlp, train
+from chanident.pipeline import (DatasetSpec, evaluate, generate_records,
+                                split_train_test, write_dataset, write_report)
+from chanident.simulate import SimConfig
+
+LAYER_SIZES = (FEATURE_LENGTH, 16, N_SCENARIOS)
+TRAIN = TrainConfig(epochs=40, batch_size=4, seed=5)
+
+GOLDEN = {
+    "bem-ls nu=0.004": {
+        "dataset": "dbf87c398d171cd119512048deaa68e1c6bd014d841da14e33b6065e18463f3b",
+        "model": "0be1113d4c226b9ff4fb55ae5b3ea51ef06c4587354012bb49f4ed9258e011bd",
+        "report": "87d586076b1c9f8b3a754ecfae63e92753e08f9ff940d2dc7342b045cf880860",
+    },
+    "bem-ls nu=0.02": {
+        "dataset": "2af299733a83051f99cf756bb390375582bb6be9ad13f3baf751096d89556423",
+        "model": "8d765669a67c6799b98ff3174587424f23cc1910588b4dcf1f167c1a260b3baf",
+        "report": "ae25f66d79dab9fcf09cb017f39c23a3830fa45ec56a0960e6155dd097454159",
+    },
+    "oracle-cir nu=0.004": {
+        "dataset": "f436132602788ae1d61faf6a9b506a0e59732162ed859cd2099ac2d1c778135a",
+        "model": "c6ccb582cab2efaaba67b58faf36735c7966732515977acc6b063e83b0df052d",
+        "report": "87d586076b1c9f8b3a754ecfae63e92753e08f9ff940d2dc7342b045cf880860",
+    },
+}
+
+
+def _spec(case: str) -> DatasetSpec:
+    estimation, nu = case.split(" nu=")
+    return DatasetSpec(vectors_per_condition=2, snr_list_db=(None, 0.0, 20.0),
+                       samples_per_vector=1200,
+                       sim=SimConfig(normalized_doppler=float(nu)),
+                       estimation=estimation, master_seed=11)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_digests(case, tmp_path):
+    spec = _spec(case)
+    records = generate_records(spec)
+    write_dataset(tmp_path / "dataset.txt", spec, records)
+
+    train_recs, test = split_train_test(records)
+    x = np.stack([r.feature.values for r in train_recs])
+    t = np.stack([one_hot(r.label) for r in train_recs])
+    params, _ = train(init_mlp(LAYER_SIZES, seed=3), x, t, TRAIN)
+    save_mlp(params, tmp_path / "model.json",
+             config_fingerprint(TRAIN, extra={"layer_sizes": list(LAYER_SIZES)}))
+    write_report(tmp_path / "report.txt", evaluate(params, test))
+
+    got = {kind: _sha256(tmp_path / f"{kind}.{ext}")
+           for kind, ext in (("dataset", "txt"), ("model", "json"), ("report", "txt"))}
+    assert got == GOLDEN[case]

@@ -6,7 +6,7 @@ from scipy.special import j0
 from scipy.stats import chi2
 
 from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
-from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, add_awgn,
+from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _grid_mass, add_awgn,
                                 apply_channel, generate_fading)
 
 
@@ -130,6 +130,12 @@ class TestGenerateFading:
         c = np.mean(x[k:] * np.conj(x[:-k]))
         expected_angle = 2 * np.pi * 0.7 * nu * k
         assert abs(np.angle(c) - expected_angle) < 0.15
+
+    def test_grid_mass_cached_and_read_only(self):
+        mass, total = _grid_mass(DopplerSpectrum("jakes"), 0.01, 1 << 15)
+        assert _grid_mass(DopplerSpectrum("jakes"), 0.01, 1 << 15)[0] is mass
+        assert not mass.flags.writeable
+        assert total == pytest.approx(1.0)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh, toeplitz
 
+from chanident import bem, slepian
 from chanident.bem import (CIREstimate, bem_ls_estimate, estimate_cir_windowed)
 from chanident.errors import IdentifiabilityError
 from chanident.modulation import PilotPattern, random_frame
@@ -241,6 +244,73 @@ class TestWindowedEstimation:
         frame = random_frame(64, seed=1)
         with pytest.raises(ValueError, match="unique"):
             estimate_cir_windowed(frame.signal, frame.symbols, (0, 0), 0.01)
+
+
+def _dense_normal_equations(shifts, samples, basis, positions):
+    """Reference: A^H A and A^H b from the dense regressor
+    A[i, l*D + d] = u_d[pos_i] * shifts[l, pos_i]."""
+    pos = np.arange(basis.length) if positions is None else positions
+    a = (shifts.T[pos, :, None] * basis.sequences.T[pos, None, :]).reshape(len(pos), -1)
+    return a.conj().T @ a, a.conj().T @ samples[pos]
+
+
+def _assert_matches_dense(shifts, samples, basis, positions):
+    gram, rhs = bem._normal_equations(shifts, samples, basis, positions)
+    dense_gram, dense_rhs = _dense_normal_equations(shifts, samples, basis, positions)
+    assert np.max(np.abs(gram - dense_gram)) <= 1e-12 * np.max(np.abs(dense_gram))
+    assert np.max(np.abs(rhs - dense_rhs)) <= 1e-12 * np.max(np.abs(dense_rhs))
+
+
+class TestStructuredNormalEquations:
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(8, 48), count=st.integers(1, 6),
+           half_bandwidth=st.floats(0.01, 0.25),
+           delays=st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True),
+           start=st.integers(0, 16), sparse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(length=32, count=1, half_bandwidth=0.05, delays=[0], start=0, sparse=False, seed=1)
+    @example(length=40, count=4, half_bandwidth=0.05, delays=[0, 3, 7], start=0,
+             sparse=True, seed=2)
+    @example(length=24, count=3, half_bandwidth=0.1, delays=[2, 9], start=5,
+             sparse=False, seed=3)
+    def test_matches_dense_gram(self, length, count, half_bandwidth, delays, start,
+                                sparse, seed):
+        # A random complex frame (not unit-modulus); start 0 is a first window
+        # whose delayed rows are zero-padded; sparse draws pilot positions.
+        rng = np.random.default_rng(seed)
+        frame = rng.standard_normal(start + length) + 1j * rng.standard_normal(start + length)
+        samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        shifts = bem._shifted_frame(frame, delays)[:, start:]
+        positions = None
+        if sparse:
+            positions = np.sort(rng.choice(length, size=rng.integers(1, length + 1),
+                                           replace=False))
+        basis = generate_dpss(length, half_bandwidth, count)
+        _assert_matches_dense(shifts, samples, basis, positions)
+
+    def test_products_follow_basis_values_across_cache_eviction(self):
+        # An evicted basis is freed, and a later one may reuse its id: the
+        # products must follow the basis values, never the object identity.
+        rng = np.random.default_rng(4)
+        d, e = np.triu_indices(3)
+        for length in (40, 56):
+            slepian._build.cache_clear()
+            basis = generate_dpss(length, 0.05, 3)
+            products = bem._pair_products(length, 0.05, 3)
+            assert np.array_equal(products, (basis.sequences[d] * basis.sequences[e]).T)
+            frame = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            _assert_matches_dense(bem._shifted_frame(frame, (0, 2)), samples, basis, None)
+            del basis
+
+
+def test_cir_estimate_on_grid_places_rows():
+    rows = np.array([[1 + 1j, 2], [3, 4j]])
+    est = CIREstimate.on_grid(rows, (3, 1), range(5), "bem-ls")
+    assert est.delay_grid == (0, 1, 2, 3, 4)
+    assert np.array_equal(est.gains[[3, 1]], rows)
+    assert not np.any(est.gains[[0, 2, 4]])
+    with pytest.raises(ValueError, match="not on the grid"):
+        CIREstimate.on_grid(rows, (3, 7), range(5), "bem-ls")
 
 
 def test_cir_estimate_rejects_non_finite():
