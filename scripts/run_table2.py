@@ -13,53 +13,33 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from chanident.features import FEATURE_LENGTH, N_SCENARIOS, one_hot
-from chanident.mlp import TrainConfig, config_fingerprint, init_mlp, save_mlp, train
-from chanident.pipeline import (DatasetSpec, evaluate, generate_records,
-                                split_train_test, write_dataset, write_report)
+from chanident.mlp import TrainConfig
+from chanident.pipeline import (ESTIMATION_MODES, HIDDEN_SIZES, DatasetSpec,
+                                format_accuracy_table, run_experiment)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--vectors", type=int, default=20, help="vectors per condition")
     ap.add_argument("--samples", type=int, default=25600, help="samples per vector")
-    ap.add_argument("--estimation", choices=("bem-ls", "oracle-cir"), default="bem-ls")
-    ap.add_argument("--hidden", type=int, nargs="+", default=[64, 48, 32, 24])
+    ap.add_argument("--estimation", choices=ESTIMATION_MODES, default="bem-ls")
+    ap.add_argument("--hidden", type=int, nargs="+", default=list(HIDDEN_SIZES))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path("table2_run"))
     args = ap.parse_args(argv)
 
-    args.out.mkdir(parents=True, exist_ok=True)
     spec = DatasetSpec(vectors_per_condition=args.vectors,
                        samples_per_vector=args.samples,
                        estimation=args.estimation, master_seed=args.seed)
-
     t0 = time.time()
-    records = generate_records(spec, threads=args.threads)
-    write_dataset(args.out / "dataset.txt", spec, records)
-    print(f"[{time.time()-t0:6.1f}s] {len(records)} records "
-          f"({args.estimation}, seed {args.seed})")
-
-    train_recs, test = split_train_test(records)
-    x = np.stack([r.feature.values for r in train_recs])
-    t = np.stack([one_hot(r.label) for r in train_recs])
-    sizes = [FEATURE_LENGTH] + args.hidden + [N_SCENARIOS]
-    cfg = TrainConfig(seed=args.seed)
-    params, report = train(init_mlp(sizes, seed=args.seed), x, t, cfg)
-    save_mlp(params, args.out / "model.json",
-             config_fingerprint(cfg, extra={"layer_sizes": sizes, "init_seed": args.seed}))
-    print(f"[{time.time()-t0:6.1f}s] trained {sizes} on {len(x)} noiseless vectors, "
-          f"{len(report.epoch_losses)} epochs, train accuracy {report.final_accuracy:.3f}")
-
-    result = evaluate(params, test)
-    write_report(args.out / "report.txt", result)
-    snrs = sorted(result.per_snr_accuracy)
-    print("SNR/dB    " + "  ".join(f"{s:>6g}" for s in snrs) + "     Avg")
-    print("Acc/%     " + "  ".join(f"{100 * result.per_snr_accuracy[s]:>6.1f}" for s in snrs)
-          + f"  {100 * result.average_accuracy:>6.1f}")
+    records, train_report, report = run_experiment(
+        spec, args.out, args.hidden, TrainConfig(seed=args.seed), init_seed=args.seed,
+        threads=args.threads)
+    print(f"[{time.time()-t0:6.1f}s] {len(records)} records ({args.estimation}, "
+          f"seed {args.seed}), hidden {args.hidden}: {len(train_report.epoch_losses)} "
+          f"epochs, train accuracy {train_report.final_accuracy:.3f}")
+    print(format_accuracy_table(report))
     print(f"outputs in {args.out}/")
     return 0
 

@@ -6,28 +6,10 @@ channel with m-sequences to find its order and path delays (``mseq``,
 ``sounding``), estimate the time-varying gains by Slepian-basis least
 squares (``slepian``, ``bem``), histogram the per-delay envelopes into
 classifier features (``features``), and classify the scenario with a small
-tanh MLP (``mlp``).  ``pipeline`` ties the stages into dataset generation
-and evaluation; ``cli`` exposes them as subcommands.
+tanh MLP (``mlp``).  ``pipeline`` ties the stages into dataset generation,
+training and evaluation, and ``pipeline.run_experiment`` runs the
+accuracy-vs-SNR experiment; ``cli`` exposes the stages as subcommands.
+Import the modules themselves, e.g. ``from chanident import pipeline``.
 """
-
-from .bem import BEMCoefficients, CIREstimate, bem_ls_estimate, estimate_cir_windowed
-from .errors import (IdentifiabilityError, InsufficientSignalError,
-                     InvalidSplitError, NoChannelDetectedError)
-from .features import DDPDP, FeatureVector, build_ddpdp, flatten_ddpdp, one_hot
-from .mlp import (MLPParams, TrainConfig, TrainReport, classify, complexity_count,
-                  forward, gradients, init_mlp, load_mlp, save_mlp, train)
-from .modulation import PilotPattern, PilotSpec, QpskFrame, modulate_qpsk, random_frame
-from .mseq import MSequence, generate_mseq, periodic_autocorrelation
-from .pipeline import (DatasetRecord, DatasetSpec, EvalReport, evaluate,
-                       generate_dataset, generate_records, probe_signal,
-                       read_dataset, sound_and_profile, split_train_test,
-                       write_dataset, write_report)
-from .profiles import DopplerSpectrum, ScenarioProfile, all_labels, load_profile
-from .simulate import (CIRMatrix, ComplexSignal, SimConfig, add_awgn,
-                       apply_channel, generate_fading)
-from .slepian import DPSSBasis, basis_dimension, generate_dpss
-from .sounding import (DelayAmplitudeEstimate, FrequencyData, OrderEstimate,
-                       amplitude_given_delay, delay_argmax, estimate_order,
-                       probe_spectrum, relax_estimate)
 
 __version__ = "0.1.0"

@@ -31,20 +31,6 @@ DEFAULT_WINDOW_LEN = 512
 
 
 @dataclass(frozen=True)
-class BEMCoefficients:
-    """Per-tap basis coefficients: ``coeffs[l, d]``."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=np.complex128, copy=True)
-        if coeffs.ndim != 2:
-            raise ValueError("coeffs must be an L x D matrix")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-@dataclass(frozen=True)
 class CIREstimate:
     """Tap-gain series on a fixed delay grid; ``source`` records whether the
     gains are simulator ground truth or a BEM-LS fit."""
@@ -177,8 +163,9 @@ def _unique_delays(delay_grid) -> tuple[int, ...]:
 
 
 def bem_ls_estimate(received: ComplexSignal, pilots: PilotPattern,
-                    delay_grid, basis: DPSSBasis) -> tuple[BEMCoefficients, CIREstimate]:
-    """Least-squares fit of basis coefficients from the observed samples.
+                    delay_grid, basis: DPSSBasis) -> tuple[np.ndarray, CIREstimate]:
+    """Least-squares fit of basis coefficients ``c[l, d]`` from the observed
+    samples, and the gains they reconstruct.
 
     The model at observation position n is
     y[n] = sum_l sum_d c[l, d] * u_d[n] * x[n - tau_l]; the reconstruction
@@ -193,7 +180,7 @@ def bem_ls_estimate(received: ComplexSignal, pilots: PilotPattern,
         raise ValueError(f"frame length {len(pilots.symbols)} != received length {n}")
     coeffs = _fit(_shifted_frame(pilots.symbols, delays), received.samples, basis,
                   pilots.positions)
-    return BEMCoefficients(coeffs), CIREstimate(coeffs @ basis.sequences, delays, "bem-ls")
+    return coeffs, CIREstimate(coeffs @ basis.sequences, delays, "bem-ls")
 
 
 def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid,

@@ -2,10 +2,11 @@
 
 Subcommands: ``dataset``, ``train``, ``eval``, ``sound``, ``estimate``,
 ``simulate``.  Each takes a JSON config file (defaults shown by
-``--print-config``), a ``--seed`` override, and writes its outputs plus a
-manifest recording the fully resolved configuration, output paths and stage
-timings; re-running a subcommand with the manifest's config snapshot
-reproduces the outputs byte for byte.
+``--print-config``) and writes its outputs plus a manifest recording the
+fully resolved configuration, output paths and stage timings; re-running a
+subcommand with the manifest's config snapshot reproduces the outputs byte
+for byte.  ``dataset``, ``train`` and ``simulate`` take a ``--seed``
+override, and ``dataset`` a ``--threads`` worker cap.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import pipeline, profiles
 from .bem import estimate_cir_windowed
-from .features import N_SCENARIOS
-from .mlp import TrainConfig, config_fingerprint, init_mlp, load_mlp, save_mlp, train
+from .features import FEATURE_LENGTH, N_SCENARIOS
+from .mlp import TrainConfig, load_mlp, save_mlp
 from .mseq import generate_mseq
 from .pipeline import DatasetSpec
 from .simulate import ComplexSignal, SimConfig, generate_fading
@@ -32,17 +34,8 @@ MANIFEST_FORMAT = "chanident-manifest v1"
 
 DEFAULTS: dict[str, dict] = {
     "dataset": DatasetSpec().to_dict(),
-    "train": {
-        "hidden_sizes": [64, 48, 32, 24],
-        "init_seed": 0,
-        "learning_rate": 0.01,
-        "momentum": 0.9,
-        "epochs": 2000,
-        "batch_size": 32,
-        "seed": 0,
-        "plateau_patience": 100,
-        "plateau_rel_tol": 1e-4,
-    },
+    "train": {"hidden_sizes": list(pipeline.HIDDEN_SIZES), "init_seed": 0,
+              **asdict(TrainConfig())},
     "eval": {},
     "sound": {
         "register_length": 8,
@@ -57,15 +50,16 @@ DEFAULTS: dict[str, dict] = {
         "normalized_doppler": 0.004,
         "window_len": 512,
     },
-    "simulate": {
-        "label": 1,
-        "n_samples": 4096,
-        "symbol_rate_hz": 1e5,
-        "normalized_doppler": 0.004,
-        "samples_per_symbol": 1,
-        "seed": 0,
-    },
+    "simulate": {"label": 1, "n_samples": 4096, **asdict(SimConfig())},
 }
+
+# The config keys that --seed overrides; subcommands not named take no --seed.
+_SEED_KEYS = {"dataset": ("master_seed",), "train": ("seed", "init_seed"),
+              "simulate": ("seed",)}
+# The file options each subcommand cannot run without.
+_REQUIRED = {"dataset": ("output",), "train": ("dataset", "output"),
+             "eval": ("model", "dataset", "output"), "sound": ("signal",),
+             "estimate": ("signal", "frame", "output"), "simulate": ("output",)}
 
 
 class CliError(Exception):
@@ -88,7 +82,7 @@ def _load_config(subcommand: str, path: str | None) -> dict:
     if not isinstance(user, dict):
         raise CliError(f"config file {path}: top level must be a JSON object")
     for key, value in user.items():
-        if key not in resolved and subcommand != "eval":
+        if key not in resolved:
             raise CliError(f"config file {path}: unknown key {key!r} for {subcommand!r}")
         if key == "sim" and isinstance(resolved.get(key), dict) and isinstance(value, dict):
             for sk, sv in value.items():
@@ -146,7 +140,10 @@ def read_signal_file(path) -> ComplexSignal:
     return ComplexSignal(np.array(samples), 1.0 / rate)
 
 
-def _write_manifest(path, subcommand, config_path, config, outputs, timings) -> None:
+def _write_manifest(path, subcommand, config_path, config, outputs, timings,
+                    **fields) -> None:
+    """The run's manifest; ``timings`` are in seconds, and ``fields`` add
+    top-level entries."""
     doc = {
         "format": MANIFEST_FORMAT,
         "subcommand": subcommand,
@@ -154,21 +151,30 @@ def _write_manifest(path, subcommand, config_path, config, outputs, timings) -> 
         "config": config,
         "outputs": outputs,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
+        **fields,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _cmd_dataset(args) -> int:
-    config = _load_config("dataset", args.config)
-    if args.seed is not None:
-        config["master_seed"] = args.seed
-    if args.print_config:
-        print(json.dumps(config, indent=2, sort_keys=True))
-        return 0
-    if args.output is None:
-        raise CliError("dataset: --output is required")
+def _write_trace(path, gains: np.ndarray, delays) -> None:
+    """Gain trace file: a header, then one line of re/im pairs per sample."""
+    with open(path, "w") as fh:
+        fh.write(f"# {TRACE_FORMAT} taps={len(delays)} count={gains.shape[1]} "
+                 f"delay_units={','.join(str(d) for d in delays)}\n")
+        for row in gains.T:
+            fh.write(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n")
+
+
+def _read_records(path):
+    try:
+        return pipeline.read_dataset(path)[1]
+    except OSError as exc:
+        raise CliError(f"cannot read dataset {path}: {exc}") from exc
+
+
+def _cmd_dataset(args, config) -> int:
     spec = DatasetSpec.from_dict(config)
     timings = {}
     t0 = time.perf_counter()
@@ -183,72 +189,33 @@ def _cmd_dataset(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = _load_config("train", args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-        config["init_seed"] = args.seed
-    if args.print_config:
-        print(json.dumps(config, indent=2, sort_keys=True))
-        return 0
-    if args.dataset is None or args.output is None:
-        raise CliError("train: --dataset and --output are required")
+def _cmd_train(args, config) -> int:
     timings = {}
     t0 = time.perf_counter()
-    try:
-        _, records = pipeline.read_dataset(args.dataset)
-    except OSError as exc:
-        raise CliError(f"cannot read dataset {args.dataset}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    records = _read_records(args.dataset)
     timings["read"] = time.perf_counter() - t0
     train_records, _ = pipeline.split_train_test(records)
-    from .features import FEATURE_LENGTH, one_hot
-
-    x = np.stack([r.feature.values for r in train_records])
-    t = np.stack([one_hot(r.label) for r in train_records])
-    sizes = [FEATURE_LENGTH] + list(config["hidden_sizes"]) + [N_SCENARIOS]
-    tc = TrainConfig(
-        learning_rate=config["learning_rate"], momentum=config["momentum"],
-        epochs=config["epochs"], batch_size=config["batch_size"],
-        seed=config["seed"], plateau_patience=config["plateau_patience"],
-        plateau_rel_tol=config["plateau_rel_tol"])
+    tc = TrainConfig(**{k: v for k, v in config.items()
+                        if k not in ("hidden_sizes", "init_seed")})
     t0 = time.perf_counter()
-    params = init_mlp(sizes, seed=config["init_seed"])
-    params, report = train(params, x, t, tc)
+    params, report, fingerprint = pipeline.train_classifier(
+        train_records, config["hidden_sizes"], tc, config["init_seed"])
     timings["train"] = time.perf_counter() - t0
-    fingerprint = config_fingerprint(tc, extra={"init_seed": config["init_seed"],
-                                                "layer_sizes": sizes})
     save_mlp(params, args.output, fingerprint)
-    manifest_cfg = dict(config)
-    _write_manifest(args.output + ".manifest.json", "train", args.config, manifest_cfg,
-                    [args.output],
-                    {**timings, "epochs_run": len(report.epoch_losses)})
-    print(f"trained on {len(x)} noiseless vectors, "
+    _write_manifest(args.output + ".manifest.json", "train", args.config, config,
+                    [args.output], timings, epochs_run=len(report.epoch_losses))
+    print(f"trained on {len(train_records)} noiseless vectors, "
           f"{len(report.epoch_losses)} epochs, final training accuracy "
           f"{report.final_accuracy:.3f}")
     return 0
 
 
-def _cmd_eval(args) -> int:
-    config = _load_config("eval", args.config)
-    if args.print_config:
-        print(json.dumps(config, indent=2, sort_keys=True))
-        return 0
-    if args.model is None or args.dataset is None or args.output is None:
-        raise CliError("eval: --model, --dataset and --output are required")
+def _cmd_eval(args, config) -> int:
     try:
         params, _ = load_mlp(args.model)
     except OSError as exc:
         raise CliError(f"cannot read model {args.model}: {exc}") from exc
-    try:
-        _, records = pipeline.read_dataset(args.dataset)
-    except OSError as exc:
-        raise CliError(f"cannot read dataset {args.dataset}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    from .features import FEATURE_LENGTH
-
+    records = _read_records(args.dataset)
     if params.layer_sizes[0] != FEATURE_LENGTH or params.layer_sizes[-1] != N_SCENARIOS:
         raise CliError(
             f"model dims {params.layer_sizes[0]}->{params.layer_sizes[-1]} incompatible "
@@ -261,20 +228,11 @@ def _cmd_eval(args) -> int:
     pipeline.write_report(args.output, report)
     _write_manifest(args.output + ".manifest.json", "eval", args.config, config,
                     [args.output], timings)
-    snrs = list(report.per_snr_accuracy)
-    print("SNR/dB   " + "  ".join(f"{s:>6g}" for s in snrs) + "     Avg")
-    print("Acc/%    " + "  ".join(f"{100 * report.per_snr_accuracy[s]:>6.1f}" for s in snrs)
-          + f"  {100 * report.average_accuracy:>6.1f}")
+    print(pipeline.format_accuracy_table(report))
     return 0
 
 
-def _cmd_sound(args) -> int:
-    config = _load_config("sound", args.config)
-    if args.print_config:
-        print(json.dumps(config, indent=2, sort_keys=True))
-        return 0
-    if args.signal is None:
-        raise CliError("sound: --signal is required")
+def _cmd_sound(args, config) -> int:
     received = read_signal_file(args.signal)
     taps = config["feedback_taps"]
     mseq = generate_mseq(config["register_length"],
@@ -323,52 +281,25 @@ def _write_sounding(path, order_est: OrderEstimate, delays: DelayAmplitudeEstima
         fh.write("\n")
 
 
-def _cmd_estimate(args) -> int:
-    config = _load_config("estimate", args.config)
-    if args.print_config:
-        print(json.dumps(config, indent=2, sort_keys=True))
-        return 0
-    if args.signal is None or args.frame is None or args.output is None:
-        raise CliError("estimate: --signal, --frame and --output are required")
+def _cmd_estimate(args, config) -> int:
     received = read_signal_file(args.signal)
     frame = read_signal_file(args.frame)
     if len(frame) != len(received):
         raise CliError(f"frame length {len(frame)} != received length {len(received)}")
     cir = estimate_cir_windowed(received, frame.samples, config["delay_grid"],
                                 config["normalized_doppler"], config["window_len"])
-    with open(args.output, "w") as fh:
-        fh.write(f"# {TRACE_FORMAT} taps={len(cir.delay_grid)} count={cir.n_samples} "
-                 f"delay_units={','.join(str(d) for d in cir.delay_grid)}\n")
-        for n in range(cir.n_samples):
-            row = cir.gains[:, n]
-            fh.write(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n")
+    _write_trace(args.output, cir.gains, cir.delay_grid)
     _write_manifest(args.output + ".manifest.json", "estimate", args.config, config,
                     [args.output], {})
     print(f"wrote {len(cir.delay_grid)} x {cir.n_samples} gain estimates to {args.output}")
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_config("simulate", args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.print_config:
-        print(json.dumps(config, indent=2, sort_keys=True))
-        return 0
-    if args.output is None:
-        raise CliError("simulate: --output is required")
+def _cmd_simulate(args, config) -> int:
     profile = profiles.load_profile(config["label"])
-    sim = SimConfig(symbol_rate_hz=config["symbol_rate_hz"],
-                    normalized_doppler=config["normalized_doppler"],
-                    samples_per_symbol=config["samples_per_symbol"],
-                    seed=config["seed"])
+    sim = SimConfig(**{k: v for k, v in config.items() if k not in ("label", "n_samples")})
     cir = generate_fading(profile, config["n_samples"], sim)
-    with open(args.output, "w") as fh:
-        fh.write(f"# {TRACE_FORMAT} taps={cir.tap_count} count={cir.n_samples} "
-                 f"delay_units={','.join(str(d) for d in cir.delay_units)}\n")
-        for n in range(cir.n_samples):
-            row = cir.gains[:, n]
-            fh.write(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row) + "\n")
+    _write_trace(args.output, cir.gains, cir.delay_units)
     _write_manifest(args.output + ".manifest.json", "simulate", args.config, config,
                     [args.output], {})
     print(f"wrote {cir.tap_count}-tap fading trace ({cir.n_samples} samples) to {args.output}")
@@ -376,12 +307,12 @@ def _cmd_simulate(args) -> int:
 
 
 _COMMANDS = {
-    "dataset": _cmd_dataset,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "sound": _cmd_sound,
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
+    "dataset": (_cmd_dataset, "generate a feature dataset"),
+    "train": (_cmd_train, "train the scenario classifier on noiseless records"),
+    "eval": (_cmd_eval, "evaluate a trained classifier per SNR"),
+    "sound": (_cmd_sound, "estimate channel order, delays and amplitudes from a probe"),
+    "estimate": (_cmd_estimate, "BEM-LS gain estimation on a received signal"),
+    "simulate": (_cmd_simulate, "emit fading gain traces for one scenario"),
 }
 
 
@@ -390,18 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chanident",
         description="Multipath channel scenario identification toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("dataset", "generate a feature dataset"),
-        ("train", "train the scenario classifier on noiseless records"),
-        ("eval", "evaluate a trained classifier per SNR"),
-        ("sound", "estimate channel order, delays and amplitudes from a probe"),
-        ("estimate", "BEM-LS gain estimation on a received signal"),
-        ("simulate", "emit fading gain traces for one scenario"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config's seed")
-        p.add_argument("--threads", type=int, default=1, help="worker process cap")
+        if name in _SEED_KEYS:
+            p.add_argument("--seed", type=int, help="override the config's seed")
+        if name == "dataset":
+            p.add_argument("--threads", type=int, default=1, help="worker process cap")
         p.add_argument("--output", help="primary output path")
         p.add_argument("--print-config", action="store_true",
                        help="print the resolved config and exit")
@@ -416,14 +342,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args) -> int:
+    name = args.subcommand
+    config = _load_config(name, args.config)
+    if getattr(args, "seed", None) is not None:
+        for key in _SEED_KEYS[name]:
+            config[key] = args.seed
+    if args.print_config:
+        print(json.dumps(config, indent=2, sort_keys=True))
+        return 0
+    missing = [f"--{o}" for o in _REQUIRED[name] if getattr(args, o) is None]
+    if missing:
+        raise CliError(f"{name}: missing required {', '.join(missing)}")
+    return _COMMANDS[name][0](args, config)
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
-    except CliError as exc:
-        print(f"chanident {args.subcommand}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+        return _dispatch(args)
+    except (CliError, ValueError, KeyError, OSError) as exc:
         print(f"chanident {args.subcommand}: {exc}", file=sys.stderr)
         return 1
 

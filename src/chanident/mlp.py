@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -218,16 +218,6 @@ def load_mlp(path) -> tuple[MLPParams, dict]:
 
 def config_fingerprint(config: TrainConfig, extra: dict | None = None) -> dict:
     """Stable description of how a model was trained, embedded in the file."""
-    desc = {
-        "learning_rate": config.learning_rate,
-        "momentum": config.momentum,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "seed": config.seed,
-        "plateau_patience": config.plateau_patience,
-        "plateau_rel_tol": config.plateau_rel_tol,
-    }
-    if extra:
-        desc.update(extra)
+    desc = {**asdict(config), **(extra or {})}
     digest = hashlib.sha256(_canonical_json(desc).encode()).hexdigest()[:16]
     return {"config": desc, "digest": digest}

@@ -1,4 +1,4 @@
-"""QPSK framing with optional pilot insertion.
+"""QPSK framing.
 
 Gray mapping convention: a bit pair (b0, b1) maps to
 ((1 - 2*b0) + 1j*(1 - 2*b1)) / sqrt(2), so (0, 0) -> (1+1j)/sqrt(2) and
@@ -14,29 +14,12 @@ import numpy as np
 
 from .simulate import ComplexSignal
 
-PILOT_SYMBOL = (1.0 + 1.0j) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class PilotSpec:
-    """Pilot insertion rule: a pilot occupies every output index divisible
-    by ``spacing`` (so the frame always opens with a pilot); ``None``
-    disables pilots."""
-
-    spacing: int | None = None
-    symbol: complex = PILOT_SYMBOL
-
-    def __post_init__(self):
-        if self.spacing is not None and self.spacing < 2:
-            raise ValueError("pilot spacing must be >= 2 (or None for no pilots)")
-
 
 @dataclass(frozen=True)
 class QpskFrame:
-    """A modulated frame plus the record of where its pilots sit."""
+    """A modulated frame, known to the receiver at every sample."""
 
     signal: ComplexSignal
-    pilot_positions: tuple[int, ...]
 
     @property
     def symbols(self) -> np.ndarray:
@@ -86,36 +69,8 @@ def map_qpsk(bits) -> np.ndarray:
     return (i + 1j * q) / math.sqrt(2.0)
 
 
-def modulate_qpsk(bits, pilot_spec: PilotSpec = PilotSpec(),
-                  sample_period_s: float = 1e-5) -> QpskFrame:
-    """Modulate ``bits`` to QPSK and insert pilots per ``pilot_spec``.
-
-    With spacing s the output is P d d ... d P d ..., pilots at indices
-    0, s, 2s, ...; the frame ends as soon as the data runs out.
-    """
-    data = map_qpsk(bits)
-    if pilot_spec.spacing is None:
-        return QpskFrame(ComplexSignal(data, sample_period_s), ())
-    out: list[complex] = []
-    pilots: list[int] = []
-    di = 0
-    while True:
-        if len(out) % pilot_spec.spacing == 0:
-            pilots.append(len(out))
-            out.append(pilot_spec.symbol)
-            if di >= len(data):
-                break
-        else:
-            out.append(data[di])
-            di += 1
-            if di >= len(data):
-                break
-    return QpskFrame(ComplexSignal(np.array(out, dtype=np.complex128), sample_period_s),
-                     tuple(pilots))
-
-
 def random_frame(n_symbols: int, seed: int, sample_period_s: float = 1e-5) -> QpskFrame:
     """A fully known random-QPSK probe frame (all positions usable as pilots)."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * n_symbols)
-    return modulate_qpsk(bits, PilotSpec(spacing=None), sample_period_s)
+    return QpskFrame(ComplexSignal(map_qpsk(bits), sample_period_s))

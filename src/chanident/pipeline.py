@@ -1,6 +1,6 @@
-"""End-to-end orchestration: dataset generation, train/test split, scenario
-evaluation, and the sounding front end.  This module owns the dataset and
-report file formats.
+"""End-to-end orchestration: dataset generation, train/test split, classifier
+training, scenario evaluation, the experiment driver and the sounding front
+end.  This module owns the dataset and report file formats.
 
 Every record derives its own seed from the master seed and the record's
 (scenario, SNR, index) coordinates, so any single record is reproducible in
@@ -13,7 +13,8 @@ import hashlib
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -21,10 +22,12 @@ from . import profiles
 from .bem import CIREstimate, estimate_cir_windowed
 from .errors import (IdentifiabilityError, InsufficientSignalError,
                      InvalidSplitError, NoChannelDetectedError)
-from .features import FEATURE_LENGTH, N_SCENARIOS, build_ddpdp, flatten_ddpdp, FeatureVector
+from .features import (FEATURE_LENGTH, N_SCENARIOS, FeatureVector, build_ddpdp,
+                       flatten_ddpdp, one_hot)
 from .modulation import random_frame
 from .mseq import MSequence
-from .mlp import MLPParams, classify
+from .mlp import (MLPParams, TrainConfig, TrainReport, classify, config_fingerprint,
+                  init_mlp, save_mlp, train)
 from .simulate import ComplexSignal, SimConfig, add_awgn, apply_channel, generate_fading
 from .sounding import DelayAmplitudeEstimate, OrderEstimate, estimate_order, fold_periods, probe_spectrum, relax_estimate
 
@@ -33,8 +36,15 @@ REPORT_FORMAT = "chanident-report v1"
 NOISELESS = "noiseless"
 
 ESTIMATION_MODES = ("bem-ls", "oracle-cir")
+# The classifier's hidden layer widths in the accuracy-vs-SNR experiment.
+HIDDEN_SIZES = (64, 48, 32, 24)
 # The classifier's delay grid: one feature row per delay unit.
 _FEATURE_GRID = tuple(range(profiles.MAX_DELAY_UNITS))
+
+
+def _known_fields(cls, doc: dict) -> dict:
+    """The entries of ``doc`` that name fields of the dataclass ``cls``."""
+    return {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
 
 
 @dataclass(frozen=True)
@@ -69,41 +79,21 @@ class DatasetSpec:
         return len(self.scenario_labels) * len(self.snr_list_db) * self.vectors_per_condition
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_labels": list(self.scenario_labels),
-            "vectors_per_condition": self.vectors_per_condition,
-            "snr_list_db": [NOISELESS if s is None else s for s in self.snr_list_db],
-            "samples_per_vector": self.samples_per_vector,
-            "sim": {
-                "symbol_rate_hz": self.sim.symbol_rate_hz,
-                "normalized_doppler": self.sim.normalized_doppler,
-                "samples_per_symbol": self.sim.samples_per_symbol,
-                "seed": self.sim.seed,
-            },
-            "estimation": self.estimation,
-            "window_len": self.window_len,
-            "master_seed": self.master_seed,
-        }
+        doc = asdict(self)
+        doc["scenario_labels"] = list(self.scenario_labels)
+        doc["snr_list_db"] = [NOISELESS if s is None else s for s in self.snr_list_db]
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "DatasetSpec":
-        sim = doc.get("sim", {})
-        return DatasetSpec(
-            scenario_labels=tuple(doc.get("scenario_labels", (1, 2, 3, 4, 5, 6))),
-            vectors_per_condition=doc.get("vectors_per_condition", 20),
-            snr_list_db=tuple(None if s == NOISELESS else float(s)
-                              for s in doc.get("snr_list_db", (NOISELESS, 0, 10, 20, 30, 40))),
-            samples_per_vector=doc.get("samples_per_vector", 25600),
-            sim=SimConfig(
-                symbol_rate_hz=sim.get("symbol_rate_hz", 1e5),
-                normalized_doppler=sim.get("normalized_doppler", 0.004),
-                samples_per_symbol=sim.get("samples_per_symbol", 1),
-                seed=sim.get("seed", 0),
-            ),
-            estimation=doc.get("estimation", "bem-ls"),
-            window_len=doc.get("window_len", 512),
-            master_seed=doc.get("master_seed", 0),
-        )
+        """The spec of ``doc``; absent keys take the dataclass defaults."""
+        kwargs = _known_fields(DatasetSpec, doc)
+        if "snr_list_db" in kwargs:
+            kwargs["snr_list_db"] = tuple(None if s == NOISELESS else s
+                                          for s in kwargs["snr_list_db"])
+        if "sim" in kwargs:
+            kwargs["sim"] = SimConfig(**_known_fields(SimConfig, kwargs["sim"]))
+        return DatasetSpec(**kwargs)
 
     def fingerprint(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -207,12 +197,6 @@ def write_dataset(path, spec: DatasetSpec, records: list[DatasetRecord]) -> None
             fh.write(f"{rec.label} {_snr_token(rec.snr_db)} {rec.realization_seed} {values}\n")
 
 
-def generate_dataset(path, spec: DatasetSpec, threads: int = 1) -> list[DatasetRecord]:
-    records = generate_records(spec, threads)
-    write_dataset(path, spec, records)
-    return records
-
-
 def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -289,6 +273,54 @@ def write_report(path, report: EvalReport) -> None:
             fh.write(f"# confusion snr={s:g} dB (rows: true label 1..6, cols: predicted)\n")
             for row in report.confusions[s]:
                 fh.write("\t".join(str(int(v)) for v in row) + "\n")
+
+
+def format_accuracy_table(report: EvalReport) -> str:
+    """The accuracy-vs-SNR table as two aligned console lines."""
+    snrs = list(report.per_snr_accuracy)
+    return ("SNR/dB    " + "  ".join(f"{s:>6g}" for s in snrs) + "     Avg\n"
+            + "Acc/%     "
+            + "  ".join(f"{100 * report.per_snr_accuracy[s]:>6.1f}" for s in snrs)
+            + f"  {100 * report.average_accuracy:>6.1f}")
+
+
+def train_classifier(records: list[DatasetRecord], hidden_sizes, config: TrainConfig,
+                     init_seed: int) -> tuple[MLPParams, TrainReport, dict]:
+    """Train a fresh classifier on ``records``, the noiseless split.
+
+    Returns the trained parameters, the training report and the fingerprint
+    that the model file carries.
+    """
+    x = np.stack([r.feature.values for r in records])
+    t = np.stack([one_hot(r.label) for r in records])
+    sizes = [FEATURE_LENGTH, *hidden_sizes, N_SCENARIOS]
+    params, report = train(init_mlp(sizes, seed=init_seed), x, t, config)
+    fingerprint = config_fingerprint(config, extra={"init_seed": init_seed,
+                                                    "layer_sizes": sizes})
+    return params, report, fingerprint
+
+
+def run_experiment(spec: DatasetSpec, out_dir, hidden_sizes, config: TrainConfig,
+                   init_seed: int, threads: int = 1
+                   ) -> tuple[list[DatasetRecord], TrainReport, EvalReport]:
+    """The accuracy-vs-SNR experiment: generate ``spec``'s records, train on
+    the noiseless ones and evaluate per SNR.
+
+    Writes ``dataset.txt``, ``model.json`` and ``report.txt`` into
+    ``out_dir``, byte for byte the files of the CLI's ``dataset``, ``train``
+    and ``eval`` run with the same settings.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records = generate_records(spec, threads)
+    write_dataset(out_dir / "dataset.txt", spec, records)
+    train_records, test = split_train_test(records)
+    params, train_report, fingerprint = train_classifier(train_records, hidden_sizes,
+                                                         config, init_seed)
+    save_mlp(params, out_dir / "model.json", fingerprint)
+    report = evaluate(params, test)
+    write_report(out_dir / "report.txt", report)
+    return records, train_report, report
 
 
 def probe_signal(mseq: MSequence, periods: int = 4) -> ComplexSignal:

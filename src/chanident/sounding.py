@@ -126,18 +126,16 @@ def _circular_corr(folded: np.ndarray, chips: np.ndarray) -> np.ndarray:
 
 def estimate_order(received: ComplexSignal, local: MSequence,
                    threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
-                   floor_factor: float = DEFAULT_FLOOR_FACTOR,
-                   require_local_max: bool = False) -> OrderEstimate:
+                   floor_factor: float = DEFAULT_FLOOR_FACTOR) -> OrderEstimate:
     """Count the distinct delay paths visible in an m-sequence probe.
 
     A lag is a path when its correlation magnitude reaches
     ``threshold_factor`` times the strongest peak and clears a significance
     floor of ``floor_factor`` times the median magnitude; the floor is what
-    rejects noise-only probes.  ``require_local_max`` additionally demands a
-    local maximum over +/-1 lag; it is off by default because paths on the
-    delay grid sit at adjacent sample lags, where a tap weaker than its
-    neighbour would suppress itself (m-sequence correlation has no skirts
-    that need pruning, so the threshold alone is decisive).
+    rejects noise-only probes.  No local-maximum test is applied: paths on
+    the delay grid sit at adjacent sample lags, where a tap weaker than its
+    neighbour would suppress itself, and m-sequence correlation has no
+    skirts that need pruning, so the threshold alone is decisive.
     """
     if not 0 < threshold_factor <= 1:
         raise ValueError("threshold_factor must lie in (0, 1]")
@@ -152,10 +150,7 @@ def estimate_order(received: ComplexSignal, local: MSequence,
             f"strongest correlation peak {peak:.3g} is below the significance "
             f"floor {floor:.3g}; probe looks like noise")
     threshold = max(threshold_factor * peak, floor)
-    is_peak = mag >= threshold
-    if require_local_max:
-        is_peak &= (mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))
-    lags = np.flatnonzero(is_peak)
+    lags = np.flatnonzero(mag >= threshold)
     return OrderEstimate(
         order=len(lags),
         peak_lags=tuple(int(d) for d in lags),
@@ -184,27 +179,6 @@ def _objective_all_delays(freq: FrequencyData, residual: np.ndarray) -> np.ndarr
     """g[tau] = alpha(tau)^H (conj(M) * residual) for every integer tau."""
     y = np.fft.ifftshift(np.conj(freq.M_diag) * residual)
     return np.fft.ifft(y) * freq.n
-
-
-def amplitude_given_delay(freq: FrequencyData, residual: np.ndarray, delay: int) -> complex:
-    """Closed-form least-squares amplitude of a single path at ``delay``."""
-    num = np.vdot(_alpha(freq.n, delay), np.conj(freq.M_diag) * residual)
-    return complex(num / np.sum(np.abs(freq.M_diag) ** 2))
-
-
-def delay_argmax(freq: FrequencyData, residual: np.ndarray, candidate_delays) -> int:
-    """The candidate delay maximising |alpha^H (conj(M) residual)|^2.
-
-    Ties resolve to the smallest delay.
-    """
-    cand = np.asarray(list(candidate_delays), dtype=np.intp)
-    if len(cand) == 0:
-        raise ValueError("candidate_delays must be non-empty")
-    if cand.min() < 0 or cand.max() >= freq.n:
-        raise ValueError(f"candidate delays must lie in [0, {freq.n})")
-    cand = np.sort(cand)
-    g = _objective_all_delays(freq, residual)
-    return int(cand[np.argmax(np.abs(g[cand]) ** 2)])
 
 
 def _model(freq: FrequencyData, paths) -> np.ndarray:

@@ -16,12 +16,10 @@ from scipy.stats import chi2
 
 from _oracles import brute_force_paths, static_probe
 from chanident.cli import run as cli_run
-from chanident.features import (FEATURE_LENGTH, N_SCENARIOS, build_ddpdp,
-                                flatten_ddpdp, one_hot)
-from chanident.mlp import TrainConfig, complexity_count, init_mlp, train
+from chanident.features import FEATURE_LENGTH, build_ddpdp, flatten_ddpdp
+from chanident.mlp import TrainConfig, complexity_count, init_mlp
 from chanident.mseq import generate_mseq, periodic_autocorrelation
-from chanident.pipeline import (DatasetSpec, evaluate, generate_records,
-                                split_train_test)
+from chanident.pipeline import HIDDEN_SIZES, DatasetSpec, run_experiment, split_train_test
 from chanident.profiles import load_profile
 from chanident.simulate import SimConfig, generate_fading
 from chanident.slepian import basis_dimension, generate_dpss
@@ -204,17 +202,13 @@ def test_criterion_7_gradient_check():
 
 
 @criterion(8, "end-to-end accuracy-vs-SNR trend at desk scale", 900.0)
-def test_criterion_8_table_trend():
+def test_criterion_8_table_trend(tmp_path):
     spec = DatasetSpec(master_seed=1)  # 6 scenarios x 6 conditions x 20 vectors
-    records = generate_records(spec)
+    records, _, report = run_experiment(spec, tmp_path, HIDDEN_SIZES, TrainConfig(seed=1),
+                                        init_seed=1)
     assert len(records) == 720
     train_recs, test = split_train_test(records)
     assert len(train_recs) == 120
-    x = np.stack([r.feature.values for r in train_recs])
-    t = np.stack([one_hot(r.label) for r in train_recs])
-    params = init_mlp([FEATURE_LENGTH, 64, 48, 32, 24, N_SCENARIOS], seed=1)
-    params, _ = train(params, x, t, TrainConfig(seed=1))
-    report = evaluate(params, test)
     snrs = sorted(report.per_snr_accuracy)
     assert snrs == [0.0, 10.0, 20.0, 30.0, 40.0]
     acc = np.array([report.per_snr_accuracy[s] for s in snrs])

@@ -7,8 +7,9 @@ from _oracles import static_probe
 from chanident import cli
 from chanident.cli import read_signal_file, run, write_signal_file
 from chanident.mlp import init_mlp, save_mlp
+from chanident.mlp import TrainConfig
 from chanident.mseq import generate_mseq
-from chanident.pipeline import read_dataset
+from chanident.pipeline import DatasetSpec, read_dataset, run_experiment
 from chanident.simulate import ComplexSignal
 
 TINY_DATASET_CFG = {
@@ -115,6 +116,16 @@ class TestTrainCommand:
         assert run(["train", "--config", cfg, "--dataset", data, "--output", m2]) == 0
         assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
+    def test_manifest_timings_are_seconds(self, tmp_path):
+        data, _ = _make_dataset(tmp_path)
+        cfg = _write_cfg(tmp_path, "train.json", FAST_TRAIN_CFG)
+        model = str(tmp_path / "model.json")
+        assert run(["train", "--config", cfg, "--dataset", data, "--output", model]) == 0
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["timings_s"]
+        assert all(isinstance(v, float) for v in manifest["timings_s"].values())
+        assert manifest["epochs_run"] == 3
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "train.json", FAST_TRAIN_CFG)
         rc = run(["train", "--config", cfg, "--dataset", str(tmp_path / "no.txt"),
@@ -149,6 +160,15 @@ class TestEvalCommand:
         assert lines[2].startswith("Accuracy/%\t")
         out = capsys.readouterr().out
         assert "SNR/dB" in out and "Avg" in out
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        data, model = self._trained(tmp_path)
+        cfg = _write_cfg(tmp_path, "eval.json", {"threshold": 0.5})
+        rc = run(["eval", "--config", cfg, "--model", model, "--dataset", data,
+                  "--output", str(tmp_path / "r.txt")])
+        assert rc != 0
+        assert "threshold" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt.manifest.json").exists()
 
     def test_incompatible_model_named(self, tmp_path, capsys):
         data, _ = _make_dataset(tmp_path)
@@ -280,3 +300,34 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg, "--output", a]) == 0
         assert run(["simulate", "--config", cfg, "--output", b]) == 0
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+class TestFlagScope:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--seed", "3"],
+        ["sound", "--seed", "3"],
+        ["estimate", "--seed", "3"],
+        ["train", "--threads", "2"],
+        ["eval", "--threads", "2"],
+        ["simulate", "--threads", "2"],
+    ])
+    def test_flag_rejected_where_it_does_nothing(self, argv):
+        with pytest.raises(SystemExit):
+            run(argv)
+
+
+def test_cli_chain_writes_the_files_of_run_experiment(tmp_path):
+    cfg = dict(TINY_DATASET_CFG, scenario_labels=[1, 2], estimation="bem-ls")
+    spec = DatasetSpec.from_dict(dict(cfg, master_seed=6))
+    run_experiment(spec, tmp_path / "exp", (8,), TrainConfig(epochs=3, batch_size=4, seed=6),
+                   init_seed=6)
+
+    data, ds_cfg = str(tmp_path / "dataset.txt"), _write_cfg(tmp_path, "ds.json", cfg)
+    model, report = str(tmp_path / "model.json"), str(tmp_path / "report.txt")
+    train_cfg = _write_cfg(tmp_path, "train.json", FAST_TRAIN_CFG)
+    assert run(["dataset", "--config", ds_cfg, "--output", data, "--seed", "6"]) == 0
+    assert run(["train", "--config", train_cfg, "--dataset", data, "--output", model,
+                "--seed", "6"]) == 0
+    assert run(["eval", "--model", model, "--dataset", data, "--output", report]) == 0
+    for name in ("dataset.txt", "model.json", "report.txt"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "exp" / name).read_bytes(), name

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from chanident.features import FEATURE_LENGTH, N_SCENARIOS, one_hot
-from chanident.mlp import TrainConfig, config_fingerprint, init_mlp, save_mlp, train
-from chanident.pipeline import (DatasetSpec, evaluate, generate_records,
+from chanident.mlp import (TrainConfig, config_fingerprint, init_mlp, load_mlp, save_mlp,
+                           train)
+from chanident.pipeline import (DatasetSpec, evaluate, generate_records, run_experiment,
                                 split_train_test, write_dataset, write_report)
 from chanident.simulate import SimConfig
 
@@ -73,3 +74,18 @@ def test_golden_digests(case, tmp_path):
     got = {kind: _sha256(tmp_path / f"{kind}.{ext}")
            for kind, ext in (("dataset", "txt"), ("model", "json"), ("report", "txt"))}
     assert got == GOLDEN[case]
+
+
+def test_run_experiment_reproduces_digests(tmp_path):
+    case = "bem-ls nu=0.02"
+    run_experiment(_spec(case), tmp_path, LAYER_SIZES[1:-1], TRAIN, init_seed=3)
+    assert _sha256(tmp_path / "dataset.txt") == GOLDEN[case]["dataset"]
+    assert _sha256(tmp_path / "report.txt") == GOLDEN[case]["report"]
+    # The model file also names the initial seed in its fingerprint; with the
+    # pinned fingerprint, the same parameters give the pinned bytes.
+    params, fingerprint = load_mlp(tmp_path / "model.json")
+    assert fingerprint == config_fingerprint(
+        TRAIN, extra={"init_seed": 3, "layer_sizes": list(LAYER_SIZES)})
+    save_mlp(params, tmp_path / "model.json",
+             config_fingerprint(TRAIN, extra={"layer_sizes": list(LAYER_SIZES)}))
+    assert _sha256(tmp_path / "model.json") == GOLDEN[case]["model"]

@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from chanident.modulation import (PILOT_SYMBOL, PilotPattern, PilotSpec,
-                                  map_qpsk, modulate_qpsk, random_frame)
+from chanident.modulation import PilotPattern, map_qpsk, random_frame
 
 ROOT2 = math.sqrt(2.0)
 
@@ -38,41 +35,6 @@ def test_unit_power():
 def test_odd_bit_count_rejected():
     with pytest.raises(ValueError, match="even"):
         map_qpsk([0, 1, 0])
-
-
-def test_pilot_insertion_every_4():
-    frame = modulate_qpsk([0, 0, 0, 1, 1, 0, 1, 1], PilotSpec(spacing=4))
-    # direct construction: P d0 d1 d2 P d3
-    data = map_qpsk([0, 0, 0, 1, 1, 0, 1, 1])
-    expected = np.array([PILOT_SYMBOL, data[0], data[1], data[2], PILOT_SYMBOL, data[3]])
-    assert frame.pilot_positions == (0, 4)
-    assert np.allclose(frame.symbols, expected)
-
-
-def test_empty_bits_single_leading_pilot():
-    frame = modulate_qpsk([], PilotSpec(spacing=4))
-    assert len(frame.symbols) == 1
-    assert frame.symbols[0] == pytest.approx(PILOT_SYMBOL)
-    assert frame.pilot_positions == (0,)
-
-
-def test_no_pilots_by_default():
-    frame = modulate_qpsk([0, 0, 1, 1])
-    assert frame.pilot_positions == ()
-    assert len(frame.symbols) == 2
-
-
-@given(st.integers(0, 200), st.integers(2, 9))
-@settings(max_examples=30, deadline=None)
-def test_pilot_positions_consistent(n_pairs, spacing):
-    bits = list(np.random.default_rng(n_pairs).integers(0, 2, 2 * n_pairs))
-    frame = modulate_qpsk(bits, PilotSpec(spacing=spacing))
-    assert all(p % spacing == 0 for p in frame.pilot_positions)
-    assert len(frame.symbols) == n_pairs + len(frame.pilot_positions)
-    # every non-pilot position carries the data in order
-    mask = np.ones(len(frame.symbols), dtype=bool)
-    mask[list(frame.pilot_positions)] = False
-    assert np.allclose(frame.symbols[mask], map_qpsk(bits))
 
 
 def test_random_frame_known_everywhere():

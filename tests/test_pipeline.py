@@ -37,6 +37,12 @@ class TestDatasetSpec:
     def test_round_trips_through_dict(self):
         assert DatasetSpec.from_dict(TINY.to_dict()) == TINY
 
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert DatasetSpec.from_dict({}) == DatasetSpec()
+        spec = DatasetSpec.from_dict({"sim": {"normalized_doppler": 0.02}})
+        assert spec.sim.normalized_doppler == 0.02
+        assert spec.sim.symbol_rate_hz == DatasetSpec().sim.symbol_rate_hz
+
     def test_fingerprint_stable_and_sensitive(self):
         assert TINY.fingerprint() == DatasetSpec.from_dict(TINY.to_dict()).fingerprint()
         other = DatasetSpec(scenario_labels=(1, 3), vectors_per_condition=2,

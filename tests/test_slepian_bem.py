@@ -172,7 +172,7 @@ class TestBemLs:
         coeffs, est = bem_ls_estimate(rx, pilots, (0,), basis)
         shifts = frame.symbols[:, None]
         a = (shifts * basis.sequences.T).astype(complex)
-        resid = rx.samples - a @ coeffs.coeffs[0]
+        resid = rx.samples - a @ coeffs[0]
         lhs = np.abs(a.conj().T @ resid)
         scale = np.linalg.norm(a, axis=0) * np.linalg.norm(resid)
         assert np.all(lhs <= 1e-8 * scale)

@@ -7,9 +7,8 @@ from _oracles import brute_force_paths, static_probe, steering_matrix
 from chanident.errors import InsufficientSignalError
 from chanident.mseq import generate_mseq
 from chanident.simulate import ComplexSignal
-from chanident.sounding import (amplitude_given_delay, delay_argmax, estimate_order,
-                                fit_cost, probe_spectrum, relax_estimate,
-                                residual_spectrum)
+from chanident.sounding import (FrequencyData, estimate_order, fit_cost, probe_spectrum,
+                                relax_estimate, residual_spectrum)
 
 MSEQ = generate_mseq(8)
 N = MSEQ.period
@@ -99,16 +98,26 @@ def _freq_for(amplitudes, delays, snr_db=None, seed=0):
     return probe_spectrum(fold_periods(received.samples, N), MSEQ)
 
 
+def _one_path(freq, candidate_delays, scale=1.0):
+    """The single path that relax_estimate fits to ``scale`` times the probe
+    spectrum: the candidate delay maximising |alpha^H (conj(M) R)|^2 and its
+    closed-form least-squares amplitude."""
+    scaled = FrequencyData(scale * freq.R, freq.M_diag)
+    return relax_estimate(scaled, 1, candidate_delays).paths[0]
+
+
 class TestAmplitudeGivenDelay:
+    """A single candidate delay fixes the path, so only its amplitude is fitted."""
+
     def test_single_unit_path(self):
         freq = _freq_for([1.0], [0])
-        assert amplitude_given_delay(freq, freq.R, 0) == pytest.approx(1.0, abs=1e-9)
+        assert _one_path(freq, [0])[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_linearity_in_residual(self):
         freq = _freq_for([0.5 + 0.2j], [3])
         c = -1.3 + 0.7j
-        a1 = amplitude_given_delay(freq, freq.R, 3)
-        a2 = amplitude_given_delay(freq, c * freq.R, 3)
+        a1 = _one_path(freq, [3])[1]
+        a2 = _one_path(freq, [3], scale=c)[1]
         assert a2 == pytest.approx(c * a1)
 
     def test_two_path_residual_with_second_removed(self):
@@ -116,13 +125,16 @@ class TestAmplitudeGivenDelay:
         mu = (0.8 - 0.3j, 0.25j)
         freq = _freq_for(mu, [2, 9])
         second = steering_matrix(freq, [9])[:, 0] * mu[1]
-        assert amplitude_given_delay(freq, freq.R - second, 2) == pytest.approx(mu[0], abs=1e-9)
+        residual = FrequencyData(freq.R - second, freq.M_diag)
+        assert _one_path(residual, [2])[1] == pytest.approx(mu[0], abs=1e-9)
 
 
 class TestDelayArgmax:
+    """A one-path fit picks the candidate delay of the largest objective."""
+
     def test_single_path(self):
         freq = _freq_for([1.0], [5])
-        assert delay_argmax(freq, freq.R, range(N)) == 5
+        assert _one_path(freq, range(N))[0] == 5
 
     def test_dominant_path_wins(self):
         # oracle: evaluate the objective exhaustively with explicit loops
@@ -135,7 +147,7 @@ class TestDelayArgmax:
             if val > best_val:
                 best, best_val = tau, val
         assert best == 2
-        assert delay_argmax(freq, freq.R, range(N)) == 2
+        assert _one_path(freq, range(N))[0] == 2
 
     @given(st.integers(0, 2 ** 31), st.integers(1, 120))
     @settings(max_examples=20, deadline=None)
@@ -144,12 +156,12 @@ class TestDelayArgmax:
         amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         freq = _freq_for(amps, [1, 6, 14])
         c = 0.01 * scale_steps * np.exp(2j * np.pi * rng.uniform())
-        assert delay_argmax(freq, freq.R, range(30)) == delay_argmax(freq, c * freq.R, range(30))
+        assert _one_path(freq, range(30))[0] == _one_path(freq, range(30), scale=c)[0]
 
     def test_empty_range_rejected(self):
         freq = _freq_for([1.0], [0])
-        with pytest.raises(ValueError, match="empty"):
-            delay_argmax(freq, freq.R, [])
+        with pytest.raises(ValueError, match="0 candidate delays"):
+            _one_path(freq, [])
 
 
 class TestRelaxEstimate:
