@@ -203,7 +203,8 @@ def _cmd_train(args, config) -> int:
     timings["train"] = time.perf_counter() - t0
     save_mlp(params, args.output, fingerprint)
     _write_manifest(args.output + ".manifest.json", "train", args.config, config,
-                    [args.output], timings, epochs_run=len(report.epoch_losses))
+                    [args.output], timings, epochs_run=len(report.epoch_losses),
+                    best_epoch=report.best_epoch, stopped_on=report.stopped_on)
     print(f"trained on {len(train_records)} noiseless vectors, "
           f"{len(report.epoch_losses)} epochs, final training accuracy "
           f"{report.final_accuracy:.3f}")
@@ -368,3 +369,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

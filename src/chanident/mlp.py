@@ -47,12 +47,20 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.plateau_patience < 1:
+            raise ValueError("plateau_patience must be >= 1")
+        if not 0 <= self.plateau_rel_tol < 1:
+            raise ValueError("plateau_rel_tol must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class TrainReport:
     epoch_losses: tuple[float, ...]
     final_accuracy: float
+    # 1-based epoch whose loss last beat the best by plateau_rel_tol (the
+    # reference the plateau stop counts from); 0 if none did
+    best_epoch: int
+    stopped_on: str  # "plateau" or "epoch_limit"
 
 
 def init_mlp(layer_sizes, seed: int) -> MLPParams:
@@ -90,20 +98,21 @@ def batch_loss(params: MLPParams, x: np.ndarray, t: np.ndarray) -> float:
     return float(np.mean((out - t) ** 2))
 
 
-def _loss_and_gradients(params: MLPParams, x: np.ndarray, t: np.ndarray):
+def _loss_and_gradients(params: MLPParams, x: np.ndarray, t: np.ndarray,
+                        grad_w: list[np.ndarray], grad_b: list[np.ndarray]) -> float:
+    """Batch loss; writes dloss/dW[h] and dloss/dB[h] into the caller's
+    buffers ``grad_w[h]`` and ``grad_b[h]`` (shaped like the parameters)."""
     acts = _forward_batch(params, x)
     out = acts[-1]
     loss = float(np.mean((out - t) ** 2))
     scale = 2.0 / out.size
     delta = scale * (out - t) * (1.0 - out ** 2)
-    dw = [None] * len(params.weights)
-    db = [None] * len(params.biases)
     for h in range(len(params.weights) - 1, -1, -1):
-        dw[h] = delta.T @ acts[h]
-        db[h] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[h], out=grad_w[h])
+        np.sum(delta, axis=0, out=grad_b[h])
         if h:
             delta = (delta @ params.weights[h]) * (1.0 - acts[h] ** 2)
-    return loss, dw, db
+    return loss
 
 
 def gradients(params: MLPParams, x: np.ndarray, t: np.ndarray):
@@ -116,13 +125,26 @@ def gradients(params: MLPParams, x: np.ndarray, t: np.ndarray):
         raise ValueError("batch dimensions do not match the network")
     if x.shape[0] != t.shape[0]:
         raise ValueError("inputs and targets must pair up")
-    _, dw, db = _loss_and_gradients(params, x, t)
+    dw = [np.empty_like(w) for w in params.weights]
+    db = [np.empty_like(b) for b in params.biases]
+    _loss_and_gradients(params, x, t, dw, db)
     return dw, db
+
+
+# Elements per block of the momentum update: 256 KB of float64, so the
+# block's four passes over weight, velocity and gradient stay in a 2 MB L2.
+_UPDATE_BLOCK = 32 * 1024
 
 
 def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
           config: TrainConfig) -> tuple[MLPParams, TrainReport]:
-    """Mini-batch gradient descent with momentum; returns fresh parameters."""
+    """Mini-batch gradient descent with momentum; returns fresh parameters.
+
+    Each step computes ``v = momentum * v - learning_rate * g; p += v`` for
+    every weight and bias array, in place and one cache-sized block at a
+    time: the same operations in the same order, so the same bits, as the
+    textbook expression, without allocating arrays of weight size.
+    """
     x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
@@ -130,37 +152,46 @@ def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
     if len(x) != len(t):
         raise ValueError("features and targets must pair up")
     p = params.copy()
-    vel_w = [np.zeros_like(w) for w in p.weights]
-    vel_b = [np.zeros_like(b) for b in p.biases]
+    grad_w = [np.empty_like(w) for w in p.weights]
+    grad_b = [np.empty_like(b) for b in p.biases]
+    # (parameter, velocity, gradient) views of at most _UPDATE_BLOCK elements
+    blocks = []
+    for param, grad in zip(p.weights + p.biases, grad_w + grad_b):
+        flat_p, flat_v, flat_g = param.reshape(-1), np.zeros(param.size), grad.reshape(-1)
+        for lo in range(0, param.size, _UPDATE_BLOCK):
+            blk = slice(lo, lo + _UPDATE_BLOCK)
+            blocks.append((flat_p[blk], flat_v[blk], flat_g[blk]))
     rng = np.random.default_rng(config.seed)
     losses = []
     best = np.inf
+    best_epoch = 0
     since_best = 0
-    for _epoch in range(config.epochs):
+    stopped_on = "epoch_limit"
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(x))
         epoch_losses = []
         for lo in range(0, len(x), config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            xb, tb = x[idx], t[idx]
-            loss, dw, db = _loss_and_gradients(p, xb, tb)
-            epoch_losses.append(loss)
-            for h in range(len(p.weights)):
-                vel_w[h] = config.momentum * vel_w[h] - config.learning_rate * dw[h]
-                vel_b[h] = config.momentum * vel_b[h] - config.learning_rate * db[h]
-                p.weights[h] += vel_w[h]
-                p.biases[h] += vel_b[h]
+            epoch_losses.append(_loss_and_gradients(p, x[idx], t[idx], grad_w, grad_b))
+            for w, v, g in blocks:
+                v *= config.momentum
+                g *= config.learning_rate
+                v -= g
+                w += v
         loss = float(np.mean(epoch_losses))
         losses.append(loss)
         if loss < best * (1.0 - config.plateau_rel_tol):
             best = loss
+            best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.plateau_patience:
+                stopped_on = "plateau"
                 break
     out = _forward_batch(p, x)[-1]
     acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(t, axis=1)))
-    return p, TrainReport(tuple(losses), acc)
+    return p, TrainReport(tuple(losses), acc, best_epoch, stopped_on)
 
 
 def classify(params: MLPParams, feature) -> int:

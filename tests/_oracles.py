@@ -2,14 +2,16 @@
 
 These deliberately avoid the package's own computation paths: the multipath
 fit oracle is an exhaustive joint grid search over delay combinations with a
-dense least-squares solve per combination, and probes are built by explicit
-convolution of frozen channels.
+dense least-squares solve per combination, probes are built by explicit
+convolution of frozen channels, and the training reference is the textbook
+momentum loop that allocates every gradient and velocity afresh.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from chanident.mlp import MLPParams
 from chanident.mseq import MSequence
 from chanident.simulate import CIRMatrix, ComplexSignal, add_awgn, apply_channel
 from chanident.sounding import FrequencyData
@@ -41,3 +43,68 @@ def static_probe(mseq: MSequence, amplitudes, delays, periods: int = 4,
     gains = np.repeat(np.asarray(amplitudes, dtype=complex)[:, None], n, axis=1)
     received = apply_channel(x, CIRMatrix(gains, mseq.chip_period_s, tuple(delays)))
     return add_awgn(received, snr_db, seed=seed)
+
+
+def _reference_forward_batch(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
+    acts = [x]
+    a = x
+    for w, b in zip(params.weights, params.biases):
+        a = np.tanh(a @ w.T + b)
+        acts.append(a)
+    return acts
+
+
+def _reference_loss_and_gradients(params: MLPParams, x: np.ndarray, t: np.ndarray):
+    acts = _reference_forward_batch(params, x)
+    out = acts[-1]
+    loss = float(np.mean((out - t) ** 2))
+    scale = 2.0 / out.size
+    delta = scale * (out - t) * (1.0 - out ** 2)
+    dw = [None] * len(params.weights)
+    db = [None] * len(params.biases)
+    for h in range(len(params.weights) - 1, -1, -1):
+        dw[h] = delta.T @ acts[h]
+        db[h] = delta.sum(axis=0)
+        if h:
+            delta = (delta @ params.weights[h]) * (1.0 - acts[h] ** 2)
+    return loss, dw, db
+
+
+def reference_train(params: MLPParams, features, targets, config):
+    """Mini-batch momentum descent written as ``v = momentum * v - lr * g;
+    w += v`` with fresh arrays each step.  Returns the trained parameters,
+    the per-epoch losses and the final training accuracy."""
+    x = np.asarray(features, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    p = params.copy()
+    vel_w = [np.zeros_like(w) for w in p.weights]
+    vel_b = [np.zeros_like(b) for b in p.biases]
+    rng = np.random.default_rng(config.seed)
+    losses = []
+    best = np.inf
+    since_best = 0
+    for _epoch in range(config.epochs):
+        order = rng.permutation(len(x))
+        epoch_losses = []
+        for lo in range(0, len(x), config.batch_size):
+            idx = order[lo:lo + config.batch_size]
+            xb, tb = x[idx], t[idx]
+            loss, dw, db = _reference_loss_and_gradients(p, xb, tb)
+            epoch_losses.append(loss)
+            for h in range(len(p.weights)):
+                vel_w[h] = config.momentum * vel_w[h] - config.learning_rate * dw[h]
+                vel_b[h] = config.momentum * vel_b[h] - config.learning_rate * db[h]
+                p.weights[h] += vel_w[h]
+                p.biases[h] += vel_b[h]
+        loss = float(np.mean(epoch_losses))
+        losses.append(loss)
+        if loss < best * (1.0 - config.plateau_rel_tol):
+            best = loss
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= config.plateau_patience:
+                break
+    out = _reference_forward_batch(p, x)[-1]
+    acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(t, axis=1)))
+    return p, tuple(losses), acc

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,21 @@ class TestTrainCommand:
         assert manifest["timings_s"]
         assert all(isinstance(v, float) for v in manifest["timings_s"].values())
         assert manifest["epochs_run"] == 3
+
+    @pytest.mark.parametrize("overrides, stopped_on", [
+        ({}, "epoch_limit"),
+        ({"epochs": 50, "plateau_patience": 1, "plateau_rel_tol": 0.5}, "plateau"),
+    ])
+    def test_manifest_records_why_training_stopped(self, tmp_path, overrides, stopped_on):
+        data, _ = _make_dataset(tmp_path)
+        cfg = _write_cfg(tmp_path, "train.json", dict(FAST_TRAIN_CFG, **overrides))
+        model = str(tmp_path / "model.json")
+        assert run(["train", "--config", cfg, "--dataset", data, "--output", model]) == 0
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["stopped_on"] == stopped_on
+        assert 1 <= manifest["best_epoch"] <= manifest["epochs_run"]
+        if stopped_on == "plateau":
+            assert manifest["epochs_run"] == manifest["best_epoch"] + 1 < 50
 
     def test_missing_dataset_fails(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "train.json", FAST_TRAIN_CFG)
@@ -331,3 +350,30 @@ def test_cli_chain_writes_the_files_of_run_experiment(tmp_path):
     assert run(["eval", "--model", model, "--dataset", data, "--output", report]) == 0
     for name in ("dataset.txt", "model.json", "report.txt"):
         assert (tmp_path / name).read_bytes() == (tmp_path / "exp" / name).read_bytes(), name
+
+
+class TestModuleEntryPoint:
+    """``python -m chanident.cli`` runs the same CLI as the installed script."""
+
+    @staticmethod
+    def _run_module(*argv):
+        import chanident
+
+        src = str(Path(chanident.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "chanident.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_help_prints_usage(self):
+        proc = self._run_module("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: chanident")
+        assert "dataset" in proc.stdout
+
+    def test_dataset_writes_its_file(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "ds.json", dict(TINY_DATASET_CFG, snr_list_db=["noiseless"]))
+        out = tmp_path / "data.txt"
+        proc = self._run_module("dataset", "--config", cfg, "--output", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_dataset(out)[1]) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import reference_train
 from chanident.mlp import (MLPParams, TrainConfig, batch_loss, classify,
                            complexity_count, config_fingerprint, forward,
                            gradients, init_mlp, load_mlp, save_mlp, train)
@@ -175,6 +176,103 @@ class TestTrain:
         p = init_mlp([2, 3, 2], seed=0)
         with pytest.raises(ValueError):
             train(p, np.zeros((0, 2)), np.zeros((0, 2)), TrainConfig())
+
+
+# (layer sizes, vectors, config): batch of one; a partial last batch; one
+# batch larger than the set; the paper's 4800-input network, whose first
+# layer spans several update blocks; no momentum; a run the plateau stops.
+REFERENCE_CASES = {
+    "batch1": ([5, 7, 3], 9, TrainConfig(batch_size=1, epochs=20, seed=1)),
+    "partial-batch": ([5, 7, 3], 10, TrainConfig(batch_size=4, epochs=20, seed=2)),
+    "batch-over-n": ([5, 7, 3], 6, TrainConfig(batch_size=32, epochs=20, seed=3)),
+    "paper-network": ([4800, 64, 48, 32, 24, 6], 6,
+                      TrainConfig(batch_size=6, epochs=8, seed=4)),
+    "no-momentum": ([5, 7, 3], 10, TrainConfig(batch_size=4, momentum=0.0, epochs=20,
+                                               seed=5)),
+    "plateau": ([2, 8, 2], 20, TrainConfig(learning_rate=0.1, epochs=2000, seed=6,
+                                           plateau_patience=5, plateau_rel_tol=0.02)),
+}
+
+
+class TestTrainMatchesReference:
+    """train's in-place, blocked momentum step gives the bits of the textbook
+    loop that allocates every velocity and gradient afresh."""
+
+    @staticmethod
+    def _run(case):
+        sizes, n, cfg = REFERENCE_CASES[case]
+        if sizes[0] == 2:
+            x, t = _toy_blobs(n, seed=7)
+        else:
+            x, t = _random_batch(sizes, n, seed=8)
+            x *= 0.05
+        params = init_mlp(sizes, seed=9)
+        return params, x, t, cfg
+
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_same_bits_as_reference(self, case):
+        params, x, t, cfg = self._run(case)
+        got, report = train(params, x, t, cfg)
+        want, losses, acc = reference_train(params, x, t, cfg)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+        assert report.epoch_losses == losses
+        assert report.final_accuracy == acc
+
+    def test_cases_cover_the_edges(self):
+        from chanident.mlp import _UPDATE_BLOCK
+
+        params, _, _, _ = self._run("paper-network")
+        assert params.weights[0].size > 2 * _UPDATE_BLOCK
+        params, x, t, cfg = self._run("plateau")
+        _, report = train(params, x, t, cfg)
+        assert report.stopped_on == "plateau"
+        assert len(report.epoch_losses) < cfg.epochs
+
+    def test_params_not_mutated(self):
+        params, x, t, cfg = self._run("paper-network")
+        before = params.copy()
+        train(params, x, t, cfg)
+        for a, b in zip(params.weights + params.biases, before.weights + before.biases):
+            assert np.array_equal(a, b)
+
+
+class TestTrainReport:
+    def test_epoch_limit(self):
+        x, t = _toy_blobs()
+        _, report = train(init_mlp([2, 4, 2], seed=1), x, t,
+                          TrainConfig(epochs=10, plateau_patience=10))
+        assert report.stopped_on == "epoch_limit"
+        assert len(report.epoch_losses) == 10
+        assert 1 <= report.best_epoch <= 10
+
+    def test_plateau_counts_from_best_epoch(self):
+        x, t = _toy_blobs()
+        cfg = TrainConfig(learning_rate=0.1, epochs=2000, plateau_patience=7,
+                          plateau_rel_tol=0.02)
+        _, report = train(init_mlp([2, 8, 2], seed=2), x, t, cfg)
+        losses = report.epoch_losses
+        assert report.stopped_on == "plateau"
+        assert len(losses) == report.best_epoch + cfg.plateau_patience
+        best = losses[report.best_epoch - 1]
+        assert all(loss >= best * (1 - cfg.plateau_rel_tol)
+                   for loss in losses[report.best_epoch:])
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_rejects_patience_below_one(self, patience):
+        with pytest.raises(ValueError, match="plateau_patience"):
+            TrainConfig(plateau_patience=patience)
+
+    @pytest.mark.parametrize("tol", [-1e-9, 1.0, 1.5, float("nan")])
+    def test_rejects_rel_tol_outside_unit_interval(self, tol):
+        with pytest.raises(ValueError, match="plateau_rel_tol"):
+            TrainConfig(plateau_rel_tol=tol)
+
+    def test_accepts_the_edges(self):
+        TrainConfig(plateau_patience=1, plateau_rel_tol=0.0)
+        TrainConfig(plateau_rel_tol=0.999)
 
 
 class TestClassify:
