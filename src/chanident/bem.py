@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
-from . import slepian
+from . import _blas, slepian
 from .errors import IdentifiabilityError
 from .modulation import PilotPattern
 from .simulate import ComplexSignal
@@ -145,12 +146,14 @@ def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
             f"{where}{observed} observations cannot identify {taps} delays x "
             f"{count} basis terms = {taps * count} unknowns")
     gram, rhs = _normal_equations(shifts, samples, basis, positions)
-    try:
-        return np.linalg.solve(gram, rhs).reshape(taps, count)
-    except np.linalg.LinAlgError as exc:
+    # Cholesky solve of the Hermitian positive-definite Gram matrix; info > 0
+    # is a leading minor that is not positive definite, so G is singular.
+    _, coeffs, info = lapack.zposv(gram, rhs)
+    if info != 0:
         raise IdentifiabilityError(
             f"{where}normal equations singular for {taps} delays x {count} basis "
-            f"terms from {observed} observations") from exc
+            f"terms from {observed} observations")
+    return coeffs.reshape(taps, count)
 
 
 def _unique_delays(delay_grid) -> tuple[int, ...]:
@@ -162,6 +165,7 @@ def _unique_delays(delay_grid) -> tuple[int, ...]:
     return delays
 
 
+@_blas.single_thread()
 def bem_ls_estimate(received: ComplexSignal, pilots: PilotPattern,
                     delay_grid, basis: DPSSBasis) -> tuple[np.ndarray, CIREstimate]:
     """Least-squares fit of basis coefficients ``c[l, d]`` from the observed
@@ -183,6 +187,7 @@ def bem_ls_estimate(received: ComplexSignal, pilots: PilotPattern,
     return coeffs, CIREstimate(coeffs @ basis.sequences, delays, "bem-ls")
 
 
+@_blas.single_thread()
 def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid,
                           normalized_doppler: float,
                           window_len: int = DEFAULT_WINDOW_LEN,

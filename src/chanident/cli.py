@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import pipeline, profiles
+from . import _blas, pipeline, profiles
 from .bem import estimate_cir_windowed
 from .features import FEATURE_LENGTH, N_SCENARIOS
 from .mlp import TrainConfig, load_mlp, save_mlp
@@ -184,7 +184,7 @@ def _cmd_dataset(args, config) -> int:
     pipeline.write_dataset(args.output, spec, records)
     timings["write"] = time.perf_counter() - t0
     _write_manifest(args.output + ".manifest.json", "dataset", args.config,
-                    spec.to_dict(), [args.output], timings)
+                    spec.to_dict(), [args.output], timings, blas=_blas.describe())
     print(f"wrote {len(records)} records to {args.output}")
     return 0
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import profiles
+from . import _blas, profiles
 from .bem import CIREstimate, estimate_cir_windowed
 from .errors import (IdentifiabilityError, InsufficientSignalError,
                      InvalidSplitError, NoChannelDetectedError)
@@ -126,6 +126,7 @@ def _snr_token(snr_db: float | None) -> str:
     return NOISELESS if snr_db is None else repr(float(snr_db))
 
 
+@_blas.single_thread()
 def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int) -> DatasetRecord:
     """Simulate, estimate and featurize one dataset record.
 

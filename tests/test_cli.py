@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _oracles import static_probe
-from chanident import cli
+from chanident import _blas, cli
 from chanident.cli import read_signal_file, run, write_signal_file
 from chanident.mlp import init_mlp, save_mlp
 from chanident.mlp import TrainConfig
@@ -90,6 +90,18 @@ class TestDatasetCommand:
         out2 = str(tmp_path / "b.txt")
         assert run(["dataset", "--config", cfg, "--output", out2, "--threads", "2"]) == 0
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_manifest_records_blas_threads(self, tmp_path):
+        _make_dataset(tmp_path)
+        manifest = json.loads((tmp_path / "data.txt.manifest.json").read_text())
+        pools = _blas.pools()
+        assert manifest["blas"] == [
+            {"library": p.library, "threads_default": p.get(), "threads_per_record": 1}
+            for p in pools]
+        if pools:  # numpy's and scipy's bundled OpenBLAS, one entry each
+            names = [b["library"] for b in manifest["blas"]]
+            assert len(names) == 2 and all(n.startswith("libscipy_openblas") for n in names)
+            assert sum("openblas64_" in n for n in names) == 1
 
     def test_seed_flag_overrides(self, tmp_path):
         out1, cfg = _make_dataset(tmp_path, name="a.txt")

@@ -240,6 +240,17 @@ class TestWindowedEstimation:
         # empty rows carry only the estimator's noise floor
         assert np.mean(np.abs(est.gains[[1, 3]]) ** 2) < 0.01 * np.mean(np.abs(gains_full[[0, 2]]) ** 2)
 
+    def test_silent_frame_is_singular(self):
+        # An all-zero frame gives a zero Gram matrix, which has no Cholesky
+        # factor; the error names the window whose fit failed.
+        n = 1024
+        rx = ComplexSignal(np.ones(n, dtype=complex), 1e-5)
+        with pytest.raises(IdentifiabilityError,
+                           match=r"^window \[0, 512\): normal equations singular "
+                                 r"for 2 delays x \d+ basis terms from 512 observations$"):
+            estimate_cir_windowed(rx, np.zeros(n, dtype=complex), (0, 3), 0.004,
+                                  window_len=512)
+
     def test_duplicate_delays_rejected(self):
         frame = random_frame(64, seed=1)
         with pytest.raises(ValueError, match="unique"):
