@@ -2,8 +2,8 @@
 
 Each tap's gain trajectory over a window is modelled as a coefficient mix of
 Slepian sequences whose band matches the Doppler spread; the coefficients of
-all (delay, basis-order) pairs are solved jointly from the received samples
-at the observation positions.  Long frames are fitted window by window with
+all (delay, basis-order) pairs are solved jointly from every received
+sample of a fully known frame.  Long frames are fitted window by window with
 independent coefficient sets and the reconstructions concatenated.
 
 The normal equations are assembled from their structure rather than from
@@ -24,7 +24,6 @@ from scipy.linalg import lapack
 
 from . import _blas, slepian
 from .errors import IdentifiabilityError
-from .modulation import PilotPattern
 from .simulate import ComplexSignal
 from .slepian import DPSSBasis, basis_dimension, generate_dpss
 
@@ -105,20 +104,15 @@ def _pair_index(count: int) -> np.ndarray:
     return index
 
 
-def _normal_equations(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
-                      positions: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
+                      basis: DPSSBasis) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and right-hand side of the least-squares model
-    y[n] = sum_l sum_d c[l, d] u_d[n] shifts[l, n] over the observed n.
+    y[n] = sum_l sum_d c[l, d] u_d[n] shifts[l, n] over every n.
 
-    ``shifts`` and ``samples`` cover the basis length; ``positions`` selects
-    the observed indices (None: all of them).  The unknowns are ordered
-    l * D + d.
+    ``shifts`` and ``samples`` cover the basis length.  The unknowns are
+    ordered l * D + d.
     """
     products = _pair_products(basis.length, basis.time_half_bandwidth, basis.count)
-    u = basis.sequences
-    if positions is not None:
-        shifts, samples = shifts[:, positions], samples[positions]
-        products, u = products[positions], u[:, positions]
     taps, count = len(shifts), basis.count
     li, lj = np.triu_indices(taps)
     z = shifts[li].conj() * shifts[lj]
@@ -131,21 +125,20 @@ def _normal_equations(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
     gram = np.empty((taps, count, taps, count), dtype=np.complex128)
     gram[lj, :, li, :] = blocks.conj()
     gram[li, :, lj, :] = blocks
-    rhs = (shifts.conj() * samples) @ u.T
+    rhs = (shifts.conj() * samples) @ basis.sequences.T
     return gram.reshape(taps * count, -1), rhs.reshape(-1)
 
 
 def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
-         positions: np.ndarray | None, where: str = "") -> np.ndarray:
+         where: str = "") -> np.ndarray:
     """Least-squares basis coefficients ``c[l, d]``; ``where`` prefixes
     error messages with the location of the fit."""
-    taps, count = len(shifts), basis.count
-    observed = basis.length if positions is None else len(positions)
+    taps, count, observed = len(shifts), basis.count, basis.length
     if observed < taps * count:
         raise IdentifiabilityError(
             f"{where}{observed} observations cannot identify {taps} delays x "
             f"{count} basis terms = {taps * count} unknowns")
-    gram, rhs = _normal_equations(shifts, samples, basis, positions)
+    gram, rhs = _normal_equations(shifts, samples, basis)
     # Cholesky solve of the Hermitian positive-definite Gram matrix; info > 0
     # is a leading minor that is not positive definite, so G is singular.
     _, coeffs, info = lapack.zposv(gram, rhs)
@@ -166,42 +159,34 @@ def _unique_delays(delay_grid) -> tuple[int, ...]:
 
 
 @_blas.single_thread()
-def bem_ls_estimate(received: ComplexSignal, pilots: PilotPattern,
-                    delay_grid, basis: DPSSBasis) -> tuple[np.ndarray, CIREstimate]:
-    """Least-squares fit of basis coefficients ``c[l, d]`` from the observed
-    samples, and the gains they reconstruct.
-
-    The model at observation position n is
-    y[n] = sum_l sum_d c[l, d] * u_d[n] * x[n - tau_l]; the reconstruction
-    mu_l[n] = sum_d c[l, d] u_d[n] covers every n in the window regardless
-    of which positions were observed.
-    """
+def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
+                    basis: DPSSBasis) -> CIREstimate:
+    """The gains mu_l[n] = sum_d c[l, d] u_d[n] of the least-squares fit of
+    y[n] = sum_l sum_d c[l, d] * u_d[n] * x[n - tau_l] over every sample,
+    with ``frame`` the known transmitted x."""
     delays = _unique_delays(delay_grid)
     n = len(received)
     if basis.length != n:
         raise ValueError(f"basis length {basis.length} != received length {n}")
-    if len(pilots.symbols) != n:
-        raise ValueError(f"frame length {len(pilots.symbols)} != received length {n}")
-    coeffs = _fit(_shifted_frame(pilots.symbols, delays), received.samples, basis,
-                  pilots.positions)
-    return coeffs, CIREstimate(coeffs @ basis.sequences, delays, "bem-ls")
+    if len(frame) != n:
+        raise ValueError(f"frame length {len(frame)} != received length {n}")
+    coeffs = _fit(_shifted_frame(frame, delays), received.samples, basis)
+    return CIREstimate(coeffs @ basis.sequences, delays, "bem-ls")
 
 
 @_blas.single_thread()
 def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid,
                           normalized_doppler: float,
                           window_len: int = DEFAULT_WINDOW_LEN,
-                          positions: np.ndarray | None = None,
                           grid=None) -> CIREstimate:
     """Windowed BEM-LS over a long frame.
 
     Windows are fitted independently with a basis sized by
     ``basis_dimension`` for the window length; a short tail is merged into
-    the final window.  ``positions`` (frame indices) defaults to every
-    sample; the known ``frame`` is global, so regressors near a window's
-    start reach back into the previous window's symbols.  The estimate is
-    returned on ``grid`` (default: ``delay_grid``), whose entries outside
-    ``delay_grid`` get zero rows.
+    the final window.  The known ``frame`` is global, so regressors near a
+    window's start reach back into the previous window's symbols.  The
+    estimate is returned on ``grid`` (default: ``delay_grid``), whose entries
+    outside ``delay_grid`` get zero rows.
     """
     delays = _unique_delays(delay_grid)
     n = len(received)
@@ -218,10 +203,7 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
         wlen = w1 - w0
         count = min(basis_dimension(normalized_doppler, wlen), wlen)
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
-        pos = None
-        if positions is not None:
-            pos = positions[(positions >= w0) & (positions < w1)] - w0
-        coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis, pos,
+        coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
         gains[:, w0:w1] = coeffs @ basis.sequences
     return CIREstimate.on_grid(gains, delays, delays if grid is None else grid, "bem-ls")

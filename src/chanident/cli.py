@@ -84,14 +84,29 @@ def _load_config(subcommand: str, path: str | None) -> dict:
     for key, value in user.items():
         if key not in resolved:
             raise CliError(f"config file {path}: unknown key {key!r} for {subcommand!r}")
-        if key == "sim" and isinstance(resolved.get(key), dict) and isinstance(value, dict):
+        _check_type(path, key, resolved[key], value)
+        if isinstance(resolved[key], dict):  # "sim", the one nested section
             for sk, sv in value.items():
                 if sk not in resolved[key]:
-                    raise CliError(f"config file {path}: unknown key sim.{sk!r}")
+                    raise CliError(f"config file {path}: unknown key {key}.{sk!r}")
+                _check_type(path, f"{key}.{sk}", resolved[key][sk], sv)
                 resolved[key][sk] = sv
         else:
             resolved[key] = value
     return resolved
+
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _check_type(path: str, key: str, default, value) -> None:
+    """``value`` must have the JSON type of ``default``; an integer may stand
+    for a number, and a key whose default is null takes any value."""
+    allowed = (float, int) if type(default) is float else (type(default),)
+    if default is not None and type(value) not in allowed:
+        raise CliError(f"config file {path}: {key} must be "
+                       f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
 
 
 def write_signal_file(path, signal: ComplexSignal) -> None:

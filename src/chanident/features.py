@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bem import CIREstimate
-from .profiles import DELAY_UNIT_US, MAX_DELAY_UNITS
+from .profiles import MAX_DELAY_UNITS
 
 ENVELOPE_BINS = 400
 ENVELOPE_MAX = 2.0
@@ -27,8 +27,6 @@ class DDPDP:
     """Row-stochastic envelope-probability matrix, one row per delay unit."""
 
     bins: np.ndarray
-    bin_width: float = BIN_WIDTH
-    delay_unit_us: float = DELAY_UNIT_US
 
     def __post_init__(self):
         bins = np.array(self.bins, dtype=np.float64, copy=True)
@@ -40,10 +38,6 @@ class DDPDP:
             raise ValueError("every row must sum to 1 within 1e-12")
         bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)
-
-    @property
-    def row_count(self) -> int:
-        return self.bins.shape[0]
 
 
 @dataclass(frozen=True)
@@ -57,6 +51,8 @@ class FeatureVector:
         values = np.array(self.values, dtype=np.float64, copy=True)
         if values.shape != (FEATURE_LENGTH,):
             raise ValueError(f"feature length must be exactly {FEATURE_LENGTH}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("feature values must be finite")
         if self.label is not None and not 1 <= self.label <= N_SCENARIOS:
             raise ValueError(f"label must lie in 1..{N_SCENARIOS}")
         values.flags.writeable = False

@@ -214,11 +214,14 @@ def complexity_count(params: MLPParams, n_training: int) -> int:
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def save_mlp(params: MLPParams, path, train_fingerprint: dict | None = None) -> None:
     """Versioned JSON model file; byte-stable for identical parameters."""
+    for a in params.weights + params.biases:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("cannot save a model with non-finite parameters")
     doc = {
         "format": MODEL_FORMAT,
         "layer_sizes": list(params.layer_sizes),
@@ -226,8 +229,9 @@ def save_mlp(params: MLPParams, path, train_fingerprint: dict | None = None) -> 
         "biases": [b.tolist() for b in params.biases],
         "train_fingerprint": train_fingerprint or {},
     }
+    text = _canonical_json(doc)  # raises before the file is opened
     with open(path, "w") as fh:
-        fh.write(_canonical_json(doc))
+        fh.write(text)
         fh.write("\n")
 
 

@@ -8,51 +8,10 @@ neighbouring constellation points differ in exactly one bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .simulate import ComplexSignal
-
-
-@dataclass(frozen=True)
-class QpskFrame:
-    """A modulated frame, known to the receiver at every sample."""
-
-    signal: ComplexSignal
-
-    @property
-    def symbols(self) -> np.ndarray:
-        return self.signal.samples
-
-
-@dataclass(frozen=True)
-class PilotPattern:
-    """Knowledge available to an estimator: the transmitted frame and the
-    received-sample indices used as observation equations."""
-
-    symbols: np.ndarray
-    positions: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        symbols = np.array(self.symbols, dtype=np.complex128, copy=True)
-        symbols.flags.writeable = False
-        positions = self.positions
-        if positions is None:
-            positions = np.arange(len(symbols))
-        positions = np.array(positions, dtype=np.intp, copy=True)
-        if positions.ndim != 1:
-            raise ValueError("positions must be one-dimensional")
-        if len(positions) and (positions.min() < 0 or positions.max() >= len(symbols)):
-            raise ValueError("positions must index into the frame")
-        positions.flags.writeable = False
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "positions", positions)
-
-    @staticmethod
-    def full(symbols: np.ndarray) -> "PilotPattern":
-        """Fully known probe frame: every sample is an observation."""
-        return PilotPattern(symbols)
 
 
 def map_qpsk(bits) -> np.ndarray:
@@ -69,8 +28,8 @@ def map_qpsk(bits) -> np.ndarray:
     return (i + 1j * q) / math.sqrt(2.0)
 
 
-def random_frame(n_symbols: int, seed: int, sample_period_s: float = 1e-5) -> QpskFrame:
-    """A fully known random-QPSK probe frame (all positions usable as pilots)."""
+def random_frame(n_symbols: int, seed: int, sample_period_s: float = 1e-5) -> ComplexSignal:
+    """A random-QPSK frame, known to the receiver at every sample."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * n_symbols)
-    return QpskFrame(ComplexSignal(map_qpsk(bits), sample_period_s))
+    return ComplexSignal(map_qpsk(bits), sample_period_s)

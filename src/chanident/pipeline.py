@@ -70,9 +70,14 @@ class DatasetSpec:
         for label in self.scenario_labels:
             if not 1 <= label <= N_SCENARIOS:
                 raise ValueError(f"unknown scenario label {label}")
-        object.__setattr__(self, "scenario_labels", tuple(self.scenario_labels))
-        object.__setattr__(self, "snr_list_db",
-                           tuple(None if s is None else float(s) for s in self.snr_list_db))
+        labels = tuple(self.scenario_labels)
+        snrs = tuple(None if s is None else float(s) for s in self.snr_list_db)
+        # A repeated entry would repeat its records, seeds and all.
+        for name, entries in (("scenario_labels", labels), ("snr_list_db", snrs)):
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} entries must be unique")
+        object.__setattr__(self, "scenario_labels", labels)
+        object.__setattr__(self, "snr_list_db", snrs)
 
     @property
     def record_count(self) -> int:
@@ -143,14 +148,14 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     true_cir = generate_fading(profile, n, spec.sim, seed=derive_seed(seed, "fading"))
     frame = random_frame(n, seed=derive_seed(seed, "frame"),
                          sample_period_s=spec.sim.sample_period_s)
-    received = apply_channel(frame.signal, true_cir)
+    received = apply_channel(frame, true_cir)
     received = add_awgn(received, snr_db, seed=derive_seed(seed, "noise"))
     if spec.estimation == "oracle-cir":
         cir = CIREstimate.on_grid(true_cir.gains, true_cir.delay_units, _FEATURE_GRID,
                                   "true-sim")
     else:
         try:
-            cir = estimate_cir_windowed(received, frame.symbols, profile.delay_units,
+            cir = estimate_cir_windowed(received, frame.samples, profile.delay_units,
                                         spec.sim.doppler_per_sample, spec.window_len,
                                         grid=_FEATURE_GRID)
         except IdentifiabilityError as exc:
@@ -218,11 +223,13 @@ def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
         try:
             label = int(fields[0])
             snr = None if fields[1] == NOISELESS else float(fields[1])
+            if snr is not None and not np.isfinite(snr):
+                raise ValueError(f"SNR must be finite, got {fields[1]}")
             seed = int(fields[2])
-            values = np.array([float(v) for v in fields[3:]])
+            feature = FeatureVector(np.array([float(v) for v in fields[3:]]), label)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        records.append(DatasetRecord(FeatureVector(values, label), label, snr, seed))
+        records.append(DatasetRecord(feature, label, snr, seed))
     return spec, records
 
 

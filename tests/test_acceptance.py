@@ -106,7 +106,7 @@ def test_criterion_3_relax_vs_brute_force():
 @criterion(4, "Slepian basis + BEM-LS accuracy", 60.0)
 def test_criterion_4_dpss_bem():
     from chanident.bem import bem_ls_estimate
-    from chanident.modulation import PilotPattern, random_frame
+    from chanident.modulation import random_frame
     from chanident.simulate import add_awgn, apply_channel, CIRMatrix
 
     # orthonormality at 1e-9 on several shapes
@@ -126,8 +126,8 @@ def test_criterion_4_dpss_bem():
     coeffs = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
     gains = coeffs @ basis.sequences
     frame = random_frame(n, seed=41)
-    rx = apply_channel(frame.signal, CIRMatrix(gains, 1e-5, (0,)))
-    _, est = bem_ls_estimate(rx, PilotPattern.full(frame.symbols), (0,), basis)
+    rx = apply_channel(frame, CIRMatrix(gains, 1e-5, (0,)))
+    est = bem_ls_estimate(rx, frame.samples, (0,), basis)
     nmse = np.sum(np.abs(est.gains - gains) ** 2) / np.sum(np.abs(gains) ** 2)
     assert nmse < 1e-14
     # Jakes tap, nu = 0.004, SNR 30 dB, N = 512: mean NMSE below -20 dB
@@ -139,9 +139,9 @@ def test_criterion_4_dpss_bem():
     for trial in range(50):
         true = generate_fading(profile, n, cfg, seed=4000 + trial)
         frame = random_frame(n, seed=4100 + trial)
-        rx = apply_channel(frame.signal, true)
+        rx = apply_channel(frame, true)
         rx = add_awgn(rx, 30.0, seed=trial)
-        _, est = bem_ls_estimate(rx, PilotPattern.full(frame.symbols), (0,), basis)
+        est = bem_ls_estimate(rx, frame.samples, (0,), basis)
         nmses.append(np.sum(np.abs(est.gains - true.gains) ** 2)
                      / np.sum(np.abs(true.gains) ** 2))
     assert 10 * np.log10(np.mean(nmses)) < -20.0

@@ -1,0 +1,44 @@
+"""The benchmark's per-layer spans find the functions they wrap.
+
+``bench/run.py --trace 1`` replaces module attributes (``pipeline.random_frame``
+and so on) with span-recording wrappers.  A refactor that stops calling one
+of them through that name leaves its layer reading 0 with no error, so this
+test runs one record under the benchmark's own wrappers and asserts that
+every layer recorded a span.  It reads ``bench/`` and changes nothing there.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from chanident import pipeline
+from chanident.pipeline import DatasetSpec
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_resolve(monkeypatch):
+    run, tracing = _load("run", monkeypatch), _load("tracing", monkeypatch)
+    tracer = tracing.Tracer()
+    spec = DatasetSpec(scenario_labels=(1,), vectors_per_condition=1, snr_list_db=(10.0,),
+                       samples_per_vector=1200, estimation="bem-ls")
+    run._traced_wrappers(tracer)
+    try:
+        pipeline.make_record(spec, 1, 10.0, 0)
+    finally:
+        tracer.unwrap_all()
+    names = {span.name for span in tracer.spans}
+    for name in ("pipeline.make_record", "pipeline.random_frame", "pipeline.apply_channel",
+                 "pipeline.add_awgn", "pipeline.generate_fading",
+                 "pipeline.estimate_cir_windowed", "pipeline.build_ddpdp",
+                 "bem.generate_dpss"):
+        assert name in names, f"no span named {name}; recorded {sorted(names)}"

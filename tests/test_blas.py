@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from chanident import _blas, bem, pipeline
-from chanident.modulation import PilotPattern, random_frame
+from chanident.modulation import random_frame
 from chanident.pipeline import DatasetSpec
 
 SPEC = DatasetSpec(scenario_labels=(1, 4), vectors_per_condition=2,
@@ -174,9 +174,9 @@ def test_bem_entry_points_run_on_one_thread(prior, monkeypatch):
 
     monkeypatch.setattr(bem, "_normal_equations", spy)
     frame = random_frame(1024, seed=2)
-    bem.estimate_cir_windowed(frame.signal, frame.symbols, (0, 1), 0.02)
+    bem.estimate_cir_windowed(frame, frame.samples, (0, 1), 0.02)
     basis = bem.generate_dpss(1024, 0.004, 4)
-    bem.bem_ls_estimate(frame.signal, PilotPattern.full(frame.symbols), (0, 1), basis)
+    bem.bem_ls_estimate(frame, frame.samples, (0, 1), basis)
     assert len(seen) == 3 and all(c == [1] * len(prior) for c in seen)
     assert _counts() == prior
 

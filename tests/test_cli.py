@@ -68,6 +68,27 @@ class TestDatasetCommand:
         assert rc != 0
         assert "vector_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, payload, key", [
+        ("dataset", {"sim": None}, "sim"),
+        ("dataset", {"sim": {"seed": 1.5}}, "sim.seed"),
+        ("dataset", {"window_len": 600.5}, "window_len"),
+        ("estimate", {"window_len": 600.5}, "window_len"),
+        ("train", {"epochs": "10"}, "epochs"),
+        ("train", {"learning_rate": True}, "learning_rate"),
+    ])
+    def test_wrong_typed_value_rejected(self, tmp_path, capsys, command, payload, key):
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        assert run([command, "--config", cfg, "--output", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(f"chanident {command}: config file {cfg}: "
+                                                  f"{key} must be ")
+
+    def test_int_stands_for_number_and_null_default_is_free(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "c.json", {"sim": {"normalized_doppler": 0}})
+        assert run(["dataset", "--config", cfg, "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["sim"]["normalized_doppler"] == 0
+        cfg = _write_cfg(tmp_path, "s.json", {"max_candidate_delay": 40})
+        assert run(["sound", "--config", cfg, "--print-config"]) == 0
+
     def test_print_config(self, tmp_path, capsys):
         assert run(["dataset", "--print-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -290,9 +311,9 @@ class TestEstimateCommand:
         n = 512
         frame = random_frame(n, seed=2)
         cir = generate_fading(load_profile(1), n, SimConfig(), seed=3)
-        rx = apply_channel(frame.signal, cir)
+        rx = apply_channel(frame, cir)
         write_signal_file(tmp_path / "rx.txt", rx)
-        write_signal_file(tmp_path / "frame.txt", frame.signal)
+        write_signal_file(tmp_path / "frame.txt", frame)
         cfg = _write_cfg(tmp_path, "est.json", {"delay_grid": [0, 1, 2, 3],
                                                 "window_len": 512})
         out = str(tmp_path / "cir.txt")

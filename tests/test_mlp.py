@@ -336,6 +336,14 @@ class TestModelFile:
         save_mlp(pb, f2, config_fingerprint(cfg))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_save_rejects_non_finite_parameters(self, tmp_path):
+        p = init_mlp([5, 4, 3], seed=13)
+        p.weights[1][0, 0] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_mlp(p, path)
+        assert not path.exists()
+
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other"}')

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chanident.modulation import PilotPattern, map_qpsk, random_frame
+from chanident.modulation import map_qpsk, random_frame
 
 ROOT2 = math.sqrt(2.0)
 
@@ -39,11 +39,5 @@ def test_odd_bit_count_rejected():
 
 def test_random_frame_known_everywhere():
     frame = random_frame(64, seed=5)
-    assert len(frame.symbols) == 64
-    pattern = PilotPattern.full(frame.symbols)
-    assert np.array_equal(pattern.positions, np.arange(64))
-
-
-def test_pilot_pattern_validates_positions():
-    with pytest.raises(ValueError, match="index"):
-        PilotPattern(np.ones(4, dtype=complex), np.array([5]))
+    assert len(frame) == 64
+    assert np.allclose(np.abs(frame.samples), 1.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,10 @@ class TestDatasetSpec:
             DatasetSpec(estimation="other")
         with pytest.raises(ValueError):
             DatasetSpec(scenario_labels=(0,))
+        with pytest.raises(ValueError, match="scenario_labels entries must be unique"):
+            DatasetSpec(scenario_labels=(1, 1))
+        with pytest.raises(ValueError, match="snr_list_db entries must be unique"):
+            DatasetSpec(snr_list_db=(None, 10, 10.0))
 
 
 def test_derive_seed_stable():
@@ -131,11 +137,17 @@ class TestDatasetFile:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "data.txt"
         write_dataset(path, TINY, generate_records(TINY)[:2])
-        lines = path.read_text().splitlines()
-        lines[3] = lines[3].rsplit(" ", 1)[0]  # drop one value from record 2
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 4"):
-            read_dataset(path)
+        good = path.read_text().splitlines()
+        fields = good[3].split()
+        bad_lines = {
+            "expected": " ".join(fields[:-1]),  # one value short
+            "finite": " ".join(fields[:-1] + ["nan"]),
+            "label must lie": " ".join(["7"] + fields[1:]),
+        }
+        for message, bad in bad_lines.items():
+            path.write_text("\n".join(good[:3] + [bad]) + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 4: .*{message}"):
+                read_dataset(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "data.txt"

@@ -7,7 +7,7 @@ from scipy.linalg import eigh, toeplitz
 from chanident import bem, slepian
 from chanident.bem import (CIREstimate, bem_ls_estimate, estimate_cir_windowed)
 from chanident.errors import IdentifiabilityError
-from chanident.modulation import PilotPattern, random_frame
+from chanident.modulation import random_frame
 from chanident.profiles import DopplerSpectrum, ScenarioProfile
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, add_awgn,
                                 apply_channel, generate_fading)
@@ -96,7 +96,7 @@ def _single_tap_profile():
 def _received(gains, frame, snr_db=None, seed=0):
     n = gains.shape[1]
     cir = CIRMatrix(gains, 1e-5, tuple(range(gains.shape[0])))
-    rx = apply_channel(frame.signal, cir)
+    rx = apply_channel(frame, cir)
     return add_awgn(rx, snr_db, seed=seed)
 
 
@@ -109,7 +109,7 @@ class TestBemLs:
         gains = np.full((1, n), 0.7 - 0.2j)
         rx = _received(gains, frame)
         basis = generate_dpss(n, 1e-7, 1)
-        _, est = bem_ls_estimate(rx, PilotPattern.full(frame.symbols), (0,), basis)
+        est = bem_ls_estimate(rx, frame.samples, (0,), basis)
         assert np.allclose(est.gains[0], 0.7 - 0.2j, atol=1e-8)
         assert est.source == "bem-ls"
 
@@ -121,7 +121,7 @@ class TestBemLs:
         gains = coeffs @ basis.sequences
         frame = random_frame(n, seed=4)
         rx = _received(gains, frame)
-        _, est = bem_ls_estimate(rx, PilotPattern.full(frame.symbols), (0, 1), basis)
+        est = bem_ls_estimate(rx, frame.samples, (0, 1), basis)
         nmse = np.sum(np.abs(est.gains - gains) ** 2) / np.sum(np.abs(gains) ** 2)
         assert nmse < 1e-16
 
@@ -135,7 +135,7 @@ class TestBemLs:
             true = generate_fading(profile, n, cfg, seed=2000 + trial)
             frame = random_frame(n, seed=3000 + trial)
             rx = _received(true.gains, frame, snr_db=30.0, seed=trial)
-            _, est = bem_ls_estimate(rx, PilotPattern.full(frame.symbols), (0,), basis)
+            est = bem_ls_estimate(rx, frame.samples, (0,), basis)
             nmses.append(np.sum(np.abs(est.gains - true.gains) ** 2)
                          / np.sum(np.abs(true.gains) ** 2))
         assert 10 * np.log10(np.mean(nmses)) < -20.0
@@ -152,14 +152,15 @@ class TestBemLs:
                 true = generate_fading(profile, n, cfg, seed=100 + trial)
                 frame = random_frame(n, seed=200 + trial)
                 rx = _received(true.gains, frame, snr_db=snr, seed=trial)
-                _, est = bem_ls_estimate(rx, PilotPattern.full(frame.symbols), (0,), basis)
+                est = bem_ls_estimate(rx, frame.samples, (0,), basis)
                 nm.append(np.sum(np.abs(est.gains - true.gains) ** 2)
                           / np.sum(np.abs(true.gains) ** 2))
             means.append(np.mean(nm))
         assert np.all(np.diff(means) < 0)
 
     def test_residual_orthogonal_to_regressors(self):
-        # normal-equations check on the pilot positions
+        # normal-equations check: the residual is orthogonal to every
+        # regressor column u_d[n] x[n]
         n = 256
         nu = 0.01
         cfg = SimConfig(normalized_doppler=nu)
@@ -168,35 +169,19 @@ class TestBemLs:
         frame = random_frame(n, seed=6)
         rx = _received(true.gains, frame, snr_db=10.0, seed=7)
         basis = generate_dpss(n, nu, basis_dimension(nu, n))
-        pilots = PilotPattern.full(frame.symbols)
-        coeffs, est = bem_ls_estimate(rx, pilots, (0,), basis)
-        shifts = frame.symbols[:, None]
-        a = (shifts * basis.sequences.T).astype(complex)
-        resid = rx.samples - a @ coeffs[0]
+        est = bem_ls_estimate(rx, frame.samples, (0,), basis)
+        a = (frame.samples[:, None] * basis.sequences.T).astype(complex)
+        resid = rx.samples - frame.samples * est.gains[0]
         lhs = np.abs(a.conj().T @ resid)
         scale = np.linalg.norm(a, axis=0) * np.linalg.norm(resid)
         assert np.all(lhs <= 1e-8 * scale)
 
     def test_identifiability_error_names_dimensions(self):
-        n = 64
+        n = 10
         frame = random_frame(n, seed=8)
-        basis = generate_dpss(n, 0.05, 8)
-        pilots = PilotPattern(frame.symbols, np.arange(10))  # 10 < 2*8
+        basis = generate_dpss(n, 0.05, 8)  # 10 observations < 2 x 8 unknowns
         with pytest.raises(IdentifiabilityError, match="2 delays x 8"):
-            bem_ls_estimate(ComplexSignal(np.ones(n), 1e-5), pilots, (0, 1), basis)
-
-    def test_comb_pilots_quarter_density(self):
-        n, nu = 512, 0.004
-        cfg = SimConfig(normalized_doppler=nu)
-        profile = _single_tap_profile()
-        true = generate_fading(profile, n, cfg, seed=11)
-        frame = random_frame(n, seed=12)
-        rx = _received(true.gains, frame, snr_db=30.0, seed=13)
-        basis = generate_dpss(n, nu, basis_dimension(nu, n))
-        pilots = PilotPattern(frame.symbols, np.arange(0, n, 4))
-        _, est = bem_ls_estimate(rx, pilots, (0,), basis)
-        nmse = np.sum(np.abs(est.gains - true.gains) ** 2) / np.sum(np.abs(true.gains) ** 2)
-        assert 10 * np.log10(nmse) < -15.0
+            bem_ls_estimate(ComplexSignal(np.ones(n), 1e-5), frame.samples, (0, 1), basis)
 
 
 class TestWindowedEstimation:
@@ -207,8 +192,8 @@ class TestWindowedEstimation:
         frame = random_frame(n, seed=22)
         rx = _received(true.gains, frame, snr_db=20.0, seed=23)
         basis = generate_dpss(n, nu, basis_dimension(nu, n))
-        _, one = bem_ls_estimate(rx, PilotPattern.full(frame.symbols), (0,), basis)
-        win = estimate_cir_windowed(rx, frame.symbols, (0,), nu, window_len=n)
+        one = bem_ls_estimate(rx, frame.samples, (0,), basis)
+        win = estimate_cir_windowed(rx, frame.samples, (0,), nu, window_len=n)
         assert np.allclose(one.gains, win.gains, atol=1e-9)
 
     def test_long_frame_multiple_windows(self):
@@ -217,7 +202,7 @@ class TestWindowedEstimation:
         true = generate_fading(_single_tap_profile(), n, cfg, seed=31)
         frame = random_frame(n, seed=32)
         rx = _received(true.gains, frame, snr_db=30.0, seed=33)
-        est = estimate_cir_windowed(rx, frame.symbols, (0,), nu, window_len=512)
+        est = estimate_cir_windowed(rx, frame.samples, (0,), nu, window_len=512)
         assert est.n_samples == n
         nmse = np.sum(np.abs(est.gains - true.gains) ** 2) / np.sum(np.abs(true.gains) ** 2)
         assert 10 * np.log10(nmse) < -20.0
@@ -233,8 +218,8 @@ class TestWindowedEstimation:
         gains_full = np.zeros((4, n), dtype=complex)
         gains_full[0], gains_full[2] = true.gains[0], true.gains[1]
         cir = CIRMatrix(gains_full, 1e-5, (0, 1, 2, 3))
-        rx = add_awgn(apply_channel(frame.signal, cir), 30.0, seed=43)
-        est = estimate_cir_windowed(rx, frame.symbols, (0, 1, 2, 3), nu, window_len=512)
+        rx = add_awgn(apply_channel(frame, cir), 30.0, seed=43)
+        est = estimate_cir_windowed(rx, frame.samples, (0, 1, 2, 3), nu, window_len=512)
         err = np.sum(np.abs(est.gains[[0, 2]] - gains_full[[0, 2]]) ** 2)
         assert 10 * np.log10(err / np.sum(np.abs(gains_full) ** 2)) < -20.0
         # empty rows carry only the estimator's noise floor
@@ -254,20 +239,19 @@ class TestWindowedEstimation:
     def test_duplicate_delays_rejected(self):
         frame = random_frame(64, seed=1)
         with pytest.raises(ValueError, match="unique"):
-            estimate_cir_windowed(frame.signal, frame.symbols, (0, 0), 0.01)
+            estimate_cir_windowed(frame, frame.samples, (0, 0), 0.01)
 
 
-def _dense_normal_equations(shifts, samples, basis, positions):
+def _dense_normal_equations(shifts, samples, basis):
     """Reference: A^H A and A^H b from the dense regressor
-    A[i, l*D + d] = u_d[pos_i] * shifts[l, pos_i]."""
-    pos = np.arange(basis.length) if positions is None else positions
-    a = (shifts.T[pos, :, None] * basis.sequences.T[pos, None, :]).reshape(len(pos), -1)
-    return a.conj().T @ a, a.conj().T @ samples[pos]
+    A[n, l*D + d] = u_d[n] * shifts[l, n]."""
+    a = (shifts.T[:, :, None] * basis.sequences.T[:, None, :]).reshape(basis.length, -1)
+    return a.conj().T @ a, a.conj().T @ samples
 
 
-def _assert_matches_dense(shifts, samples, basis, positions):
-    gram, rhs = bem._normal_equations(shifts, samples, basis, positions)
-    dense_gram, dense_rhs = _dense_normal_equations(shifts, samples, basis, positions)
+def _assert_matches_dense(shifts, samples, basis):
+    gram, rhs = bem._normal_equations(shifts, samples, basis)
+    dense_gram, dense_rhs = _dense_normal_equations(shifts, samples, basis)
     assert np.max(np.abs(gram - dense_gram)) <= 1e-12 * np.max(np.abs(dense_gram))
     assert np.max(np.abs(rhs - dense_rhs)) <= 1e-12 * np.max(np.abs(dense_rhs))
 
@@ -277,26 +261,19 @@ class TestStructuredNormalEquations:
     @given(length=st.integers(8, 48), count=st.integers(1, 6),
            half_bandwidth=st.floats(0.01, 0.25),
            delays=st.lists(st.integers(0, 11), min_size=1, max_size=4, unique=True),
-           start=st.integers(0, 16), sparse=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    @example(length=32, count=1, half_bandwidth=0.05, delays=[0], start=0, sparse=False, seed=1)
-    @example(length=40, count=4, half_bandwidth=0.05, delays=[0, 3, 7], start=0,
-             sparse=True, seed=2)
-    @example(length=24, count=3, half_bandwidth=0.1, delays=[2, 9], start=5,
-             sparse=False, seed=3)
-    def test_matches_dense_gram(self, length, count, half_bandwidth, delays, start,
-                                sparse, seed):
+           start=st.integers(0, 16), seed=st.integers(0, 2 ** 32 - 1))
+    @example(length=32, count=1, half_bandwidth=0.05, delays=[0], start=0, seed=1)
+    @example(length=40, count=4, half_bandwidth=0.05, delays=[0, 3, 7], start=0, seed=2)
+    @example(length=24, count=3, half_bandwidth=0.1, delays=[2, 9], start=5, seed=3)
+    def test_matches_dense_gram(self, length, count, half_bandwidth, delays, start, seed):
         # A random complex frame (not unit-modulus); start 0 is a first window
-        # whose delayed rows are zero-padded; sparse draws pilot positions.
+        # whose delayed rows are zero-padded.
         rng = np.random.default_rng(seed)
         frame = rng.standard_normal(start + length) + 1j * rng.standard_normal(start + length)
         samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         shifts = bem._shifted_frame(frame, delays)[:, start:]
-        positions = None
-        if sparse:
-            positions = np.sort(rng.choice(length, size=rng.integers(1, length + 1),
-                                           replace=False))
         basis = generate_dpss(length, half_bandwidth, count)
-        _assert_matches_dense(shifts, samples, basis, positions)
+        _assert_matches_dense(shifts, samples, basis)
 
     def test_products_follow_basis_values_across_cache_eviction(self):
         # An evicted basis is freed, and a later one may reuse its id: the
@@ -310,7 +287,7 @@ class TestStructuredNormalEquations:
             assert np.array_equal(products, (basis.sequences[d] * basis.sequences[e]).T)
             frame = rng.standard_normal(length) + 1j * rng.standard_normal(length)
             samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            _assert_matches_dense(bem._shifted_frame(frame, (0, 2)), samples, basis, None)
+            _assert_matches_dense(bem._shifted_frame(frame, (0, 2)), samples, basis)
             del basis
 
 
