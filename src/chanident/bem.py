@@ -104,29 +104,44 @@ def _pair_index(count: int) -> np.ndarray:
     return index
 
 
+@lru_cache(maxsize=16)
+def _tap_pairs(taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The delay pairs (li, lj) of triu_indices(taps), li <= lj, and the
+    mask of the diagonal pairs li == lj; all read-only."""
+    li, lj = np.triu_indices(taps)
+    diagonal = li == lj
+    for a in (li, lj, diagonal):
+        a.flags.writeable = False
+    return li, lj, diagonal
+
+
 def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
                       basis: DPSSBasis) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and right-hand side of the least-squares model
     y[n] = sum_l sum_d c[l, d] u_d[n] shifts[l, n] over every n.
 
     ``shifts`` and ``samples`` cover the basis length.  The unknowns are
-    ordered l * D + d.
+    ordered l * D + d.  The Gram matrix is returned in Fortran order, the
+    layout LAPACK solves in place.
     """
     products = _pair_products(basis.length, basis.time_half_bandwidth, basis.count)
     taps, count = len(shifts), basis.count
-    li, lj = np.triu_indices(taps)
-    z = shifts[li].conj() * shifts[lj]
-    z.imag[li == lj] = 0.0  # |x_l|^2 exactly, so diagonal blocks stay Hermitian
+    li, lj, diagonal = _tap_pairs(taps)
+    conj_shifts = shifts.conj()
+    z = conj_shifts[li] * shifts[lj]
+    z.imag[diagonal] = 0.0  # |x_l|^2 exactly, so diagonal blocks stay Hermitian
     # Real operands: a complex-by-real product would be promoted to complex.
     w = np.concatenate((z.real, z.imag)) @ products
     # blocks[k, d, e] = G[(li[k], d), (lj[k], e)]; the mirrored block
     # G[(lj[k], e), (li[k], d)] is its conjugate, and blocks are symmetric.
     blocks = (w[:len(z)] + 1j * w[len(z):])[:, _pair_index(count)]
-    gram = np.empty((taps, count, taps, count), dtype=np.complex128)
-    gram[lj, :, li, :] = blocks.conj()
-    gram[li, :, lj, :] = blocks
-    rhs = (shifts.conj() * samples) @ basis.sequences.T
-    return gram.reshape(taps * count, -1), rhs.reshape(-1)
+    # Fill the C-order array with conj(G): its transpose is G (Hermitian) in
+    # Fortran order.  Diagonal blocks are real and written last, as G's are.
+    conj_gram = np.empty((taps, count, taps, count), dtype=np.complex128)
+    conj_gram[li, :, lj, :] = blocks.conj()
+    conj_gram[lj, :, li, :] = blocks
+    rhs = (conj_shifts * samples) @ basis.sequences.T
+    return conj_gram.reshape(taps * count, -1).T, rhs.reshape(-1)
 
 
 def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
@@ -139,9 +154,10 @@ def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
             f"{where}{observed} observations cannot identify {taps} delays x "
             f"{count} basis terms = {taps * count} unknowns")
     gram, rhs = _normal_equations(shifts, samples, basis)
-    # Cholesky solve of the Hermitian positive-definite Gram matrix; info > 0
-    # is a leading minor that is not positive definite, so G is singular.
-    _, coeffs, info = lapack.zposv(gram, rhs)
+    # Cholesky solve of the Hermitian positive-definite Gram matrix, in place
+    # on the Fortran-order arrays; info > 0 is a leading minor that is not
+    # positive definite, so G is singular.
+    _, coeffs, info = lapack.zposv(gram, rhs, overwrite_a=1, overwrite_b=1)
     if info != 0:
         raise IdentifiabilityError(
             f"{where}normal equations singular for {taps} delays x {count} basis "
