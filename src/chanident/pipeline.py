@@ -31,7 +31,7 @@ from .mlp import (MLPParams, TrainConfig, TrainReport, classify, config_fingerpr
 from .simulate import ComplexSignal, SimConfig, add_awgn, apply_channel, generate_fading
 from .sounding import DelayAmplitudeEstimate, OrderEstimate, estimate_order, fold_periods, probe_spectrum, relax_estimate
 
-DATASET_FORMAT = "chanident-dataset v1"
+DATASET_FORMAT = "chanident-dataset v2"
 REPORT_FORMAT = "chanident-report v1"
 NOISELESS = "noiseless"
 
@@ -206,8 +206,13 @@ def write_dataset(path, spec: DatasetSpec, records: list[DatasetRecord]) -> None
 def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"# {DATASET_FORMAT}"):
+    head = lines[0].split()[:3] if lines else []
+    if head[:2] != ["#", DATASET_FORMAT.split()[0]]:
         raise ValueError(f"{path}: not a {DATASET_FORMAT} file")
+    if head[1:] != DATASET_FORMAT.split():
+        # v1 files hold records of the earlier full-grid fading stream
+        raise ValueError(f"{path}: {' '.join(head[1:])} file; this version reads "
+                         f"{DATASET_FORMAT} only, so regenerate the dataset")
     if len(lines) < 2 or not lines[1].startswith("# spec "):
         raise ValueError(f"{path}: missing spec header line")
     spec = DatasetSpec.from_dict(json.loads(lines[1][len("# spec "):]))

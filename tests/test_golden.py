@@ -28,19 +28,19 @@ TRAIN = TrainConfig(epochs=40, batch_size=4, seed=5)
 
 GOLDEN = {
     "bem-ls nu=0.004": {
-        "dataset": "dbf87c398d171cd119512048deaa68e1c6bd014d841da14e33b6065e18463f3b",
-        "model": "0be1113d4c226b9ff4fb55ae5b3ea51ef06c4587354012bb49f4ed9258e011bd",
-        "report": "87d586076b1c9f8b3a754ecfae63e92753e08f9ff940d2dc7342b045cf880860",
+        "dataset": "1552b0d2f0515026318d2ea547d28eaeac0e9ce76aabf6e7b136ff37d5989c2d",
+        "model": "cf3150dbe939e123c6f6cd3e566af98faecb4c9f5da34d44ce84c8de56b4b0ce",
+        "report": "5c26d9a4e7cc9afdd1ac95a87a96163cf22e860b684b7fec8ae4335cec9fe85a",
     },
     "bem-ls nu=0.02": {
-        "dataset": "2af299733a83051f99cf756bb390375582bb6be9ad13f3baf751096d89556423",
-        "model": "8d765669a67c6799b98ff3174587424f23cc1910588b4dcf1f167c1a260b3baf",
-        "report": "ae25f66d79dab9fcf09cb017f39c23a3830fa45ec56a0960e6155dd097454159",
+        "dataset": "265e9b5fb34d1486fe5dba541e752f5e35a5aa9f979c049968c4104b71e0ebd1",
+        "model": "05747fe8ca089cc85276ea00d8aa383f72dfb4f1b9d9aa51d0eb39ddbad9406c",
+        "report": "87d586076b1c9f8b3a754ecfae63e92753e08f9ff940d2dc7342b045cf880860",
     },
     "oracle-cir nu=0.004": {
-        "dataset": "f436132602788ae1d61faf6a9b506a0e59732162ed859cd2099ac2d1c778135a",
-        "model": "c6ccb582cab2efaaba67b58faf36735c7966732515977acc6b063e83b0df052d",
-        "report": "87d586076b1c9f8b3a754ecfae63e92753e08f9ff940d2dc7342b045cf880860",
+        "dataset": "5aaf6650c2d99ee7ade83b4d86e5ddcecb595638833d92d57f3fe1cab67733e8",
+        "model": "832edc5ffb8a7cb554b82406cae9f487b938c5f000ed81ed1aee2df866f63ee3",
+        "report": "5c26d9a4e7cc9afdd1ac95a87a96163cf22e860b684b7fec8ae4335cec9fe85a",
     },
 }
 

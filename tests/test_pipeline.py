@@ -8,8 +8,8 @@ from chanident import pipeline
 from chanident.errors import InvalidSplitError, NoChannelDetectedError
 from chanident.features import FEATURE_LENGTH, FeatureVector
 from chanident.mseq import generate_mseq
-from chanident.pipeline import (DatasetRecord, DatasetSpec, derive_seed, evaluate,
-                                generate_records, read_dataset, sound_and_profile,
+from chanident.pipeline import (DATASET_FORMAT, DatasetRecord, DatasetSpec, derive_seed,
+                                evaluate, generate_records, read_dataset, sound_and_profile,
                                 split_train_test, write_dataset, write_report)
 from chanident.profiles import load_profile
 from chanident.simulate import ComplexSignal
@@ -153,6 +153,22 @@ class TestDatasetFile:
         path = tmp_path / "data.txt"
         path.write_text("not a dataset\n")
         with pytest.raises(ValueError, match="dataset"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("version", ["v1", "v20", "v2.1"])
+    def test_other_format_version_rejected(self, tmp_path, version):
+        spec = DatasetSpec(scenario_labels=(1,), vectors_per_condition=1,
+                           snr_list_db=(None,), samples_per_vector=400,
+                           estimation="oracle-cir")
+        path = tmp_path / "data.txt"
+        write_dataset(path, spec, generate_records(spec))
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith(f"# {DATASET_FORMAT} fingerprint=")
+        assert len(read_dataset(path)[1]) == 1
+        lines[0] = lines[0].replace(DATASET_FORMAT, f"chanident-dataset {version}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"chanident-dataset {re.escape(version)} file;"
+                                             ".* regenerate the dataset$"):
             read_dataset(path)
 
 

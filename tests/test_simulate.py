@@ -6,8 +6,9 @@ from scipy.special import j0
 from scipy.stats import chi2
 
 from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
-from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _grid_mass, add_awgn,
-                                apply_channel, generate_fading)
+from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _grid_mass,
+                                _shaped_tap, _synthesis_grid, add_awgn, apply_channel,
+                                generate_fading)
 
 
 def _single_tap_profile(gain_db=0.0, kind="jakes"):
@@ -140,6 +141,55 @@ class TestGenerateFading:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             generate_fading(load_profile(1), 0, SimConfig(), seed=0)
+
+
+class TestBandDraw:
+    """The random stream: each tap takes 2m normals for the m bins where its
+    spectrum has mass, real parts then imaginary parts, in tap order."""
+
+    @staticmethod
+    def _full_grid_taps(profile, n, fd, rng):
+        # the full-grid formula, with the generator's draws on the support
+        # and zeros elsewhere
+        nfft = _synthesis_grid(n, fd)
+        taps = []
+        for power, spectrum in zip(profile.gains_linear(), profile.doppler_spectra):
+            mass, total = _grid_mass(spectrum, fd, nfft)
+            support = np.flatnonzero(mass)
+            m = len(support)
+            draws = rng.standard_normal(2 * m)
+            noise = np.zeros(nfft, dtype=complex)
+            noise[support] = (draws[:m] + 1j * draws[m:]) / np.sqrt(2.0)
+            taps.append(np.fft.ifft(np.sqrt(mass * power / total) * noise)[:n] * nfft)
+        return np.array(taps)
+
+    @pytest.mark.parametrize("nu", [0.004, 0.02])
+    def test_matches_full_grid_formula_on_the_band(self, nu):
+        profile = load_profile(3)  # TUx6: Jakes and both Gaussian spectra
+        n = 3000
+        got = generate_fading(profile, n, SimConfig(normalized_doppler=nu), seed=21).gains
+        want = self._full_grid_taps(profile, n, nu, np.random.default_rng(21))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("kind", ["jakes", "gaussian"])
+    def test_consumes_two_normals_per_band_bin(self, kind):
+        spectrum = _single_tap_profile(kind=kind).doppler_spectra[0]
+        fd, n = 0.004, 1000
+        m = np.count_nonzero(_grid_mass(spectrum, fd, _synthesis_grid(n, fd))[0])
+        assert 200 < m < 1000
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        _shaped_tap(n, fd, 1.0, spectrum, rng)
+        ref.standard_normal(2 * m)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_zero_doppler_takes_one_complex_normal(self):
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        tap = _shaped_tap(64, 0.0, 4.0, DopplerSpectrum("jakes"), rng)
+        re, im = ref.standard_normal(2)
+        assert np.all(tap == tap[0])
+        assert tap[0] == pytest.approx(np.sqrt(2.0) * (re + 1j * im))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestApplyChannel:
