@@ -185,6 +185,17 @@ class TestTrainCommand:
         assert rc != 0
         assert "no.txt" in capsys.readouterr().err
 
+    def test_nan_learning_rate_rejected(self, tmp_path, capsys):
+        # json accepts the NaN literal, so the value reaches TrainConfig
+        data, _ = _make_dataset(tmp_path)
+        cfg = tmp_path / "train.json"
+        cfg.write_text('{"hidden_sizes": [8], "epochs": 3, "learning_rate": NaN}')
+        model = tmp_path / "m.json"
+        rc = run(["train", "--config", str(cfg), "--dataset", data, "--output", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("chanident train: learning_rate")
+        assert not model.exists()
+
     def test_dataset_without_noiseless_fails(self, tmp_path, capsys):
         cfg = dict(TINY_DATASET_CFG, snr_list_db=[10.0])
         data, _ = _make_dataset(tmp_path, cfg)

@@ -270,6 +270,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="plateau_rel_tol"):
             TrainConfig(plateau_rel_tol=tol)
 
+    @pytest.mark.parametrize("rate", [-0.01, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_learning_rate_not_finite_non_negative(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
     def test_accepts_the_edges(self):
         TrainConfig(plateau_patience=1, plateau_rel_tol=0.0)
         TrainConfig(plateau_rel_tol=0.999)
