@@ -210,7 +210,6 @@ def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
     if head[:2] != ["#", DATASET_FORMAT.split()[0]]:
         raise ValueError(f"{path}: not a {DATASET_FORMAT} file")
     if head[1:] != DATASET_FORMAT.split():
-        # v1 files hold records of the earlier full-grid fading stream
         raise ValueError(f"{path}: {' '.join(head[1:])} file; this version reads "
                          f"{DATASET_FORMAT} only, so regenerate the dataset")
     if len(lines) < 2 or not lines[1].startswith("# spec "):
