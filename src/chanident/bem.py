@@ -40,7 +40,9 @@ class CIREstimate:
     source: str  # "true-sim" | "bem-ls"
 
     def __post_init__(self):
-        gains = np.array(self.gains, dtype=np.complex128, copy=True)
+        self._freeze(np.array(self.gains, dtype=np.complex128, copy=True))
+
+    def _freeze(self, gains: np.ndarray) -> None:
         if gains.ndim != 2 or gains.shape[0] != len(self.delay_grid):
             raise ValueError("gains must have one row per delay-grid entry")
         if not np.all(np.isfinite(gains.view(np.float64))):
@@ -50,23 +52,40 @@ class CIREstimate:
         object.__setattr__(self, "delay_grid", tuple(int(d) for d in self.delay_grid))
 
     @classmethod
+    def _adopt(cls, gains: np.ndarray, grid, source: str) -> "CIREstimate":
+        """An estimate that takes ownership of the complex128 ``gains``, which
+        no one else may write, without the constructor's defensive copy; the
+        constructor's checks still apply."""
+        estimate = object.__new__(cls)
+        object.__setattr__(estimate, "delay_grid", grid)
+        object.__setattr__(estimate, "source", source)
+        estimate._freeze(np.asarray(gains, dtype=np.complex128))
+        return estimate
+
+    @classmethod
     def on_grid(cls, rows: np.ndarray, delays, grid, source: str) -> "CIREstimate":
         """The gain ``rows`` of ``delays`` placed on ``grid``; rows of grid
         entries that are not among ``delays`` are zero."""
-        grid = tuple(int(g) for g in grid)
-        index = {g: i for i, g in enumerate(grid)}
-        if len(index) != len(grid):
-            raise ValueError("grid entries must be unique")
-        missing = [int(d) for d in delays if int(d) not in index]
-        if missing:
-            raise ValueError(f"delays {missing} are not on the grid")
+        grid, placed = _grid_rows(delays, grid)
         gains = np.zeros((len(grid), rows.shape[1]), dtype=np.complex128)
-        gains[[index[int(d)] for d in delays]] = rows
-        return cls(gains, grid, source)
+        gains[placed] = rows
+        return cls._adopt(gains, grid, source)
 
     @property
     def n_samples(self) -> int:
         return self.gains.shape[1]
+
+
+def _grid_rows(delays, grid) -> tuple[tuple[int, ...], list[int]]:
+    """``grid`` as a tuple of ints, and the row of each of ``delays`` on it."""
+    grid = tuple(int(g) for g in grid)
+    index = {g: i for i, g in enumerate(grid)}
+    if len(index) != len(grid):
+        raise ValueError("grid entries must be unique")
+    missing = [int(d) for d in delays if int(d) not in index]
+    if missing:
+        raise ValueError(f"delays {missing} are not on the grid")
+    return grid, [index[int(d)] for d in delays]
 
 
 def _shifted_frame(frame: np.ndarray, delays) -> np.ndarray:
@@ -213,13 +232,15 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
     starts = list(range(0, n, window_len))
     if len(starts) > 1 and n - starts[-1] < window_len // 2:
         starts.pop()  # merge short tail into the previous window
+    grid, placed = _grid_rows(delays, delays if grid is None else grid)
     shifts = _shifted_frame(frame, delays)
-    gains = np.empty((len(delays), n), dtype=np.complex128)
+    # Each window's reconstruction goes straight into its delays' rows.
+    gains = np.zeros((len(grid), n), dtype=np.complex128)
     for w0, w1 in zip(starts, starts[1:] + [n]):
         wlen = w1 - w0
         count = min(basis_dimension(normalized_doppler, wlen), wlen)
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
         coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
-        gains[:, w0:w1] = coeffs @ basis.sequences
-    return CIREstimate.on_grid(gains, delays, delays if grid is None else grid, "bem-ls")
+        gains[placed, w0:w1] = coeffs @ basis.sequences
+    return CIREstimate._adopt(gains, grid, "bem-ls")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -67,11 +68,17 @@ class DatasetSpec:
             raise ValueError("samples_per_vector must be >= 400")
         if self.estimation not in ESTIMATION_MODES:
             raise ValueError(f"estimation must be one of {ESTIMATION_MODES}")
+        # bool is an int subclass; a numpy integer would not serialize
+        if type(self.window_len) is not int or self.window_len < 2:
+            raise ValueError(f"window_len must be an int >= 2, not {self.window_len!r}")
         for label in self.scenario_labels:
             if not 1 <= label <= N_SCENARIOS:
                 raise ValueError(f"unknown scenario label {label}")
         labels = tuple(self.scenario_labels)
         snrs = tuple(None if s is None else float(s) for s in self.snr_list_db)
+        bad = [s for s in snrs if s is not None and not math.isfinite(s)]
+        if bad:
+            raise ValueError(f"snr_list_db entries must be finite or None (noiseless), not {bad}")
         # A repeated entry would repeat its records, seeds and all.
         for name, entries in (("scenario_labels", labels), ("snr_list_db", snrs)):
             if len(set(entries)) != len(entries):

@@ -40,8 +40,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.symbol_rate_hz <= 0:
-            raise ValueError("symbol_rate_hz must be > 0")
+        if not 0 < self.symbol_rate_hz < math.inf:
+            raise ValueError("symbol_rate_hz must be finite and > 0")
         # 0 is admitted as the degenerate frozen-channel limit.
         if not 0 <= self.normalized_doppler < 0.5:
             raise ValueError("normalized_doppler must lie in [0, 0.5)")
@@ -71,8 +71,8 @@ class ComplexSignal:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("samples must be finite")
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be > 0")
+        if not 0 < self.sample_period_s < math.inf:
+            raise ValueError("sample_period_s must be finite and > 0")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -161,34 +161,73 @@ def _grid_mass(spectrum: DopplerSpectrum, fd: float, nfft: int) -> tuple[np.ndar
 
 
 @lru_cache(maxsize=8)
-def _band(spectrum: DopplerSpectrum, fd: float, nfft: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bins with nonzero mass on the ``nfft``-bin grid, in ascending
-    bin index, and sqrt(mass / total) on them; both read-only."""
+def _band(spectrum: DopplerSpectrum, fd: float, nfft: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The band of bins with nonzero mass on the ``nfft``-bin grid: its lowest
+    signed bin k0, the offset from k0 of each band bin in ascending (unsigned)
+    bin index, and sqrt(mass / total) on them; the arrays are read-only."""
     mass, total = _grid_mass(spectrum, fd, nfft)
     support = np.flatnonzero(mass)
+    signed = np.where(support >= nfft // 2, support - nfft, support)
+    k0 = int(signed.min())
+    offsets = signed - k0
     weight = np.sqrt(mass[support] / total)
-    support.flags.writeable = False
+    offsets.flags.writeable = False
     weight.flags.writeable = False
-    return support, weight
+    return k0, offsets, weight
 
 
-def _shaped_tap(n_samples: int, fd: float, power: float,
-                spectrum: DopplerSpectrum, rng: np.random.Generator) -> np.ndarray:
-    """One tap's gain series, from 2m standard normals of ``rng``: the real
-    parts of the m band bins in ascending bin index, then their imaginary
-    parts; a frozen tap (fd == 0) has m = 1."""
-    if fd == 0.0:
-        # Degenerate limit: all spectral mass at DC, i.e. a frozen tap.
-        re, im = rng.standard_normal(2)
-        return np.full(n_samples, math.sqrt(power / 2.0) * (re + 1j * im))
+def _unit_phasors(phase: np.ndarray, nfft: int) -> np.ndarray:
+    """exp(j 2 pi phase / nfft) of integer phases, reduced mod ``nfft`` first
+    so the angle is exact before rounding; read-only."""
+    out = np.exp((2j * np.pi / nfft) * np.mod(phase, nfft))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=4)
+def _twiddles(nfft: int, width: int) -> np.ndarray:
+    """E[s, k] = exp(j 2 pi k s / nfft) for s < nfft / width and k < width."""
+    return _unit_phasors(np.arange(nfft // width)[:, None] * np.arange(width), nfft)
+
+
+@lru_cache(maxsize=16)
+def _ramp(k0: int, nfft: int, n_samples: int) -> np.ndarray:
+    """exp(j 2 pi k0 n / nfft) for n < ``n_samples``."""
+    return _unit_phasors(k0 * np.arange(n_samples, dtype=np.int64), nfft)
+
+
+def _band_taps(n_samples: int, fd: float, powers, spectra,
+               rng: np.random.Generator) -> np.ndarray:
+    """The gain series of taps with Doppler band ``fd`` > 0, by one
+    decimated inverse transform for all of them.
+
+    Tap t is x[n] = sum_k a[k] exp(j 2 pi k n / nfft) over its band bins k,
+    a[k] = sqrt(power / 2) * weight[k] * (re + j im) from its 2m normals.
+    Every band fits in ``width`` bins (a power of two) from its lowest bin
+    k0, so with R = nfft / width and n = R j + s
+
+        x[R j + s] = exp(j 2 pi k0 n / nfft)
+                     * sum_{k' < width} a[k0 + k'] E[s, k'] exp(j 2 pi k' j / width),
+
+    one length-``width`` inverse transform per residue s.
+    """
     nfft = _synthesis_grid(n_samples, fd)
-    support, weight = _band(spectrum, fd, nfft)
-    m = len(support)
-    draws = rng.standard_normal(2 * m)
-    amp = np.zeros(nfft, dtype=np.complex128)
-    amp[support] = math.sqrt(power / 2.0) * weight * (draws[:m] + 1j * draws[m:])
-    # x[n] = sum_k amp[k] exp(j 2 pi k n / nfft): E|x|^2 = sum mass = power
-    return np.fft.ifft(amp)[:n_samples] * nfft
+    bands = [_band(spectrum, fd, nfft) for spectrum in spectra]
+    width = 1 << int(max(offsets.max() for _, offsets, _ in bands)).bit_length()
+    amp = np.zeros((len(bands), 1, width), dtype=np.complex128)
+    for row, power, (_, offsets, weight) in zip(amp, powers, bands):
+        m = len(offsets)
+        draws = rng.standard_normal(2 * m)
+        row[0, offsets] = math.sqrt(power / 2.0) * weight * (draws[:m] + 1j * draws[m:])
+    # residues[t, s, j] = x_t[R j + s] / ramp; norm="forward" leaves the
+    # inverse transform unscaled, as the sum above is.
+    residues = amp * _twiddles(nfft, width)
+    np.fft.ifft(residues, axis=-1, norm="forward", out=residues)
+    rows = -(-n_samples // (nfft // width))
+    taps = residues[:, :, :rows].transpose(0, 2, 1).reshape(len(bands), -1)[:, :n_samples]
+    for tap, (k0, _, _) in zip(taps, bands):
+        tap *= _ramp(k0, nfft, n_samples)
+    return taps
 
 
 def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
@@ -212,9 +251,15 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(config.seed if seed is None else seed)
     fd = config.doppler_per_sample
-    gains = np.empty((profile.tap_count, n_samples), dtype=np.complex128)
-    for l, (power, spectrum) in enumerate(zip(profile.gains_linear(), profile.doppler_spectra)):
-        gains[l] = _shaped_tap(n_samples, fd, power, spectrum, rng)
+    powers = profile.gains_linear()
+    if fd == 0.0:
+        # Degenerate limit: all spectral mass at DC, i.e. frozen taps.
+        gains = np.empty((profile.tap_count, n_samples), dtype=np.complex128)
+        for row, power in zip(gains, powers):
+            re, im = rng.standard_normal(2)
+            row[:] = math.sqrt(power / 2.0) * (re + 1j * im)
+    else:
+        gains = _band_taps(n_samples, fd, powers, profile.doppler_spectra, rng)
     return CIRMatrix(gains, config.sample_period_s, profile.delay_units)
 
 

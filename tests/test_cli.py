@@ -82,6 +82,15 @@ class TestDatasetCommand:
         assert capsys.readouterr().err.startswith(f"chanident {command}: config file {cfg}: "
                                                   f"{key} must be ")
 
+    def test_nan_symbol_rate_rejected(self, tmp_path, capsys):
+        # json accepts the NaN literal, so the value reaches SimConfig
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"sim": {"symbol_rate_hz": NaN}}')
+        out = tmp_path / "x.txt"
+        assert run(["dataset", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("chanident dataset: symbol_rate_hz")
+        assert not out.exists()
+
     def test_int_stands_for_number_and_null_default_is_free(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "c.json", {"sim": {"normalized_doppler": 0}})
         assert run(["dataset", "--config", cfg, "--print-config"]) == 0

@@ -66,6 +66,17 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="snr_list_db entries must be unique"):
             DatasetSpec(snr_list_db=(None, 10, 10.0))
 
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+    def test_rejects_snr_not_finite(self, snr):
+        # NaN failed inside the first record and inf made records
+        with pytest.raises(ValueError, match="snr_list_db entries must be finite"):
+            DatasetSpec(snr_list_db=(None, 10.0, snr))
+
+    @pytest.mark.parametrize("window_len", [1, 0, -512, 512.0, True, "512"])
+    def test_rejects_window_len_not_int_at_least_two(self, window_len):
+        with pytest.raises(ValueError, match="window_len must be an int >= 2"):
+            DatasetSpec(window_len=window_len)
+
 
 def test_derive_seed_stable():
     assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)

@@ -7,8 +7,7 @@ from scipy.stats import chi2
 
 from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _grid_mass,
-                                _shaped_tap, _synthesis_grid, add_awgn, apply_channel,
-                                generate_fading)
+                                _synthesis_grid, add_awgn, apply_channel, generate_fading)
 
 
 def _single_tap_profile(gain_db=0.0, kind="jakes"):
@@ -31,6 +30,11 @@ class TestSimConfig:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             SimConfig(symbol_rate_hz=0.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_rejects_rate_not_finite(self, rate):
+        with pytest.raises(ValueError, match="symbol_rate_hz must be finite and > 0"):
+            SimConfig(symbol_rate_hz=rate)
 
 
 class TestGenerateFading:
@@ -163,29 +167,50 @@ class TestBandDraw:
             taps.append(np.fft.ifft(np.sqrt(mass * power / total) * noise)[:n] * nfft)
         return np.array(taps)
 
-    @pytest.mark.parametrize("nu", [0.004, 0.02])
+    @staticmethod
+    def _fading_and_generator(monkeypatch, profile, n, config, seed):
+        # generate_fading's gains and the generator it drew them from
+        made, default_rng = [], np.random.default_rng
+
+        def recording_rng(s):
+            made.append(default_rng(s))
+            return made[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", recording_rng)
+            gains = generate_fading(profile, n, config, seed=seed).gains
+        return gains, made[0]
+
+    @pytest.mark.parametrize("nu", [0.004, 0.02, 0.3])
     def test_matches_full_grid_formula_on_the_band(self, nu):
+        # 25 900 is not a multiple of the decimation stride; at nu = 0.3 the
+        # band is wider than half the grid, so the transform is undecimated
         profile = load_profile(3)  # TUx6: Jakes and both Gaussian spectra
-        n = 3000
-        got = generate_fading(profile, n, SimConfig(normalized_doppler=nu), seed=21).gains
-        want = self._full_grid_taps(profile, n, nu, np.random.default_rng(21))
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+        full_grid = _synthesis_grid(1, nu)
+        for n in (3000, 25600, 25900, full_grid):
+            got = generate_fading(profile, n, SimConfig(normalized_doppler=nu), seed=21).gains
+            want = self._full_grid_taps(profile, n, nu, np.random.default_rng(21))
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (n, nu)
+        assert _synthesis_grid(full_grid, nu) == full_grid
 
     @pytest.mark.parametrize("kind", ["jakes", "gaussian"])
-    def test_consumes_two_normals_per_band_bin(self, kind):
-        spectrum = _single_tap_profile(kind=kind).doppler_spectra[0]
+    def test_consumes_two_normals_per_band_bin(self, kind, monkeypatch):
+        profile = _single_tap_profile(kind=kind)
         fd, n = 0.004, 1000
-        m = np.count_nonzero(_grid_mass(spectrum, fd, _synthesis_grid(n, fd))[0])
+        m = np.count_nonzero(_grid_mass(profile.doppler_spectra[0], fd, _synthesis_grid(n, fd))[0])
         assert 200 < m < 1000
-        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-        _shaped_tap(n, fd, 1.0, spectrum, rng)
+        _, rng = self._fading_and_generator(monkeypatch, profile, n,
+                                            SimConfig(normalized_doppler=fd), 5)
+        ref = np.random.default_rng(5)
         ref.standard_normal(2 * m)
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_zero_doppler_takes_one_complex_normal(self):
-        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        tap = _shaped_tap(64, 0.0, 4.0, DopplerSpectrum("jakes"), rng)
+    def test_zero_doppler_takes_one_complex_normal(self, monkeypatch):
+        profile = _single_tap_profile(gain_db=10.0 * np.log10(4.0))
+        (tap,), rng = self._fading_and_generator(monkeypatch, profile, 64,
+                                                 SimConfig(normalized_doppler=0.0), 8)
+        ref = np.random.default_rng(8)
         re, im = ref.standard_normal(2)
         assert np.all(tap == tap[0])
         assert tap[0] == pytest.approx(np.sqrt(2.0) * (re + 1j * im))
@@ -278,6 +303,11 @@ class TestComplexSignal:
             ComplexSignal(np.array([1.0, np.nan]), 1e-5)
         with pytest.raises(ValueError, match="finite"):
             ComplexSignal(np.array([1.0, np.inf * 1j]), 1e-5)
+
+    @pytest.mark.parametrize("period", [0.0, np.nan, np.inf, -np.inf])
+    def test_rejects_sample_period_not_finite_positive(self, period):
+        with pytest.raises(ValueError, match="sample_period_s must be finite and > 0"):
+            ComplexSignal(np.ones(4), period)
 
     def test_samples_read_only(self):
         sig = ComplexSignal(np.ones(4), 1e-5)

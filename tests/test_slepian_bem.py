@@ -8,7 +8,7 @@ from chanident import bem, slepian
 from chanident.bem import (CIREstimate, bem_ls_estimate, estimate_cir_windowed)
 from chanident.errors import IdentifiabilityError
 from chanident.modulation import random_frame
-from chanident.profiles import DopplerSpectrum, ScenarioProfile
+from chanident.profiles import MAX_DELAY_UNITS, DopplerSpectrum, ScenarioProfile, load_profile
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, add_awgn,
                                 apply_channel, generate_fading)
 from chanident.slepian import basis_dimension, generate_dpss, sinc_kernel_row
@@ -224,6 +224,28 @@ class TestWindowedEstimation:
         assert 10 * np.log10(err / np.sum(np.abs(gains_full) ** 2)) < -20.0
         # empty rows carry only the estimator's noise floor
         assert np.mean(np.abs(est.gains[[1, 3]]) ** 2) < 0.01 * np.mean(np.abs(gains_full[[0, 2]]) ** 2)
+
+    @pytest.mark.parametrize("n", [1200, 25600])
+    def test_estimate_on_grid_equals_delay_estimate_placed(self, n):
+        # written straight onto the grid, bit for bit the delay-grid estimate
+        # placed on it; 25 600 samples make 50 windows
+        profile = load_profile(3)
+        cfg = SimConfig(normalized_doppler=0.004)
+        true = generate_fading(profile, n, cfg, seed=51)
+        frame = random_frame(n, seed=52)
+        rx = add_awgn(apply_channel(frame, true), 10.0, seed=53)
+        grid = tuple(range(MAX_DELAY_UNITS))
+        args = (rx, frame.samples, profile.delay_units, cfg.doppler_per_sample)
+        on_delays = estimate_cir_windowed(*args)
+        est = estimate_cir_windowed(*args, grid=grid)
+        placed = CIREstimate.on_grid(on_delays.gains, profile.delay_units, grid, "bem-ls")
+        assert est.delay_grid == grid and est.source == "bem-ls"
+        assert np.array_equal(est.gains, placed.gains)
+        off = [g for g in grid if g not in profile.delay_units]
+        assert off and np.all(est.gains[off] == 0)
+        assert not est.gains.flags.writeable
+        with pytest.raises(ValueError, match="not on the grid"):
+            estimate_cir_windowed(*args, grid=grid[:3])
 
     def test_silent_frame_is_singular(self):
         # An all-zero frame gives a zero Gram matrix, which has no Cholesky
