@@ -8,6 +8,12 @@ come from the analytic spectral CDFs, so the edge singularity of the classic
 Jakes spectrum is integrated exactly rather than sampled.  Only the bins
 with nonzero mass, the Doppler band, get a draw: at 0.004 cycles/sample
 that is a few hundred of the 65 536 grid bins.
+
+The inverse transform is split by polyphase: with the band inside ``width``
+bins and n = R j + s (R = nfft / width), each residue s is one
+length-``width`` inverse FFT after a twiddle and a phase ramp, so all taps
+of a record share one transform of short rows instead of one nfft-point
+transform each.  It agrees with the full-grid IDFT to rounding.
 """
 
 from __future__ import annotations

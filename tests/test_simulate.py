@@ -6,7 +6,7 @@ from scipy.special import j0
 from scipy.stats import chi2
 
 from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
-from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _grid_mass,
+from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _grid_mass,
                                 _synthesis_grid, add_awgn, apply_channel, generate_fading)
 
 
@@ -193,6 +193,14 @@ class TestBandDraw:
             for g, w in zip(got, want):
                 assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (n, nu)
         assert _synthesis_grid(full_grid, nu) == full_grid
+
+    def test_band_spans_signed_bins_around_dc(self):
+        # the decimated transform is short only if the band is taken in
+        # signed bins, about 2 fd nfft of them, not across the unsigned grid
+        fd, nfft = 0.004, 65536
+        k0, offsets, _ = _band(DopplerSpectrum("jakes"), fd, nfft)
+        assert k0 < 0 and k0 + offsets.max() == -k0
+        assert offsets.max() + 1 <= 2 * fd * nfft + 2
 
     @pytest.mark.parametrize("kind", ["jakes", "gaussian"])
     def test_consumes_two_normals_per_band_bin(self, kind, monkeypatch):
