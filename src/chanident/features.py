@@ -65,10 +65,14 @@ def build_ddpdp(cir: CIREstimate) -> DDPDP:
     if n < ENVELOPE_BINS:
         raise ValueError(
             f"need at least {ENVELOPE_BINS} time samples per row, got {n}")
-    env = np.abs(cir.gains)
-    idx = np.minimum((env / BIN_WIDTH).astype(np.int64), ENVELOPE_BINS - 1)
-    rows = np.stack([np.bincount(r, minlength=ENVELOPE_BINS) for r in idx])
-    return DDPDP(rows / float(n))
+    # An all-zero row (a grid delay off the profile) has every sample in bin 0.
+    counts = np.zeros((len(cir.gains), ENVELOPE_BINS))
+    counts[:, 0] = n
+    for row, gains in zip(counts, cir.gains):
+        if gains.any():
+            idx = np.minimum((np.abs(gains) / BIN_WIDTH).astype(np.int64), ENVELOPE_BINS - 1)
+            row[:] = np.bincount(idx, minlength=ENVELOPE_BINS)
+    return DDPDP(counts / float(n))
 
 
 def flatten_ddpdp(ddpdp: DDPDP) -> np.ndarray:

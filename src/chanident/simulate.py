@@ -98,7 +98,9 @@ class CIRMatrix:
     delay_units: tuple[int, ...]
 
     def __post_init__(self):
-        gains = np.array(self.gains, dtype=np.complex128, copy=True)
+        self._freeze(np.array(self.gains, dtype=np.complex128, copy=True))
+
+    def _freeze(self, gains: np.ndarray) -> None:
         if gains.ndim != 2 or gains.shape[0] < 1 or gains.shape[1] < 1:
             raise ValueError("gains must be a non-empty L x N matrix")
         if len(self.delay_units) != gains.shape[0]:
@@ -106,6 +108,18 @@ class CIRMatrix:
         gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "delay_units", tuple(int(d) for d in self.delay_units))
+
+    @classmethod
+    def _adopt(cls, gains: np.ndarray, sample_period_s: float, delay_units) -> "CIRMatrix":
+        """A matrix that takes ownership of the complex128 ``gains``, which no
+        one else may write, without the constructor's defensive copy (a
+        strided view is still made contiguous); the constructor's checks
+        still apply."""
+        cir = object.__new__(cls)
+        object.__setattr__(cir, "sample_period_s", sample_period_s)
+        object.__setattr__(cir, "delay_units", delay_units)
+        cir._freeze(np.ascontiguousarray(gains, dtype=np.complex128))
+        return cir
 
     @property
     def tap_count(self) -> int:
@@ -266,7 +280,7 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
             row[:] = math.sqrt(power / 2.0) * (re + 1j * im)
     else:
         gains = _band_taps(n_samples, fd, powers, profile.doppler_spectra, rng)
-    return CIRMatrix(gains, config.sample_period_s, profile.delay_units)
+    return CIRMatrix._adopt(gains, config.sample_period_s, profile.delay_units)
 
 
 def apply_channel(signal: ComplexSignal, cir: CIRMatrix) -> ComplexSignal:

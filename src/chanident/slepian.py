@@ -4,7 +4,9 @@ Computed from the classic symmetric tridiagonal commuting matrix, which is
 numerically stable at large lengths; the dense sinc-kernel eigenproblem is
 kept out of the production path and serves only as a small-N test oracle.
 Concentrations are Rayleigh quotients against the sinc kernel, evaluated by
-FFT convolution so no N x N matrix is ever formed.
+a full linear FFT convolution through ``scipy.fft`` (the same pocketfft calls
+``scipy.signal.fftconvolve`` makes, without importing ``scipy.signal``), so
+no N x N matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.linalg import eigh_tridiagonal
-from scipy.signal import fftconvolve
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,15 @@ def sinc_kernel_row(length: int, half_bandwidth: float) -> np.ndarray:
 
 def _concentrations(sequences: np.ndarray, half_bandwidth: float) -> np.ndarray:
     n = sequences.shape[1]
-    kernel = sinc_kernel_row(n, half_bandwidth)
+    size = sp_fft.next_fast_len(3 * n - 2, True)
+    kernel = sp_fft.rfft(sinc_kernel_row(n, half_bandwidth), size)
     lam = np.empty(len(sequences))
     for i, u in enumerate(sequences):
-        su = fftconvolve(kernel, u)[n - 1:2 * n - 1]
+        spectrum = sp_fft.rfft(u, size)
+        # Kernel first, as in fftconvolve: the complex product is fused
+        # (FMA), so the operand order sets the last bit.
+        np.multiply(kernel, spectrum, out=spectrum)
+        su = sp_fft.irfft(spectrum, size)[n - 1:2 * n - 1]
         lam[i] = float(u @ su)
     return lam
 

@@ -3,18 +3,29 @@
 These deliberately avoid the package's own computation paths: the multipath
 fit oracle is an exhaustive joint grid search over delay combinations with a
 dense least-squares solve per combination, probes are built by explicit
-convolution of frozen channels, and the training reference is the textbook
-momentum loop that allocates every gradient and velocity afresh.
+convolution of frozen channels, the training reference is the textbook
+momentum loop that allocates every gradient and velocity afresh, and the
+Slepian concentrations come from ``scipy.signal.fftconvolve``.
 """
 
 from itertools import combinations
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from chanident.mlp import MLPParams
 from chanident.mseq import MSequence
 from chanident.simulate import CIRMatrix, ComplexSignal, add_awgn, apply_channel
+from chanident.slepian import sinc_kernel_row
 from chanident.sounding import FrequencyData
+
+
+def fftconvolve_concentrations(sequences: np.ndarray, half_bandwidth: float) -> np.ndarray:
+    """Rayleigh quotient of each row against the sinc kernel, by a full
+    linear ``fftconvolve`` of the kernel with the row."""
+    n = sequences.shape[1]
+    kernel = sinc_kernel_row(n, half_bandwidth)
+    return np.array([float(u @ fftconvolve(kernel, u)[n - 1:2 * n - 1]) for u in sequences])
 
 
 def steering_matrix(freq: FrequencyData, delays) -> np.ndarray:

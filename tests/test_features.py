@@ -65,6 +65,20 @@ class TestBuildDdpdp:
         assert np.all(d.bins >= 0)
 
 
+    @pytest.mark.parametrize("label", [1, 2, 6])
+    def test_matches_histogram_of_every_row(self, label):
+        # All-zero rows are written as a point mass in bin 0, not binned.
+        cir = _full_grid_cir(label, 600, seed=4)
+        env = np.abs(cir.gains)
+        want = np.stack([np.histogram(np.minimum(r, 2.0 - 1e-9), ENVELOPE_BINS, (0.0, 2.0))[0]
+                         for r in env]) / 600.0
+        d = build_ddpdp(cir)
+        assert np.array_equal(d.bins, want)
+        zero = ~np.any(cir.gains, axis=1)
+        assert zero.sum() == MAX_DELAY_UNITS - load_profile(label).tap_count
+        assert np.all(d.bins[zero, 0] == 1.0)
+
+
 class TestFlatten:
     def test_length_4800_for_full_grid(self):
         d = build_ddpdp(_full_grid_cir(1, 600, seed=2))

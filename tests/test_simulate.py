@@ -53,6 +53,14 @@ class TestGenerateFading:
         assert np.array_equal(a.gains, b.gains)
         assert not np.array_equal(a.gains, c.gains)
 
+    def test_gains_read_only_and_not_shared(self):
+        a = generate_fading(load_profile(6), 700, SimConfig(), seed=5)
+        b = generate_fading(load_profile(6), 700, SimConfig(), seed=5)
+        assert not a.gains.flags.writeable
+        assert a.gains.flags.c_contiguous and a.gains.dtype == np.complex128
+        assert not np.shares_memory(a.gains, b.gains)
+        assert a.delay_units == load_profile(6).delay_units
+
     def test_jakes_autocorrelation_matches_bessel(self):
         # oracle: the Jakes spectrum's autocorrelation is J0(2 pi nu k),
         # evaluated numerically with scipy's Bessel function

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, toeplitz
 
+from _oracles import fftconvolve_concentrations
 from chanident import bem, slepian
 from chanident.bem import (CIREstimate, bem_ls_estimate, estimate_cir_windowed)
 from chanident.errors import IdentifiabilityError
@@ -74,6 +75,30 @@ class TestGenerateDpss:
 
     def test_cached_instances_shared(self):
         assert generate_dpss(64, 0.05, 3) is generate_dpss(64, 0.05, 3)
+
+
+# Window lengths, bandwidths and basis sizes the pipeline builds, up to a
+# whole 25 600-sample record.  The spectral product must keep fftconvolve's
+# operand order: written as ``kernel * rfft(u)``, numpy reuses the temporary
+# and computes ``rfft(u) * kernel``, which moves the last bit at every size.
+FFT_ORACLE_CASES = [(512, 0.004, 8), (512, 0.02, 24), (688, 0.02, 31),
+                    (1200, 0.004, 13), (25_600, 0.004, 208)]
+
+
+class TestConcentrationBits:
+    @pytest.mark.parametrize("n,w,d", FFT_ORACLE_CASES)
+    def test_concentrations_match_fftconvolve(self, n, w, d):
+        seqs = generate_dpss(n, w, d).sequences
+        got = slepian._concentrations(seqs, w)
+        assert got.tobytes() == fftconvolve_concentrations(seqs, w).tobytes()
+
+    @pytest.mark.parametrize("n,w,d", FFT_ORACLE_CASES)
+    def test_basis_order_matches_fftconvolve(self, n, w, d, monkeypatch):
+        got = generate_dpss(n, w, d)
+        monkeypatch.setattr(slepian, "_concentrations", fftconvolve_concentrations)
+        want = slepian._build.__wrapped__(n, w, d)
+        assert got.sequences.tobytes() == want.sequences.tobytes()
+        assert got.concentrations.tobytes() == want.concentrations.tobytes()
 
 
 class TestBasisDimension:
