@@ -64,7 +64,6 @@ class TestBuildDdpdp:
         assert np.all(np.abs(d.bins.sum(axis=1) - 1.0) < 1e-12)
         assert np.all(d.bins >= 0)
 
-
     @pytest.mark.parametrize("label", [1, 2, 6])
     def test_matches_histogram_of_every_row(self, label):
         # All-zero rows are written as a point mass in bin 0, not binned.

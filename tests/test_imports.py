@@ -5,9 +5,8 @@ from pathlib import Path
 
 import chanident
 
-# Each of these costs about a second of start-up in every fresh process
-# (CLI call, pool set-up, benchmark set-up) and is not needed by any
-# production path.
+# Together these add about a second to every fresh interpreter (each CLI
+# call, each benchmark set-up) and no production path needs them.
 HEAVY_MODULES = ("scipy.signal", "scipy.stats")
 
 
