@@ -16,7 +16,6 @@ u_d[n] u_e[n] gives every distinct entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,68 +23,10 @@ from scipy.linalg import lapack
 
 from . import _blas, slepian
 from .errors import IdentifiabilityError
-from .simulate import ComplexSignal
+from .simulate import CIRMatrix, ComplexSignal
 from .slepian import DPSSBasis, basis_dimension, generate_dpss
 
 DEFAULT_WINDOW_LEN = 512
-
-
-@dataclass(frozen=True)
-class CIREstimate:
-    """Tap-gain series on a fixed delay grid; ``source`` records whether the
-    gains are simulator ground truth or a BEM-LS fit."""
-
-    gains: np.ndarray
-    delay_grid: tuple[int, ...]
-    source: str  # "true-sim" | "bem-ls"
-
-    def __post_init__(self):
-        self._freeze(np.array(self.gains, dtype=np.complex128, copy=True))
-
-    def _freeze(self, gains: np.ndarray) -> None:
-        if gains.ndim != 2 or gains.shape[0] != len(self.delay_grid):
-            raise ValueError("gains must have one row per delay-grid entry")
-        if not np.all(np.isfinite(gains.view(np.float64))):
-            raise ValueError("gains must be finite")
-        gains.flags.writeable = False
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "delay_grid", tuple(int(d) for d in self.delay_grid))
-
-    @classmethod
-    def _adopt(cls, gains: np.ndarray, grid, source: str) -> "CIREstimate":
-        """An estimate that takes ownership of the complex128 ``gains``, which
-        no one else may write, without the constructor's defensive copy; the
-        constructor's checks still apply."""
-        estimate = object.__new__(cls)
-        object.__setattr__(estimate, "delay_grid", grid)
-        object.__setattr__(estimate, "source", source)
-        estimate._freeze(np.asarray(gains, dtype=np.complex128))
-        return estimate
-
-    @classmethod
-    def on_grid(cls, rows: np.ndarray, delays, grid, source: str) -> "CIREstimate":
-        """The gain ``rows`` of ``delays`` placed on ``grid``; rows of grid
-        entries that are not among ``delays`` are zero."""
-        grid, placed = _grid_rows(delays, grid)
-        gains = np.zeros((len(grid), rows.shape[1]), dtype=np.complex128)
-        gains[placed] = rows
-        return cls._adopt(gains, grid, source)
-
-    @property
-    def n_samples(self) -> int:
-        return self.gains.shape[1]
-
-
-def _grid_rows(delays, grid) -> tuple[tuple[int, ...], list[int]]:
-    """``grid`` as a tuple of ints, and the row of each of ``delays`` on it."""
-    grid = tuple(int(g) for g in grid)
-    index = {g: i for i, g in enumerate(grid)}
-    if len(index) != len(grid):
-        raise ValueError("grid entries must be unique")
-    missing = [int(d) for d in delays if int(d) not in index]
-    if missing:
-        raise ValueError(f"delays {missing} are not on the grid")
-    return grid, [index[int(d)] for d in delays]
 
 
 def _shifted_frame(frame: np.ndarray, delays) -> np.ndarray:
@@ -195,7 +136,7 @@ def _unique_delays(delay_grid) -> tuple[int, ...]:
 
 @_blas.single_thread()
 def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
-                    basis: DPSSBasis) -> CIREstimate:
+                    basis: DPSSBasis) -> CIRMatrix:
     """The gains mu_l[n] = sum_d c[l, d] u_d[n] of the least-squares fit of
     y[n] = sum_l sum_d c[l, d] * u_d[n] * x[n - tau_l] over every sample,
     with ``frame`` the known transmitted x."""
@@ -206,22 +147,19 @@ def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
     coeffs = _fit(_shifted_frame(frame, delays), received.samples, basis)
-    return CIREstimate(coeffs @ basis.sequences, delays, "bem-ls")
+    return CIRMatrix._adopt(coeffs @ basis.sequences, received.sample_period_s, delays)
 
 
 @_blas.single_thread()
 def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid,
                           normalized_doppler: float,
-                          window_len: int = DEFAULT_WINDOW_LEN,
-                          grid=None) -> CIREstimate:
+                          window_len: int = DEFAULT_WINDOW_LEN) -> CIRMatrix:
     """Windowed BEM-LS over a long frame.
 
     Windows are fitted independently with a basis sized by
     ``basis_dimension`` for the window length; a short tail is merged into
     the final window.  The known ``frame`` is global, so regressors near a
-    window's start reach back into the previous window's symbols.  The
-    estimate is returned on ``grid`` (default: ``delay_grid``), whose entries
-    outside ``delay_grid`` get zero rows.
+    window's start reach back into the previous window's symbols.
     """
     delays = _unique_delays(delay_grid)
     n = len(received)
@@ -232,15 +170,13 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
     starts = list(range(0, n, window_len))
     if len(starts) > 1 and n - starts[-1] < window_len // 2:
         starts.pop()  # merge short tail into the previous window
-    grid, placed = _grid_rows(delays, delays if grid is None else grid)
     shifts = _shifted_frame(frame, delays)
-    # Each window's reconstruction goes straight into its delays' rows.
-    gains = np.zeros((len(grid), n), dtype=np.complex128)
+    gains = np.empty((len(delays), n), dtype=np.complex128)  # windows cover [0, n)
     for w0, w1 in zip(starts, starts[1:] + [n]):
         wlen = w1 - w0
         count = min(basis_dimension(normalized_doppler, wlen), wlen)
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
         coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
-        gains[placed, w0:w1] = coeffs @ basis.sequences
-    return CIREstimate._adopt(gains, grid, "bem-ls")
+        gains[:, w0:w1] = coeffs @ basis.sequences
+    return CIRMatrix._adopt(gains, received.sample_period_s, delays)

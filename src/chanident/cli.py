@@ -135,6 +135,9 @@ def read_signal_file(path) -> ComplexSignal:
         count = int(fields["count"])
     except (KeyError, ValueError, IndexError):
         raise CliError(f"{path}: byte 0: malformed signal header {header!r}") from None
+    if not 0 < rate < np.inf:
+        raise CliError(f"{path}: byte 0: sample_rate_hz must be finite and > 0, "
+                       f"got {fields['sample_rate_hz']}")
     offset = len(lines[0]) + 1
     samples = []
     for raw in lines[1:]:
@@ -304,10 +307,10 @@ def _cmd_estimate(args, config) -> int:
         raise CliError(f"frame length {len(frame)} != received length {len(received)}")
     cir = estimate_cir_windowed(received, frame.samples, config["delay_grid"],
                                 config["normalized_doppler"], config["window_len"])
-    _write_trace(args.output, cir.gains, cir.delay_grid)
+    _write_trace(args.output, cir.gains, cir.delay_units)
     _write_manifest(args.output + ".manifest.json", "estimate", args.config, config,
                     [args.output], {})
-    print(f"wrote {len(cir.delay_grid)} x {cir.n_samples} gain estimates to {args.output}")
+    print(f"wrote {cir.tap_count} x {cir.n_samples} gain estimates to {args.output}")
     return 0
 
 

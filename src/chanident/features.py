@@ -1,9 +1,11 @@
 """Delay-discrete envelope-probability features.
 
-A D-DPDP is a per-delay histogram of the estimated fading envelope: row l
-bins |gains[l, n]| over time into 400 equal intervals on [0, 2) (bin width
+A D-DPDP is a per-delay histogram of the estimated fading envelope on the
+fixed grid of MAX_DELAY_UNITS delay units: row d bins |gains| of the tap at
+delay unit d over time into 400 equal intervals on [0, 2) (bin width
 0.005), with values >= 2 clipped into the last bin so every row keeps unit
-mass.  Flattened row-major, it is the classifier input.
+mass.  A delay unit with no tap has all its mass in bin 0.  Flattened
+row-major, it is the classifier input.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bem import CIREstimate
 from .profiles import MAX_DELAY_UNITS
+from .simulate import CIRMatrix
 
 ENVELOPE_BINS = 400
 ENVELOPE_MAX = 2.0
@@ -59,19 +61,23 @@ class FeatureVector:
         object.__setattr__(self, "values", values)
 
 
-def build_ddpdp(cir: CIREstimate) -> DDPDP:
-    """Histogram the envelope of every delay row of a CIR estimate."""
+def build_ddpdp(cir: CIRMatrix) -> DDPDP:
+    """Histogram the envelope of every tap into the row of its delay unit."""
     n = cir.n_samples
     if n < ENVELOPE_BINS:
         raise ValueError(
             f"need at least {ENVELOPE_BINS} time samples per row, got {n}")
-    # An all-zero row (a grid delay off the profile) has every sample in bin 0.
-    counts = np.zeros((len(cir.gains), ENVELOPE_BINS))
+    delays = cir.delay_units
+    if len(set(delays)) != len(delays) or not all(0 <= d < MAX_DELAY_UNITS for d in delays):
+        raise ValueError(f"delay units {list(delays)} must be unique and lie in "
+                         f"[0, {MAX_DELAY_UNITS})")
+    # A delay unit with no tap, or an all-zero tap, has every sample in bin 0.
+    counts = np.zeros((MAX_DELAY_UNITS, ENVELOPE_BINS))
     counts[:, 0] = n
-    for row, gains in zip(counts, cir.gains):
+    for delay, gains in zip(delays, cir.gains):
         if gains.any():
             idx = np.minimum((np.abs(gains) / BIN_WIDTH).astype(np.int64), ENVELOPE_BINS - 1)
-            row[:] = np.bincount(idx, minlength=ENVELOPE_BINS)
+            counts[delay] = np.bincount(idx, minlength=ENVELOPE_BINS)
     return DDPDP(counts / float(n))
 
 

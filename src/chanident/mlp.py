@@ -65,9 +65,11 @@ class TrainReport:
 
 def init_mlp(layer_sizes, seed: int) -> MLPParams:
     """Glorot-uniform weights (+/- sqrt(6/(fan_in+fan_out))), zero biases."""
-    sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ValueError("need >= 2 layers with positive sizes")
+    sizes = tuple(layer_sizes)
+    # Not int(): the model's fingerprint records the sizes as given, so 16.7
+    # or True must not quietly build a layer of 16 or 1.
+    if len(sizes) < 2 or any(type(s) is not int or s < 1 for s in sizes):
+        raise ValueError(f"layer sizes must be >= 2 ints >= 1, got {list(sizes)}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

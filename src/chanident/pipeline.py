@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _blas, profiles
-from .bem import CIREstimate, estimate_cir_windowed
+from .bem import estimate_cir_windowed
 from .errors import (IdentifiabilityError, InsufficientSignalError,
                      InvalidSplitError, NoChannelDetectedError)
 from .features import (FEATURE_LENGTH, N_SCENARIOS, FeatureVector, build_ddpdp,
@@ -39,8 +39,6 @@ NOISELESS = "noiseless"
 ESTIMATION_MODES = ("bem-ls", "oracle-cir")
 # The classifier's hidden layer widths in the accuracy-vs-SNR experiment.
 HIDDEN_SIZES = (64, 48, 32, 24)
-# The classifier's delay grid: one feature row per delay unit.
-_FEATURE_GRID = tuple(range(profiles.MAX_DELAY_UNITS))
 
 
 def _known_fields(cls, doc: dict) -> dict:
@@ -72,9 +70,16 @@ class DatasetSpec:
         if type(self.window_len) is not int or self.window_len < 2:
             raise ValueError(f"window_len must be an int >= 2, not {self.window_len!r}")
         for label in self.scenario_labels:
+            if type(label) is not int:
+                raise ValueError(f"scenario_labels entries must be ints, not {label!r}")
             if not 1 <= label <= N_SCENARIOS:
                 raise ValueError(f"unknown scenario label {label}")
         labels = tuple(self.scenario_labels)
+        # bool is an int, and float() would take a string
+        if any(s is not None and (isinstance(s, bool) or not isinstance(s, (int, float)))
+               for s in self.snr_list_db):
+            raise ValueError(f"snr_list_db entries must be numbers or None (noiseless), "
+                             f"not {list(self.snr_list_db)}")
         snrs = tuple(None if s is None else float(s) for s in self.snr_list_db)
         bad = [s for s in snrs if s is not None and not math.isfinite(s)]
         if bad:
@@ -143,11 +148,12 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     """Simulate, estimate and featurize one dataset record.
 
     BEM-LS runs on the scenario's delay profile (the sounding stage's
-    output; delays are a scenario constant) and the remaining feature rows
-    are zero-filled.  Estimating all 12 grid rows instead would put each
-    unused row's noise floor into the histograms - consistently zero under
-    noiseless training but SNR-dependent at test time, which defeats a
-    noiselessly trained classifier.
+    output; delays are a scenario constant), and ``build_ddpdp`` fills the
+    feature rows of the delay units with no tap as zero gain.  Estimating
+    all 12 grid rows instead would put each unused row's noise floor into
+    the histograms - consistently zero under noiseless training but
+    SNR-dependent at test time, which defeats a noiselessly trained
+    classifier.
     """
     seed = derive_seed(spec.master_seed, label, _snr_token(snr_db), index)
     profile = profiles.load_profile(label)
@@ -158,13 +164,11 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     received = apply_channel(frame, true_cir)
     received = add_awgn(received, snr_db, seed=derive_seed(seed, "noise"))
     if spec.estimation == "oracle-cir":
-        cir = CIREstimate.on_grid(true_cir.gains, true_cir.delay_units, _FEATURE_GRID,
-                                  "true-sim")
+        cir = true_cir
     else:
         try:
             cir = estimate_cir_windowed(received, frame.samples, profile.delay_units,
-                                        spec.sim.doppler_per_sample, spec.window_len,
-                                        grid=_FEATURE_GRID)
+                                        spec.sim.doppler_per_sample, spec.window_len)
         except IdentifiabilityError as exc:
             raise IdentifiabilityError(
                 f"record (scenario {label}, snr {_snr_token(snr_db)}, index {index}): "

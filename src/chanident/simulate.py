@@ -91,7 +91,8 @@ class ComplexSignal:
 
 @dataclass(frozen=True)
 class CIRMatrix:
-    """Per-tap complex gain series: ``gains[l, n]`` at delay ``delay_units[l]``."""
+    """Per-tap complex gain series, simulated or BEM-LS estimated:
+    ``gains[l, n]`` at delay ``delay_units[l]``."""
 
     gains: np.ndarray
     sample_period_s: float
@@ -105,6 +106,8 @@ class CIRMatrix:
             raise ValueError("gains must be a non-empty L x N matrix")
         if len(self.delay_units) != gains.shape[0]:
             raise ValueError("delay_units length must equal the tap count")
+        if not np.all(np.isfinite(gains.view(np.float64))):
+            raise ValueError("gains must be finite")
         gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "delay_units", tuple(int(d) for d in self.delay_units))

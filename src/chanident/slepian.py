@@ -4,9 +4,9 @@ Computed from the classic symmetric tridiagonal commuting matrix, which is
 numerically stable at large lengths; the dense sinc-kernel eigenproblem is
 kept out of the production path and serves only as a small-N test oracle.
 Concentrations are Rayleigh quotients against the sinc kernel, evaluated by
-a full linear FFT convolution through ``scipy.fft`` (the same pocketfft calls
-``scipy.signal.fftconvolve`` makes, without importing ``scipy.signal``), so
-no N x N matrix is ever formed.
+a full linear FFT convolution through ``numpy.fft`` at the transform length
+and operand order of ``scipy.signal.fftconvolve``, which gives the same
+bits without importing ``scipy.fft``, so no N x N matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy.linalg import eigh_tridiagonal
 
 
@@ -41,17 +40,34 @@ def sinc_kernel_row(length: int, half_bandwidth: float) -> np.ndarray:
     return out
 
 
+def _fast_len(target: int) -> int:
+    """The smallest 2^a 3^b 5^c >= ``target``: the real-transform length
+    ``scipy.fft.next_fast_len(target, True)`` picks."""
+    best = 1 << max(target - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            size = p35
+            while size < target:
+                size *= 2
+            best = min(best, size)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _concentrations(sequences: np.ndarray, half_bandwidth: float) -> np.ndarray:
     n = sequences.shape[1]
-    size = sp_fft.next_fast_len(3 * n - 2, True)
-    kernel = sp_fft.rfft(sinc_kernel_row(n, half_bandwidth), size)
+    size = _fast_len(3 * n - 2)
+    kernel = np.fft.rfft(sinc_kernel_row(n, half_bandwidth), size)
     lam = np.empty(len(sequences))
     for i, u in enumerate(sequences):
-        spectrum = sp_fft.rfft(u, size)
+        spectrum = np.fft.rfft(u, size)
         # Kernel first, as in fftconvolve: the complex product is fused
         # (FMA), so the operand order sets the last bit.
         np.multiply(kernel, spectrum, out=spectrum)
-        su = sp_fft.irfft(spectrum, size)[n - 1:2 * n - 1]
+        su = np.fft.irfft(spectrum, size)[n - 1:2 * n - 1]
         lam[i] = float(u @ su)
     return lam
 

@@ -4,8 +4,9 @@ These deliberately avoid the package's own computation paths: the multipath
 fit oracle is an exhaustive joint grid search over delay combinations with a
 dense least-squares solve per combination, probes are built by explicit
 convolution of frozen channels, the training reference is the textbook
-momentum loop that allocates every gradient and velocity afresh, and the
-Slepian concentrations come from ``scipy.signal.fftconvolve``.
+momentum loop that allocates every gradient and velocity afresh, the
+Slepian concentrations come from ``scipy.signal.fftconvolve``, and the
+12-row feature grid is laid out by explicit zero-padding.
 """
 
 from itertools import combinations
@@ -15,6 +16,7 @@ from scipy.signal import fftconvolve
 
 from chanident.mlp import MLPParams
 from chanident.mseq import MSequence
+from chanident.profiles import MAX_DELAY_UNITS
 from chanident.simulate import CIRMatrix, ComplexSignal, add_awgn, apply_channel
 from chanident.slepian import sinc_kernel_row
 from chanident.sounding import FrequencyData
@@ -26,6 +28,14 @@ def fftconvolve_concentrations(sequences: np.ndarray, half_bandwidth: float) -> 
     n = sequences.shape[1]
     kernel = sinc_kernel_row(n, half_bandwidth)
     return np.array([float(u @ fftconvolve(kernel, u)[n - 1:2 * n - 1]) for u in sequences])
+
+
+def zero_padded(cir: CIRMatrix) -> CIRMatrix:
+    """``cir``'s gains on delays 0 .. MAX_DELAY_UNITS - 1: the tap at delay
+    unit d in row d, and all-zero rows for the delay units with no tap."""
+    gains = np.zeros((MAX_DELAY_UNITS, cir.n_samples), dtype=np.complex128)
+    gains[list(cir.delay_units)] = cir.gains
+    return CIRMatrix(gains, cir.sample_period_s, tuple(range(MAX_DELAY_UNITS)))
 
 
 def steering_matrix(freq: FrequencyData, delays) -> np.ndarray:

@@ -91,6 +91,20 @@ class TestDatasetCommand:
         assert capsys.readouterr().err.startswith("chanident dataset: symbol_rate_hz")
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, field", [
+        ({"scenario_labels": [True]}, "scenario_labels"),
+        ({"snr_list_db": ["noiseless", True]}, "snr_list_db"),
+    ])
+    def test_bool_label_or_snr_rejected(self, tmp_path, capsys, payload, field):
+        # bool is an int: these made records labelled True, or at 1.0 dB
+        cfg = _write_cfg(tmp_path, "c.json", {"vectors_per_condition": 1,
+                                              "snr_list_db": ["noiseless"],
+                                              "samples_per_vector": 512, **payload})
+        out = tmp_path / "x.txt"
+        assert run(["dataset", "--config", cfg, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"chanident dataset: {field} entries must be")
+        assert not out.exists()
+
     def test_int_stands_for_number_and_null_default_is_free(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "c.json", {"sim": {"normalized_doppler": 0}})
         assert run(["dataset", "--config", cfg, "--print-config"]) == 0
@@ -205,6 +219,16 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("chanident train: learning_rate")
         assert not model.exists()
 
+    def test_non_integer_hidden_sizes_rejected(self, tmp_path, capsys):
+        # int() made these a 16-1 network while the fingerprint kept them as given
+        data, _ = _make_dataset(tmp_path)
+        cfg = _write_cfg(tmp_path, "train.json", dict(FAST_TRAIN_CFG, hidden_sizes=[16.7, True]))
+        model = tmp_path / "m.json"
+        rc = run(["train", "--config", cfg, "--dataset", data, "--output", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("chanident train: layer sizes must be ")
+        assert not model.exists()
+
     def test_dataset_without_noiseless_fails(self, tmp_path, capsys):
         cfg = dict(TINY_DATASET_CFG, snr_list_db=[10.0])
         data, _ = _make_dataset(tmp_path, cfg)
@@ -287,6 +311,13 @@ class TestSignalFiles:
         with pytest.raises(cli.CliError, match="header"):
             read_signal_file(path)
 
+    @pytest.mark.parametrize("rate", ["0.0", "-1e5", "inf", "nan"])
+    def test_rate_not_finite_positive_rejected(self, tmp_path, rate):
+        path = tmp_path / "sig.txt"
+        path.write_text(f"# chanident-signal v1 sample_rate_hz={rate} count=1\n1.0 0.0\n")
+        with pytest.raises(cli.CliError, match=r"byte 0: sample_rate_hz must be finite and > 0"):
+            read_signal_file(path)
+
 
 class TestSoundCommand:
     def _probe_file(self, tmp_path, amps, delays):
@@ -312,6 +343,17 @@ class TestSoundCommand:
         probe = self._probe_file(tmp_path, [1.0], [0])
         assert run(["sound", "--signal", probe]) == 0
         assert "estimated channel order: 1" in capsys.readouterr().out
+
+    def test_zero_sample_rate_is_an_error_not_a_traceback(self, tmp_path):
+        # 1 / rate raised ZeroDivisionError past the CLI's error handling
+        probe = self._probe_file(tmp_path, [1.0], [0])
+        lines = open(probe).read().split("\n")
+        lines[0] = f"# {cli.SIGNAL_FORMAT} sample_rate_hz=0.0 count={len(lines) - 2}"
+        open(probe, "w").write("\n".join(lines))
+        proc = TestModuleEntryPoint._run_module("sound", "--signal", probe)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"chanident sound: {probe}: byte 0: sample_rate_hz")
 
     def test_truncated_signal_file(self, tmp_path, capsys):
         probe = self._probe_file(tmp_path, [1.0], [0])

@@ -1,25 +1,25 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanident.bem import CIREstimate
+from _oracles import zero_padded
+from chanident.bem import estimate_cir_windowed
 from chanident.features import (ENVELOPE_BINS, FEATURE_LENGTH, DDPDP,
                                 FeatureVector, build_ddpdp, flatten_ddpdp, one_hot)
+from chanident.modulation import random_frame
 from chanident.profiles import MAX_DELAY_UNITS, load_profile
-from chanident.simulate import SimConfig, generate_fading
+from chanident.simulate import CIRMatrix, SimConfig, add_awgn, apply_channel, generate_fading
 
 
 def _estimate_from(gains):
-    return CIREstimate(gains, tuple(range(gains.shape[0])), "true-sim")
+    return CIRMatrix(gains, 1e-5, tuple(range(gains.shape[0])))
 
 
 def _full_grid_cir(label, n, seed):
-    profile = load_profile(label)
-    cir = generate_fading(profile, n, SimConfig(), seed=seed)
-    gains = np.zeros((MAX_DELAY_UNITS, n), dtype=complex)
-    gains[list(profile.delay_units)] = cir.gains
-    return _estimate_from(gains)
+    return zero_padded(generate_fading(load_profile(label), n, SimConfig(), seed=seed))
 
 
 class TestBuildDdpdp:
@@ -76,6 +76,39 @@ class TestBuildDdpdp:
         zero = ~np.any(cir.gains, axis=1)
         assert zero.sum() == MAX_DELAY_UNITS - load_profile(label).tap_count
         assert np.all(d.bins[zero, 0] == 1.0)
+
+
+class TestDelayGrid:
+    """``build_ddpdp`` places each tap on the row of its delay unit."""
+
+    @pytest.mark.parametrize("nu", [0.004, 0.02])
+    @pytest.mark.parametrize("label", [1, 2, 3, 4, 5, 6])
+    def test_profile_delays_equal_zero_padded_grid(self, label, nu):
+        # Both the simulated gains and their BEM-LS estimate, at every scenario.
+        n, cfg = 1200, SimConfig(normalized_doppler=nu)
+        profile = load_profile(label)
+        true = generate_fading(profile, n, cfg, seed=60 + label)
+        frame = random_frame(n, seed=70 + label)
+        rx = add_awgn(apply_channel(frame, true), 10.0, seed=80 + label)
+        est = estimate_cir_windowed(rx, frame.samples, profile.delay_units,
+                                    cfg.doppler_per_sample)
+        for cir in (true, est):
+            assert cir.delay_units == profile.delay_units
+            assert np.array_equal(build_ddpdp(cir).bins, build_ddpdp(zero_padded(cir)).bins)
+
+    def test_taps_land_on_their_rows_in_any_order(self):
+        gains = np.stack([np.full(400, 0.73 + 0j), np.full(400, 1.3 + 0j)])
+        d = build_ddpdp(CIRMatrix(gains, 1e-5, (9, 2)))
+        assert d.bins.shape == (MAX_DELAY_UNITS, ENVELOPE_BINS)
+        assert d.bins[9, 146] == 1.0 and d.bins[2, 260] == 1.0
+        others = [r for r in range(MAX_DELAY_UNITS) if r not in (2, 9)]
+        assert np.all(d.bins[others, 0] == 1.0)
+
+    @pytest.mark.parametrize("delays", [(12,), (-1,), (3, 3)])
+    def test_delays_off_the_grid_or_repeated_rejected(self, delays):
+        gains = np.ones((len(delays), 400), dtype=complex)
+        with pytest.raises(ValueError, match=re.escape(f"delay units {list(delays)}")):
+            build_ddpdp(CIRMatrix(gains, 1e-5, delays))
 
 
 class TestFlatten:

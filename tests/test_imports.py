@@ -6,8 +6,9 @@ from pathlib import Path
 import chanident
 
 # Together these add about a second to every fresh interpreter (each CLI
-# call, each benchmark set-up) and no production path needs them.
-HEAVY_MODULES = ("scipy.signal", "scipy.stats")
+# call, each benchmark set-up) and no production path needs them; numpy.fft
+# gives the Slepian concentrations the same bits as scipy.fft.
+HEAVY_MODULES = ("scipy.signal", "scipy.stats", "scipy.fft")
 
 
 def test_pipeline_and_cli_import_no_heavy_scipy_modules():

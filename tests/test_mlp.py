@@ -66,6 +66,11 @@ class TestInit:
         with pytest.raises(ValueError):
             init_mlp([5, 0, 2], seed=0)
 
+    @pytest.mark.parametrize("hidden", [16.7, True, "8", np.float64(8.0)])
+    def test_rejects_sizes_not_int(self, hidden):
+        with pytest.raises(ValueError, match="layer sizes must be >= 2 ints >= 1"):
+            init_mlp([5, hidden, 2], seed=0)
+
 
 class TestForward:
     def test_zero_params_give_zero_output(self):

@@ -72,6 +72,17 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="snr_list_db entries must be finite"):
             DatasetSpec(snr_list_db=(None, 10.0, snr))
 
+    @pytest.mark.parametrize("labels", [(True,), (1.0,), (np.int64(1),)])
+    def test_rejects_labels_not_int(self, labels):
+        # a float or bool label was written as "1.0" or "True", which no reader takes
+        with pytest.raises(ValueError, match="scenario_labels entries must be ints"):
+            DatasetSpec(scenario_labels=labels)
+
+    @pytest.mark.parametrize("snr", [True, False, "10"])
+    def test_rejects_snr_not_number(self, snr):
+        with pytest.raises(ValueError, match="snr_list_db entries must be numbers or None"):
+            DatasetSpec(snr_list_db=(None, snr))
+
     @pytest.mark.parametrize("window_len", [1, 0, -512, 512.0, True, "512"])
     def test_rejects_window_len_not_int_at_least_two(self, window_len):
         with pytest.raises(ValueError, match="window_len must be an int >= 2"):

@@ -329,3 +329,14 @@ class TestComplexSignal:
         sig = ComplexSignal(np.ones(4), 1e-5)
         with pytest.raises(ValueError):
             sig.samples[0] = 0
+
+
+class TestCIRMatrix:
+    def test_rejects_non_finite_gains(self):
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)):
+            gains = np.ones((2, 4), dtype=complex)
+            gains[1, 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CIRMatrix(gains, 1e-5, (0, 3))
+            with pytest.raises(ValueError, match="finite"):
+                CIRMatrix._adopt(gains, 1e-5, (0, 3))

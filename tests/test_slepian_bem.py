@@ -6,10 +6,10 @@ from scipy.linalg import eigh, toeplitz
 
 from _oracles import fftconvolve_concentrations
 from chanident import bem, slepian
-from chanident.bem import (CIREstimate, bem_ls_estimate, estimate_cir_windowed)
+from chanident.bem import bem_ls_estimate, estimate_cir_windowed
 from chanident.errors import IdentifiabilityError
 from chanident.modulation import random_frame
-from chanident.profiles import MAX_DELAY_UNITS, DopplerSpectrum, ScenarioProfile, load_profile
+from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, add_awgn,
                                 apply_channel, generate_fading)
 from chanident.slepian import basis_dimension, generate_dpss, sinc_kernel_row
@@ -136,7 +136,6 @@ class TestBemLs:
         basis = generate_dpss(n, 1e-7, 1)
         est = bem_ls_estimate(rx, frame.samples, (0,), basis)
         assert np.allclose(est.gains[0], 0.7 - 0.2j, atol=1e-8)
-        assert est.source == "bem-ls"
 
     def test_in_span_reconstruction_machine_exact(self):
         n, d = 256, 5
@@ -251,26 +250,18 @@ class TestWindowedEstimation:
         assert np.mean(np.abs(est.gains[[1, 3]]) ** 2) < 0.01 * np.mean(np.abs(gains_full[[0, 2]]) ** 2)
 
     @pytest.mark.parametrize("n", [1200, 25600])
-    def test_estimate_on_grid_equals_delay_estimate_placed(self, n):
-        # written straight onto the grid, bit for bit the delay-grid estimate
-        # placed on it; 25 600 samples make 50 windows
+    def test_estimate_is_read_only_on_the_given_delays(self, n):
+        # 25 600 samples make 50 windows; the delays keep the order given.
         profile = load_profile(3)
         cfg = SimConfig(normalized_doppler=0.004)
         true = generate_fading(profile, n, cfg, seed=51)
         frame = random_frame(n, seed=52)
         rx = add_awgn(apply_channel(frame, true), 10.0, seed=53)
-        grid = tuple(range(MAX_DELAY_UNITS))
-        args = (rx, frame.samples, profile.delay_units, cfg.doppler_per_sample)
-        on_delays = estimate_cir_windowed(*args)
-        est = estimate_cir_windowed(*args, grid=grid)
-        placed = CIREstimate.on_grid(on_delays.gains, profile.delay_units, grid, "bem-ls")
-        assert est.delay_grid == grid and est.source == "bem-ls"
-        assert np.array_equal(est.gains, placed.gains)
-        off = [g for g in grid if g not in profile.delay_units]
-        assert off and np.all(est.gains[off] == 0)
-        assert not est.gains.flags.writeable
-        with pytest.raises(ValueError, match="not on the grid"):
-            estimate_cir_windowed(*args, grid=grid[:3])
+        delays = profile.delay_units[::-1]
+        est = estimate_cir_windowed(rx, frame.samples, delays, cfg.doppler_per_sample)
+        assert est.delay_units == delays
+        assert est.gains.shape == (len(delays), n) and est.sample_period_s == rx.sample_period_s
+        assert est.gains.flags.c_contiguous and not est.gains.flags.writeable
 
     def test_silent_frame_is_singular(self):
         # An all-zero frame gives a zero Gram matrix, which has no Cholesky
@@ -336,18 +327,3 @@ class TestStructuredNormalEquations:
             samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
             _assert_matches_dense(bem._shifted_frame(frame, (0, 2)), samples, basis)
             del basis
-
-
-def test_cir_estimate_on_grid_places_rows():
-    rows = np.array([[1 + 1j, 2], [3, 4j]])
-    est = CIREstimate.on_grid(rows, (3, 1), range(5), "bem-ls")
-    assert est.delay_grid == (0, 1, 2, 3, 4)
-    assert np.array_equal(est.gains[[3, 1]], rows)
-    assert not np.any(est.gains[[0, 2, 4]])
-    with pytest.raises(ValueError, match="not on the grid"):
-        CIREstimate.on_grid(rows, (3, 7), range(5), "bem-ls")
-
-
-def test_cir_estimate_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
-        CIREstimate(np.array([[np.nan + 0j]]), (0,), "bem-ls")
