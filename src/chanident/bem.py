@@ -126,7 +126,10 @@ def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
 
 
 def _unique_delays(delay_grid) -> tuple[int, ...]:
-    delays = tuple(int(d) for d in delay_grid)
+    delays = tuple(delay_grid)
+    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in delays):
+        raise ValueError(f"delay_grid entries must be integers, got {list(delays)}")
+    delays = tuple(int(d) for d in delays)
     if len(set(delays)) != len(delays):
         raise ValueError("delay_grid entries must be unique")
     if any(d < 0 for d in delays):

@@ -100,11 +100,31 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
                list: "a list", dict: "an object"}
 
 
+# What each key whose default is null takes besides null; JSON true and
+# false parse to bool, which is not an integer here.
+_NULLABLE = {
+    "feedback_taps": ("a list of integers",
+                      lambda v: type(v) is list and all(type(t) is int for t in v)),
+    "initial_state": ("a list of 0/1 integers",
+                      lambda v: type(v) is list and all(type(b) is int and b in (0, 1)
+                                                        for b in v)),
+    "max_candidate_delay": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "normalized_doppler": ("a number", lambda v: type(v) in (float, int)),
+}
+
+
 def _check_type(path: str, key: str, default, value) -> None:
     """``value`` must have the JSON type of ``default``; an integer may stand
-    for a number, and a key whose default is null takes any value."""
+    for a number, and a key whose default is null takes null or what
+    ``_NULLABLE`` names."""
+    if default is None:
+        what, accepts = _NULLABLE[key]
+        if value is not None and not accepts(value):
+            raise CliError(f"config file {path}: {key} must be null or {what}, "
+                           f"got {json.dumps(value)}")
+        return
     allowed = (float, int) if type(default) is float else (type(default),)
-    if default is not None and type(value) not in allowed:
+    if type(value) not in allowed:
         raise CliError(f"config file {path}: {key} must be "
                        f"{_JSON_TYPES[type(default)]}, got {json.dumps(value)}")
 
@@ -253,13 +273,16 @@ def _cmd_eval(args, config) -> int:
 
 def _cmd_sound(args, config) -> int:
     received = read_signal_file(args.signal)
+    p, n = config["register_length"], len(received)
+    if p >= (n + 1).bit_length():  # 2^p - 1 > n, without forming 2^p for a huge p
+        raise CliError(f"{args.signal}: {n} samples hold no whole period of the "
+                       f"m-sequence, 2^{p} - 1 chips")
     taps = config["feedback_taps"]
-    mseq = generate_mseq(config["register_length"],
-                         tuple(taps) if taps else None,
+    mseq = generate_mseq(p, tuple(taps) if taps else None,
                          config["initial_state"],
                          chip_period_s=received.sample_period_s)
     cand_max = config["max_candidate_delay"]
-    cand = range(mseq.period if cand_max is None else int(cand_max) + 1)
+    cand = range(mseq.period if cand_max is None else cand_max + 1)
     order_est, delays = pipeline.sound_and_profile(
         received, mseq, threshold_factor=config["threshold_factor"],
         candidate_delays=cand, normalized_doppler=config["normalized_doppler"])

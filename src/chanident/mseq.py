@@ -53,6 +53,10 @@ def periodic_autocorrelation(chips: np.ndarray) -> np.ndarray:
     return np.array([int(c @ np.roll(c, k)) for k in range(n)], dtype=np.int64)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def generate_mseq(register_length: int, taps: tuple[int, ...] | None = None,
                   initial_state=None, chip_period_s: float = 1e-5) -> MSequence:
     """Run the LFSR for one full period and return the +/-1 chip sequence.
@@ -69,17 +73,20 @@ def generate_mseq(register_length: int, taps: tuple[int, ...] | None = None,
         if p not in PRIMITIVE_TAPS:
             raise ValueError(f"no default primitive polynomial for register length {p}")
         taps = PRIMITIVE_TAPS[p]
-    taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
+    taps = tuple(taps)
+    if not all(_is_int(t) for t in taps):
+        raise ValueError(f"feedback taps {taps} must be integers")
+    taps = tuple(sorted(set(taps), reverse=True))
     if not taps or taps[0] != p or taps[-1] < 1:
         raise ValueError(f"feedback taps {taps} must be exponents in [1, {p}] including {p}")
     if initial_state is None:
         state = [1] * p
     else:
-        state = [int(b) for b in initial_state]
+        state = list(initial_state)
         if len(state) != p:
             raise ValueError(f"initial_state must have {p} bits")
-        if any(b not in (0, 1) for b in state):
-            raise ValueError("initial_state bits must be 0 or 1")
+        if not all(_is_int(b) and b in (0, 1) for b in state):
+            raise ValueError("initial_state bits must be the integers 0 or 1")
     if not any(state):
         raise ValueError("initial_state must not be all-zero")
 

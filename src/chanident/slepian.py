@@ -1,12 +1,12 @@
 """Discrete prolate spheroidal (Slepian) sequences.
 
-Computed from the classic symmetric tridiagonal commuting matrix, which is
-numerically stable at large lengths; the dense sinc-kernel eigenproblem is
-kept out of the production path and serves only as a small-N test oracle.
-Concentrations are Rayleigh quotients against the sinc kernel, evaluated by
-a full linear FFT convolution through ``numpy.fft`` at the transform length
-and operand order of ``scipy.signal.fftconvolve``, which gives the same
-bits without importing ``scipy.fft``, so no N x N matrix is ever formed.
+Computed from the classic symmetric tridiagonal matrix that commutes with
+the sinc concentration kernel (Slepian, Bell Syst. Tech. J. 57(5), 1978),
+which is numerically stable at large lengths.  Its eigenvectors are the
+kernel's, and its eigenvalue order is their concentration order, so its top
+``count`` eigenvectors are the most concentrated sequences, already in
+order, and no sinc kernel is formed or applied.  The dense kernel serves
+only as a small-N test oracle.
 """
 
 from __future__ import annotations
@@ -26,50 +26,7 @@ class DPSSBasis:
     length: int
     time_half_bandwidth: float
     count: int
-    sequences: np.ndarray       # (count, length), orthonormal rows
-    concentrations: np.ndarray  # (count,), descending, in (0, 1]
-
-
-def sinc_kernel_row(length: int, half_bandwidth: float) -> np.ndarray:
-    """k[d] = sin(2 pi W d) / (pi d) for d = -(N-1) .. N-1 (k[0] = 2W)."""
-    d = np.arange(-(length - 1), length, dtype=np.float64)
-    out = np.empty_like(d)
-    nz = d != 0
-    out[nz] = np.sin(2 * np.pi * half_bandwidth * d[nz]) / (np.pi * d[nz])
-    out[~nz] = 2 * half_bandwidth
-    return out
-
-
-def _fast_len(target: int) -> int:
-    """The smallest 2^a 3^b 5^c >= ``target``: the real-transform length
-    ``scipy.fft.next_fast_len(target, True)`` picks."""
-    best = 1 << max(target - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            size = p35
-            while size < target:
-                size *= 2
-            best = min(best, size)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _concentrations(sequences: np.ndarray, half_bandwidth: float) -> np.ndarray:
-    n = sequences.shape[1]
-    size = _fast_len(3 * n - 2)
-    kernel = np.fft.rfft(sinc_kernel_row(n, half_bandwidth), size)
-    lam = np.empty(len(sequences))
-    for i, u in enumerate(sequences):
-        spectrum = np.fft.rfft(u, size)
-        # Kernel first, as in fftconvolve: the complex product is fused
-        # (FMA), so the operand order sets the last bit.
-        np.multiply(kernel, spectrum, out=spectrum)
-        su = np.fft.irfft(spectrum, size)[n - 1:2 * n - 1]
-        lam[i] = float(u @ su)
-    return lam
+    sequences: np.ndarray  # (count, length), orthonormal rows, most concentrated first
 
 
 @lru_cache(maxsize=64)
@@ -87,16 +44,11 @@ def _build(length: int, half_bandwidth: float, count: int) -> DPSSBasis:
         nonzero = row[np.abs(row) > 1e-13 * np.abs(row).max()]
         if len(nonzero) and nonzero[0] < 0:
             row *= -1.0
-    lam = _concentrations(seqs, half_bandwidth)
-    order = np.argsort(-lam, kind="stable")
-    seqs = seqs[order]
-    lam = np.clip(lam[order], np.finfo(float).tiny, 1.0)
     gram = seqs @ seqs.T
     if np.max(np.abs(gram - np.eye(count))) >= 1e-9:
         raise AssertionError("Slepian sequences lost orthonormality")
     seqs.flags.writeable = False
-    lam.flags.writeable = False
-    return DPSSBasis(length, half_bandwidth, count, seqs, lam)
+    return DPSSBasis(length, half_bandwidth, count, seqs)
 
 
 def generate_dpss(length: int, time_half_bandwidth: float, count: int) -> DPSSBasis:

@@ -5,8 +5,10 @@ fit oracle is an exhaustive joint grid search over delay combinations with a
 dense least-squares solve per combination, probes are built by explicit
 convolution of frozen channels, the training reference is the textbook
 momentum loop that allocates every gradient and velocity afresh, the
-Slepian concentrations come from ``scipy.signal.fftconvolve``, and the
-12-row feature grid is laid out by explicit zero-padding.
+Slepian concentrations are Rayleigh quotients against the sinc kernel by
+``scipy.signal.fftconvolve`` (the package computes none: its tridiagonal
+eigen-solve orders the sequences), and the 12-row feature grid is laid out
+by explicit zero-padding.
 """
 
 from itertools import combinations
@@ -18,8 +20,17 @@ from chanident.mlp import MLPParams
 from chanident.mseq import MSequence
 from chanident.profiles import MAX_DELAY_UNITS
 from chanident.simulate import CIRMatrix, ComplexSignal, add_awgn, apply_channel
-from chanident.slepian import sinc_kernel_row
 from chanident.sounding import FrequencyData
+
+
+def sinc_kernel_row(length: int, half_bandwidth: float) -> np.ndarray:
+    """k[d] = sin(2 pi W d) / (pi d) for d = -(N-1) .. N-1 (k[0] = 2W)."""
+    d = np.arange(-(length - 1), length, dtype=np.float64)
+    out = np.empty_like(d)
+    nz = d != 0
+    out[nz] = np.sin(2 * np.pi * half_bandwidth * d[nz]) / (np.pi * d[nz])
+    out[~nz] = 2 * half_bandwidth
+    return out
 
 
 def fftconvolve_concentrations(sequences: np.ndarray, half_bandwidth: float) -> np.ndarray:

@@ -355,6 +355,43 @@ class TestSoundCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"chanident sound: {probe}: byte 0: sample_rate_hz")
 
+    @pytest.mark.parametrize("key, value", [
+        ("normalized_doppler", "x"), ("normalized_doppler", True),
+        ("feedback_taps", 5), ("feedback_taps", [8.0, 4, 3, 2]),
+        ("feedback_taps", [8, True, 3, 2]), ("feedback_taps", ["8", 4, 3, 2]),
+        ("initial_state", 5), ("initial_state", [1, 1, 1, 1, 1, 1, 1, 2]),
+        ("initial_state", [True] * 8), ("initial_state", [1.0] * 8),
+        ("max_candidate_delay", 3.7), ("max_candidate_delay", True),
+        ("max_candidate_delay", "7"), ("max_candidate_delay", -1),
+    ])
+    def test_null_default_key_takes_only_its_type(self, tmp_path, capsys, key, value):
+        # each ended in a TypeError traceback or was int()-ed into another value
+        probe = self._probe_file(tmp_path, [1.0], [0])
+        cfg = _write_cfg(tmp_path, "s.json", {key: value})
+        out = tmp_path / "sounding.json"
+        assert run(["sound", "--config", cfg, "--signal", probe, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"chanident sound: config file {cfg}: {key} must be null or ")
+        assert not out.exists()
+
+    def test_probe_shorter_than_a_period_refused_before_generating(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # generating first allocated 2^30 - 1 chips and 2^30 register states
+        def no_generation(*args, **kwargs):
+            raise AssertionError("generate_mseq called")
+
+        monkeypatch.setattr(cli, "generate_mseq", no_generation)
+        probe = self._probe_file(tmp_path, [1.0], [0])
+        out = tmp_path / "sounding.json"
+        for p, taps in ((10, [10, 3]), (30, [30, 6, 4, 1])):  # 1023 and 2^30 - 1 > 1020
+            cfg = _write_cfg(tmp_path, "s.json", {"register_length": p, "feedback_taps": taps})
+            assert run(["sound", "--config", cfg, "--signal", probe,
+                        "--output", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"chanident sound: {probe}: 1020 samples")
+            assert err.rstrip().endswith(f"2^{p} - 1 chips")
+            assert not out.exists()
+
     def test_truncated_signal_file(self, tmp_path, capsys):
         probe = self._probe_file(tmp_path, [1.0], [0])
         data = open(probe, "rb").read()
@@ -397,6 +434,21 @@ class TestEstimateCommand:
                   "--output", str(tmp_path / "o.txt")])
         assert rc != 0
         assert "length" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("grid", [[0.7, True, 2.9], [[1]], [0, "1"], [0, 1.0], [False]])
+    def test_delay_grid_entries_must_be_integers(self, tmp_path, capsys, grid):
+        # int() turned [0.7, true, 2.9] into delays 0, 1, 2; [[1]] was a TypeError
+        write_signal_file(tmp_path / "rx.txt", ComplexSignal(np.ones(64), 1e-5))
+        cfg = _write_cfg(tmp_path, "est.json", {"delay_grid": grid})
+        out = tmp_path / "cir.txt"
+        assert run(["estimate", "--signal", str(tmp_path / "rx.txt"),
+                    "--frame", str(tmp_path / "rx.txt"),
+                    "--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chanident estimate: delay_grid entries must be integers")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -16,12 +16,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from chanident.cli import run as cli_run, write_signal_file
 from chanident.features import FEATURE_LENGTH, N_SCENARIOS, one_hot
 from chanident.mlp import (TrainConfig, config_fingerprint, init_mlp, load_mlp, save_mlp,
                            train)
 from chanident.pipeline import (DatasetSpec, evaluate, generate_records, run_experiment,
                                 split_train_test, write_dataset, write_report)
-from chanident.simulate import SimConfig
+from chanident.modulation import random_frame
+from chanident.profiles import load_profile
+from chanident.simulate import SimConfig, add_awgn, apply_channel, generate_fading
 
 LAYER_SIZES = (FEATURE_LENGTH, 16, N_SCENARIOS)
 TRAIN = TrainConfig(epochs=40, batch_size=4, seed=5)
@@ -89,3 +92,22 @@ def test_run_experiment_reproduces_digests(tmp_path):
     save_mlp(params, tmp_path / "model.json",
              config_fingerprint(TRAIN, extra={"layer_sizes": list(LAYER_SIZES)}))
     assert _sha256(tmp_path / "model.json") == GOLDEN[case]["model"]
+
+
+# ``chanident estimate`` on one seeded 1200-sample record at nu = 0.004 with
+# the default 12-delay grid and 512-sample windows: the gain trace bytes.
+TRACE_GOLDEN = "ed03fe73446cee5983a80231845a9263dafa976ac3e9a4df2b388aeeae0f51f4"
+
+
+def test_estimate_trace_digest(tmp_path):
+    n, nu = 1200, 0.004
+    frame = random_frame(n, seed=21)
+    cir = generate_fading(load_profile(2), n, SimConfig(normalized_doppler=nu), seed=22)
+    write_signal_file(tmp_path / "rx.txt", add_awgn(apply_channel(frame, cir), 20.0, seed=23))
+    write_signal_file(tmp_path / "frame.txt", frame)
+    (tmp_path / "est.json").write_text(f'{{"normalized_doppler": {nu}, "window_len": 512}}')
+    assert cli_run(["estimate", "--config", str(tmp_path / "est.json"),
+                    "--signal", str(tmp_path / "rx.txt"),
+                    "--frame", str(tmp_path / "frame.txt"),
+                    "--output", str(tmp_path / "trace.txt")]) == 0
+    assert _sha256(tmp_path / "trace.txt") == TRACE_GOLDEN

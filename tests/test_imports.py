@@ -6,8 +6,8 @@ from pathlib import Path
 import chanident
 
 # Together these add about a second to every fresh interpreter (each CLI
-# call, each benchmark set-up) and no production path needs them; numpy.fft
-# gives the Slepian concentrations the same bits as scipy.fft.
+# call, each benchmark set-up) and no production path needs them; the
+# Slepian basis takes its order from a tridiagonal eigen-solve, with no FFT.
 HEAVY_MODULES = ("scipy.signal", "scipy.stats", "scipy.fft")
 
 

@@ -44,6 +44,21 @@ def test_non_primitive_taps_rejected():
         generate_mseq(4, (4, 2))
 
 
+@pytest.mark.parametrize("taps, state", [
+    ((4.0, 1), None), ((4, True), None), (("4", 1), None),
+    ((4, 1), [1, 1, 1, 1.0]), ((4, 1), [True] * 4), ((4, 1), [1, 1, 1, 2]),
+])
+def test_non_integer_taps_or_state_rejected(taps, state):
+    # int() used to turn 4.0, True and "4" into a valid register
+    with pytest.raises(ValueError, match="integers"):
+        generate_mseq(4, taps, state)
+
+
+def test_numpy_integer_taps_and_state_accepted():
+    m = generate_mseq(4, tuple(np.array([4, 1])), np.ones(4, dtype=np.int64))
+    assert m.chips.tolist() == generate_mseq(4, (4, 1)).chips.tolist()
+
+
 def test_chips_are_plus_minus_one():
     chips = generate_mseq(6).chips
     assert set(np.unique(chips)) == {-1, 1}

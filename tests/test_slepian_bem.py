@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh, toeplitz
 
-from _oracles import fftconvolve_concentrations
+from _oracles import fftconvolve_concentrations, sinc_kernel_row
 from chanident import bem, slepian
 from chanident.bem import bem_ls_estimate, estimate_cir_windowed
 from chanident.errors import IdentifiabilityError
@@ -12,7 +12,7 @@ from chanident.modulation import random_frame
 from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, add_awgn,
                                 apply_channel, generate_fading)
-from chanident.slepian import basis_dimension, generate_dpss, sinc_kernel_row
+from chanident.slepian import basis_dimension, generate_dpss
 
 
 def dense_kernel_dpss(n, w, d):
@@ -35,21 +35,21 @@ class TestGenerateDpss:
 
     def test_concentrations_high_for_narrow_band(self):
         b = generate_dpss(64, 0.05, 3)
-        assert np.all(b.concentrations > 0.99)
+        assert np.all(fftconvolve_concentrations(b.sequences, 0.05) > 0.99)
 
     def test_concentrations_descending_in_unit_interval(self):
         for n, w, d in [(8, 0.1, 2), (64, 0.05, 6), (100, 0.02, 8)]:
-            b = generate_dpss(n, w, d)
-            assert np.all(np.diff(b.concentrations) <= 0)
-            assert np.all(b.concentrations > 0)
-            assert np.all(b.concentrations <= 1)
+            lam = fftconvolve_concentrations(generate_dpss(n, w, d).sequences, w)
+            assert np.all(np.diff(lam) <= 1e-12)  # ties near 1 round either way
+            assert np.all(lam > 0)
+            assert np.all(lam <= 1)
 
     @pytest.mark.parametrize("n,w,d", [(8, 0.1, 2), (32, 0.1, 5), (48, 0.08, 5), (64, 0.05, 4)])
     def test_matches_dense_kernel_oracle(self, n, w, d):
         vals, vecs = dense_kernel_dpss(n, w, d)
         b = generate_dpss(n, w, d)
         assert np.max(np.abs(b.sequences - vecs)) < 1e-6
-        assert np.max(np.abs(b.concentrations - vals)) < 1e-6
+        assert np.max(np.abs(fftconvolve_concentrations(b.sequences, w) - vals)) < 1e-6
 
     def test_full_basis_reconstructs_exactly(self):
         n = 24
@@ -77,28 +77,17 @@ class TestGenerateDpss:
         assert generate_dpss(64, 0.05, 3) is generate_dpss(64, 0.05, 3)
 
 
-# Window lengths, bandwidths and basis sizes the pipeline builds, up to a
-# whole 25 600-sample record.  The spectral product must keep fftconvolve's
-# operand order: written as ``kernel * rfft(u)``, numpy reuses the temporary
-# and computes ``rfft(u) * kernel``, which moves the last bit at every size.
-FFT_ORACLE_CASES = [(512, 0.004, 8), (512, 0.02, 24), (688, 0.02, 31),
-                    (1200, 0.004, 13), (25_600, 0.004, 208)]
-
-
-class TestConcentrationBits:
-    @pytest.mark.parametrize("n,w,d", FFT_ORACLE_CASES)
-    def test_concentrations_match_fftconvolve(self, n, w, d):
-        seqs = generate_dpss(n, w, d).sequences
-        got = slepian._concentrations(seqs, w)
-        assert got.tobytes() == fftconvolve_concentrations(seqs, w).tobytes()
-
-    @pytest.mark.parametrize("n,w,d", FFT_ORACLE_CASES)
-    def test_basis_order_matches_fftconvolve(self, n, w, d, monkeypatch):
-        got = generate_dpss(n, w, d)
-        monkeypatch.setattr(slepian, "_concentrations", fftconvolve_concentrations)
-        want = slepian._build.__wrapped__(n, w, d)
-        assert got.sequences.tobytes() == want.sequences.tobytes()
-        assert got.concentrations.tobytes() == want.concentrations.tobytes()
+@pytest.mark.parametrize("nu", [0.004, 0.01, 0.02])
+@pytest.mark.parametrize("n", [512, 688, 767])
+def test_basis_holds_the_most_concentrated_sequences_in_order(n, nu):
+    # The windows and bandwidths estimate_cir_windowed builds: the order of
+    # the tridiagonal eigenvalues is the order of concentration, and the
+    # sequence left out is less concentrated than every one kept.
+    w, d = max(nu, 1.0 / (4.0 * n)), basis_dimension(nu, n)
+    lam = fftconvolve_concentrations(generate_dpss(n, w, d).sequences, w)
+    assert np.all(np.diff(lam) <= 1e-12)
+    extra = fftconvolve_concentrations(generate_dpss(n, w, d + 1).sequences[d:], w)
+    assert lam[-1] >= extra[0]
 
 
 class TestBasisDimension:
@@ -278,6 +267,19 @@ class TestWindowedEstimation:
         frame = random_frame(64, seed=1)
         with pytest.raises(ValueError, match="unique"):
             estimate_cir_windowed(frame, frame.samples, (0, 0), 0.01)
+
+    @pytest.mark.parametrize("grid", [(0, 1.0), (True, 2), (0, "1"), (0, [1]), (np.float64(0),)])
+    def test_non_integer_delays_rejected(self, grid):
+        frame = random_frame(64, seed=1)
+        with pytest.raises(ValueError, match="integers"):
+            estimate_cir_windowed(frame, frame.samples, grid, 0.01)
+
+    def test_numpy_integer_delays_accepted(self):
+        frame = random_frame(64, seed=1)
+        a = estimate_cir_windowed(frame, frame.samples, np.arange(2), 0.01)
+        b = estimate_cir_windowed(frame, frame.samples, (0, 1), 0.01)
+        assert a.delay_units == (0, 1) and type(a.delay_units[1]) is int
+        assert np.array_equal(a.gains, b.gains)
 
 
 def _dense_normal_equations(shifts, samples, basis):
