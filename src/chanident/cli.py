@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Subcommands: ``dataset``, ``train``, ``eval``, ``sound``, ``estimate``,
-``simulate``.  Each takes a JSON config file (defaults shown by
-``--print-config``) and writes its outputs plus a manifest recording the
-fully resolved configuration, output paths and stage timings; re-running a
-subcommand with the manifest's config snapshot reproduces the outputs byte
-for byte.  ``dataset``, ``train`` and ``simulate`` take a ``--seed``
-override, and ``dataset`` a ``--threads`` worker cap.
+``simulate``, each described once in ``_COMMANDS``.  Each takes a JSON
+config file (defaults shown by ``--print-config``) and writes its outputs
+plus a manifest recording the fully resolved configuration, output paths
+and the seconds each stage took (``timings_s``, never empty); ``sound``
+writes its result and manifest only when given ``--output``, and refuses a
+``normalized_doppler`` outside [0, 0.5).  Re-running a subcommand with the
+manifest's config snapshot reproduces the outputs byte for byte.
+``dataset``, ``train`` and ``simulate`` take a ``--seed`` override, and
+``dataset`` a ``--threads`` worker cap.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,34 +38,10 @@ SIGNAL_FORMAT = "chanident-signal v1"
 TRACE_FORMAT = "chanident-trace v1"
 MANIFEST_FORMAT = "chanident-manifest v1"
 
-DEFAULTS: dict[str, dict] = {
-    "dataset": DatasetSpec().to_dict(),
-    "train": {"hidden_sizes": list(pipeline.HIDDEN_SIZES), "init_seed": 0,
-              **asdict(TrainConfig())},
-    "eval": {},
-    "sound": {
-        "register_length": 8,
-        "feedback_taps": None,   # null -> registry default for the register length
-        "initial_state": None,   # null -> all ones
-        "threshold_factor": 0.05,
-        "max_candidate_delay": None,  # null -> whole period
-        "normalized_doppler": None,   # used only for the quasi-static warning
-    },
-    "estimate": {
-        "delay_grid": list(range(profiles.MAX_DELAY_UNITS)),
-        "normalized_doppler": 0.004,
-        "window_len": 512,
-    },
-    "simulate": {"label": 1, "n_samples": 4096, **asdict(SimConfig())},
-}
-
-# The config keys that --seed overrides; subcommands not named take no --seed.
-_SEED_KEYS = {"dataset": ("master_seed",), "train": ("seed", "init_seed"),
-              "simulate": ("seed",)}
-# The file options each subcommand cannot run without.
-_REQUIRED = {"dataset": ("output",), "train": ("dataset", "output"),
-             "eval": ("model", "dataset", "output"), "sound": ("signal",),
-             "estimate": ("signal", "frame", "output"), "simulate": ("output",)}
+# Help text of the file options: --output, and those a _COMMANDS entry requires.
+_FILE_HELP = {"output": "primary output path", "dataset": "dataset file",
+              "model": "model file", "signal": "received signal file",
+              "frame": "known transmitted frame (signal file)"}
 
 
 class CliError(Exception):
@@ -67,7 +49,7 @@ class CliError(Exception):
 
 
 def _load_config(subcommand: str, path: str | None) -> dict:
-    resolved = json.loads(json.dumps(DEFAULTS[subcommand]))  # deep copy
+    resolved = json.loads(json.dumps(_COMMANDS[subcommand].defaults))  # deep copy
     if path is None:
         return resolved
     try:
@@ -178,21 +160,10 @@ def read_signal_file(path) -> ComplexSignal:
     return ComplexSignal(np.array(samples), 1.0 / rate)
 
 
-def _write_manifest(path, subcommand, config_path, config, outputs, timings,
-                    **fields) -> None:
-    """The run's manifest; ``timings`` are in seconds, and ``fields`` add
-    top-level entries."""
-    doc = {
-        "format": MANIFEST_FORMAT,
-        "subcommand": subcommand,
-        "config_path": config_path,
-        "config": config,
-        "outputs": outputs,
-        "timings_s": {k: round(v, 6) for k, v in timings.items()},
-        **fields,
-    }
+def _write_manifest(path, doc: dict) -> None:
+    """The run's manifest: ``doc`` under the format tag, keys sorted."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({"format": MANIFEST_FORMAT, **doc}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -212,44 +183,34 @@ def _read_records(path):
         raise CliError(f"cannot read dataset {path}: {exc}") from exc
 
 
-def _cmd_dataset(args, config) -> int:
+def _cmd_dataset(args, config, timed) -> dict:
     spec = DatasetSpec.from_dict(config)
-    timings = {}
-    t0 = time.perf_counter()
-    records = pipeline.generate_records(spec, threads=args.threads)
-    timings["generate"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pipeline.write_dataset(args.output, spec, records)
-    timings["write"] = time.perf_counter() - t0
-    _write_manifest(args.output + ".manifest.json", "dataset", args.config,
-                    spec.to_dict(), [args.output], timings, blas=_blas.describe())
+    with timed("generate"):
+        records = pipeline.generate_records(spec, threads=args.threads)
+    with timed("write"):
+        pipeline.write_dataset(args.output, spec, records)
     print(f"wrote {len(records)} records to {args.output}")
-    return 0
+    return {"config": spec.to_dict(), "blas": _blas.describe()}
 
 
-def _cmd_train(args, config) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    records = _read_records(args.dataset)
-    timings["read"] = time.perf_counter() - t0
+def _cmd_train(args, config, timed) -> dict:
+    with timed("read"):
+        records = _read_records(args.dataset)
     train_records, _ = pipeline.split_train_test(records)
     tc = TrainConfig(**{k: v for k, v in config.items()
                         if k not in ("hidden_sizes", "init_seed")})
-    t0 = time.perf_counter()
-    params, report, fingerprint = pipeline.train_classifier(
-        train_records, config["hidden_sizes"], tc, config["init_seed"])
-    timings["train"] = time.perf_counter() - t0
+    with timed("train"):
+        params, report, fingerprint = pipeline.train_classifier(
+            train_records, config["hidden_sizes"], tc, config["init_seed"])
     save_mlp(params, args.output, fingerprint)
-    _write_manifest(args.output + ".manifest.json", "train", args.config, config,
-                    [args.output], timings, epochs_run=len(report.epoch_losses),
-                    best_epoch=report.best_epoch, stopped_on=report.stopped_on)
     print(f"trained on {len(train_records)} noiseless vectors, "
           f"{len(report.epoch_losses)} epochs, final training accuracy "
           f"{report.final_accuracy:.3f}")
-    return 0
+    return {"epochs_run": len(report.epoch_losses), "best_epoch": report.best_epoch,
+            "stopped_on": report.stopped_on}
 
 
-def _cmd_eval(args, config) -> int:
+def _cmd_eval(args, config, timed) -> dict:
     try:
         params, _ = load_mlp(args.model)
     except OSError as exc:
@@ -259,19 +220,15 @@ def _cmd_eval(args, config) -> int:
         raise CliError(
             f"model dims {params.layer_sizes[0]}->{params.layer_sizes[-1]} incompatible "
             f"with dataset features {FEATURE_LENGTH}->{N_SCENARIOS}")
-    timings = {}
-    t0 = time.perf_counter()
-    _, test = pipeline.split_train_test(records)
-    report = pipeline.evaluate(params, test)
-    timings["evaluate"] = time.perf_counter() - t0
+    with timed("evaluate"):
+        _, test = pipeline.split_train_test(records)
+        report = pipeline.evaluate(params, test)
     pipeline.write_report(args.output, report)
-    _write_manifest(args.output + ".manifest.json", "eval", args.config, config,
-                    [args.output], timings)
     print(pipeline.format_accuracy_table(report))
-    return 0
+    return {}
 
 
-def _cmd_sound(args, config) -> int:
+def _cmd_sound(args, config, timed) -> dict:
     received = read_signal_file(args.signal)
     p, n = config["register_length"], len(received)
     if p >= (n + 1).bit_length():  # 2^p - 1 > n, without forming 2^p for a huge p
@@ -283,15 +240,14 @@ def _cmd_sound(args, config) -> int:
                          chip_period_s=received.sample_period_s)
     cand_max = config["max_candidate_delay"]
     cand = range(mseq.period if cand_max is None else cand_max + 1)
-    order_est, delays = pipeline.sound_and_profile(
-        received, mseq, threshold_factor=config["threshold_factor"],
-        candidate_delays=cand, normalized_doppler=config["normalized_doppler"])
+    with timed("sound"):
+        order_est, delays = pipeline.sound_and_profile(
+            received, mseq, threshold_factor=config["threshold_factor"],
+            candidate_delays=cand, normalized_doppler=config["normalized_doppler"])
     _print_sounding(received, order_est, delays)
     if args.output:
         _write_sounding(args.output, order_est, delays, received.sample_period_s)
-        _write_manifest(args.output + ".manifest.json", "sound", args.config, config,
-                        [args.output], {})
-    return 0
+    return {}
 
 
 def _print_sounding(received: ComplexSignal, order_est: OrderEstimate,
@@ -323,38 +279,64 @@ def _write_sounding(path, order_est: OrderEstimate, delays: DelayAmplitudeEstima
         fh.write("\n")
 
 
-def _cmd_estimate(args, config) -> int:
+def _cmd_estimate(args, config, timed) -> dict:
     received = read_signal_file(args.signal)
     frame = read_signal_file(args.frame)
     if len(frame) != len(received):
         raise CliError(f"frame length {len(frame)} != received length {len(received)}")
-    cir = estimate_cir_windowed(received, frame.samples, config["delay_grid"],
-                                config["normalized_doppler"], config["window_len"])
+    with timed("estimate"):
+        cir = estimate_cir_windowed(received, frame.samples, config["delay_grid"],
+                                    config["normalized_doppler"], config["window_len"])
     _write_trace(args.output, cir.gains, cir.delay_units)
-    _write_manifest(args.output + ".manifest.json", "estimate", args.config, config,
-                    [args.output], {})
     print(f"wrote {cir.tap_count} x {cir.n_samples} gain estimates to {args.output}")
-    return 0
+    return {}
 
 
-def _cmd_simulate(args, config) -> int:
+def _cmd_simulate(args, config, timed) -> dict:
     profile = profiles.load_profile(config["label"])
     sim = SimConfig(**{k: v for k, v in config.items() if k not in ("label", "n_samples")})
-    cir = generate_fading(profile, config["n_samples"], sim)
+    with timed("generate"):
+        cir = generate_fading(profile, config["n_samples"], sim)
     _write_trace(args.output, cir.gains, cir.delay_units)
-    _write_manifest(args.output + ".manifest.json", "simulate", args.config, config,
-                    [args.output], {})
     print(f"wrote {cir.tap_count}-tap fading trace ({cir.n_samples} samples) to {args.output}")
-    return 0
+    return {}
+
+
+class _Command(NamedTuple):
+    """A subcommand.  ``handler(args, config, timed)`` writes the outputs, runs
+    each stage under ``with timed(stage):`` and returns extra manifest fields."""
+
+    handler: Callable[..., dict]
+    help: str
+    defaults: dict
+    files: tuple[str, ...]           # the file options it cannot run without
+    seed_keys: tuple[str, ...] = ()  # the config keys --seed overrides; none: no --seed
 
 
 _COMMANDS = {
-    "dataset": (_cmd_dataset, "generate a feature dataset"),
-    "train": (_cmd_train, "train the scenario classifier on noiseless records"),
-    "eval": (_cmd_eval, "evaluate a trained classifier per SNR"),
-    "sound": (_cmd_sound, "estimate channel order, delays and amplitudes from a probe"),
-    "estimate": (_cmd_estimate, "BEM-LS gain estimation on a received signal"),
-    "simulate": (_cmd_simulate, "emit fading gain traces for one scenario"),
+    "dataset": _Command(_cmd_dataset, "generate a feature dataset",
+                        DatasetSpec().to_dict(), ("output",), ("master_seed",)),
+    "train": _Command(_cmd_train, "train the scenario classifier on noiseless records",
+                      {"hidden_sizes": list(pipeline.HIDDEN_SIZES), "init_seed": 0,
+                       **asdict(TrainConfig())},
+                      ("dataset", "output"), ("seed", "init_seed")),
+    "eval": _Command(_cmd_eval, "evaluate a trained classifier per SNR", {},
+                     ("model", "dataset", "output")),
+    "sound": _Command(_cmd_sound, "estimate channel order, delays and amplitudes from a probe",
+                      {"register_length": 8,
+                       "feedback_taps": None,   # null -> registry default for the register length
+                       "initial_state": None,   # null -> all ones
+                       "threshold_factor": 0.05,
+                       "max_candidate_delay": None,  # null -> whole period
+                       "normalized_doppler": None},  # used only for the quasi-static warning
+                      ("signal",)),
+    "estimate": _Command(_cmd_estimate, "BEM-LS gain estimation on a received signal",
+                         {"delay_grid": list(range(profiles.MAX_DELAY_UNITS)),
+                          "normalized_doppler": 0.004, "window_len": 512},
+                         ("signal", "frame", "output")),
+    "simulate": _Command(_cmd_simulate, "emit fading gain traces for one scenario",
+                         {"label": 1, "n_samples": 4096, **asdict(SimConfig())},
+                         ("output",), ("seed",)),
 }
 
 
@@ -363,40 +345,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chanident",
         description="Multipath channel scenario identification toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         p.add_argument("--config", help="JSON config file")
-        if name in _SEED_KEYS:
+        if cmd.seed_keys:
             p.add_argument("--seed", type=int, help="override the config's seed")
         if name == "dataset":
             p.add_argument("--threads", type=int, default=1, help="worker process cap")
-        p.add_argument("--output", help="primary output path")
+        p.add_argument("--output", help=_FILE_HELP["output"])
         p.add_argument("--print-config", action="store_true",
                        help="print the resolved config and exit")
-        if name in ("train", "eval"):
-            p.add_argument("--dataset", help="dataset file")
-        if name == "eval":
-            p.add_argument("--model", help="model file")
-        if name in ("sound", "estimate"):
-            p.add_argument("--signal", help="received signal file")
-        if name == "estimate":
-            p.add_argument("--frame", help="known transmitted frame (signal file)")
+        for option in cmd.files:
+            if option != "output":
+                p.add_argument(f"--{option}", help=_FILE_HELP[option])
     return parser
 
 
 def _dispatch(args) -> int:
     name = args.subcommand
+    cmd = _COMMANDS[name]
     config = _load_config(name, args.config)
     if getattr(args, "seed", None) is not None:
-        for key in _SEED_KEYS[name]:
+        for key in cmd.seed_keys:
             config[key] = args.seed
     if args.print_config:
         print(json.dumps(config, indent=2, sort_keys=True))
         return 0
-    missing = [f"--{o}" for o in _REQUIRED[name] if getattr(args, o) is None]
+    missing = [f"--{o}" for o in cmd.files if getattr(args, o) is None]
     if missing:
         raise CliError(f"{name}: missing required {', '.join(missing)}")
-    return _COMMANDS[name][0](args, config)
+    timings = {}
+
+    @contextmanager
+    def timed(stage):
+        t0 = time.perf_counter()
+        yield
+        timings[stage] = time.perf_counter() - t0
+
+    fields = cmd.handler(args, config, timed)  # may replace "config"
+    if args.output:
+        _write_manifest(args.output + ".manifest.json", {
+            "subcommand": name, "config_path": args.config, "config": config,
+            "outputs": [args.output],
+            "timings_s": {k: round(v, 6) for k, v in timings.items()}, **fields})
+    return 0
 
 
 def run(argv=None) -> int:

@@ -92,20 +92,18 @@ def generate_mseq(register_length: int, taps: tuple[int, ...] | None = None,
 
     period = (1 << p) - 1
     bits = np.empty(period, dtype=np.int8)
-    seen = set()
+    # Tap p makes the step invertible, so the states form a cycle through the
+    # initial one: the first repeat is a return to it, and a return within
+    # ``period`` steps means the polynomial is not primitive.
     s = list(state)
     for i in range(period):
-        key = tuple(s)
-        if key in seen:
+        if i and s == state:
             raise ValueError(
                 f"feedback taps {taps} are not a primitive polynomial: "
                 f"state cycle of length {i} < {period}")
-        seen.add(key)
         bits[i] = s[-1]
         fb = 0
         for t in taps:
             fb ^= s[t - 1]
         s = [fb] + s[:-1]
-    if s != list(state):
-        raise ValueError(f"feedback taps {taps} are not a primitive polynomial")
     return MSequence(p, taps, 1 - 2 * bits, chip_period_s)

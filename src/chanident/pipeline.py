@@ -363,14 +363,18 @@ def sound_and_profile(received: ComplexSignal, local: MSequence,
 
     ``threshold_factor`` defaults to 0.05 here (not the 0.5 of raw
     ``estimate_order``) so taps up to 20 dB below the strongest - the COST
-    207 worst case - still count.  When ``normalized_doppler`` is given, a
-    probe too long for the quasi-static amplitude assumption (nu * length
-    > 0.1) draws a warning.
+    207 worst case - still count.  When ``normalized_doppler`` is given, it
+    must be finite and in [0, 0.5), and a probe too long for the
+    quasi-static amplitude assumption (nu * length > 0.1) draws a warning.
     """
-    if normalized_doppler is not None and normalized_doppler * len(received) > 0.1:
-        warnings.warn(
-            f"probe spans {len(received)} samples at normalized Doppler "
-            f"{normalized_doppler:g}; amplitudes may not be static over the probe")
+    if normalized_doppler is not None:
+        if not 0 <= normalized_doppler < 0.5:
+            raise ValueError(f"normalized_doppler must be finite and in [0, 0.5), "
+                             f"got {normalized_doppler!r}")
+        if normalized_doppler * len(received) > 0.1:
+            warnings.warn(
+                f"probe spans {len(received)} samples at normalized Doppler "
+                f"{normalized_doppler:g}; amplitudes may not be static over the probe")
     try:
         order_est = estimate_order(received, local, threshold_factor=threshold_factor)
     except InsufficientSignalError as exc:

@@ -27,9 +27,9 @@ from .mseq import MSequence
 from .simulate import ComplexSignal
 
 DEFAULT_THRESHOLD_FACTOR = 0.5
-DEFAULT_FLOOR_FACTOR = 4.0
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_OUTER_ITERS = 50
+FLOOR_FACTOR = 4.0       # significance floor, in medians of the correlation magnitude
+TOL = 1e-8               # relative cost decrease that ends a RELAX stage
+MAX_OUTER_ITERS = 50     # sweeps per RELAX stage
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class FrequencyData:
         return np.arange(n) - n // 2
 
 
-def fold_periods(samples: np.ndarray, period: int, skip_first: bool = True) -> np.ndarray:
+def fold_periods(samples: np.ndarray, period: int) -> np.ndarray:
     """Average a probe over whole m-sequence periods.
 
     The first period carries the channel's fill-in transient (delayed copies
@@ -114,7 +114,7 @@ def fold_periods(samples: np.ndarray, period: int, skip_first: bool = True) -> n
     if n % period:
         raise ValueError(f"probe length {n} is not a multiple of the period {period}")
     blocks = np.asarray(samples, dtype=np.complex128).reshape(-1, period)
-    if skip_first and blocks.shape[0] >= 2:
+    if blocks.shape[0] >= 2:
         blocks = blocks[1:]
     return blocks.mean(axis=0)
 
@@ -125,13 +125,12 @@ def _circular_corr(folded: np.ndarray, chips: np.ndarray) -> np.ndarray:
 
 
 def estimate_order(received: ComplexSignal, local: MSequence,
-                   threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
-                   floor_factor: float = DEFAULT_FLOOR_FACTOR) -> OrderEstimate:
+                   threshold_factor: float = DEFAULT_THRESHOLD_FACTOR) -> OrderEstimate:
     """Count the distinct delay paths visible in an m-sequence probe.
 
     A lag is a path when its correlation magnitude reaches
     ``threshold_factor`` times the strongest peak and clears a significance
-    floor of ``floor_factor`` times the median magnitude; the floor is what
+    floor of ``FLOOR_FACTOR`` times the median magnitude; the floor is what
     rejects noise-only probes.  No local-maximum test is applied: paths on
     the delay grid sit at adjacent sample lags, where a tap weaker than its
     neighbour would suppress itself, and m-sequence correlation has no
@@ -144,7 +143,7 @@ def estimate_order(received: ComplexSignal, local: MSequence,
     peak = float(mag.max())
     if peak <= 0:
         raise InsufficientSignalError("received probe is identically zero")
-    floor = floor_factor * float(np.median(mag))
+    floor = FLOOR_FACTOR * float(np.median(mag))
     if peak < floor:
         raise InsufficientSignalError(
             f"strongest correlation peak {peak:.3g} is below the significance "
@@ -198,9 +197,8 @@ def fit_cost(freq: FrequencyData, paths) -> float:
     return float(np.sum(np.abs(residual_spectrum(freq, paths)) ** 2))
 
 
-def relax_estimate(freq: FrequencyData, order: int, candidate_delays,
-                   max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS,
-                   tol: float = DEFAULT_TOL) -> DelayAmplitudeEstimate:
+def relax_estimate(freq: FrequencyData, order: int,
+                   candidate_delays) -> DelayAmplitudeEstimate:
     """Staged coordinate-descent fit of ``order`` paths to the probe spectrum.
 
     Stage l seeds path l from the residual of the l-1 already-fitted paths,
@@ -211,10 +209,6 @@ def relax_estimate(freq: FrequencyData, order: int, candidate_delays,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if max_outer_iters < 1:
-        raise ValueError("max_outer_iters must be >= 1")
     cand = np.unique(np.asarray(list(candidate_delays), dtype=np.intp))
     if len(cand) < order:
         raise ValueError(f"{order} paths requested but only {len(cand)} candidate delays")
@@ -235,7 +229,7 @@ def relax_estimate(freq: FrequencyData, order: int, candidate_delays,
         paths.append(refit(paths, residual_spectrum(freq, paths)))
         prev = fit_cost(freq, paths)
         trace.append(prev)
-        for _ in range(max_outer_iters):
+        for _ in range(MAX_OUTER_ITERS):
             snapshot = list(paths)
             for j in range(len(paths)):
                 others = paths[:j] + paths[j + 1:]
@@ -246,7 +240,7 @@ def relax_estimate(freq: FrequencyData, order: int, candidate_delays,
                 paths = snapshot  # non-decreasing cost guard
                 break
             trace.append(cost)
-            if prev - cost <= tol * max(prev, np.finfo(float).tiny):
+            if prev - cost <= TOL * max(prev, np.finfo(float).tiny):
                 break
             prev = cost
     paths.sort(key=lambda p: p[0])

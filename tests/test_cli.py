@@ -392,6 +392,19 @@ class TestSoundCommand:
             assert err.rstrip().endswith(f"2^{p} - 1 chips")
             assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["-1", "NaN", "0.7"])
+    def test_normalized_doppler_out_of_range_refused(self, tmp_path, capsys, literal):
+        # -1 and NaN turned the quasi-static warning off; 0.7 is past SimConfig's range
+        probe = self._probe_file(tmp_path, [1.0], [0])
+        cfg = tmp_path / "s.json"
+        cfg.write_text(f'{{"normalized_doppler": {literal}}}')
+        out = tmp_path / "sounding.json"
+        assert run(["sound", "--config", str(cfg), "--signal", probe,
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("chanident sound: normalized_doppler must be")
+        assert not out.exists()
+        assert not (tmp_path / "sounding.json.manifest.json").exists()
+
     def test_truncated_signal_file(self, tmp_path, capsys):
         probe = self._probe_file(tmp_path, [1.0], [0])
         data = open(probe, "rb").read()
@@ -476,10 +489,91 @@ class TestFlagScope:
         ["train", "--threads", "2"],
         ["eval", "--threads", "2"],
         ["simulate", "--threads", "2"],
+        ["simulate", "--dataset", "d.txt"],
+        ["dataset", "--model", "m.json"],
+        ["eval", "--signal", "s.txt"],
+        ["sound", "--frame", "f.txt"],
+        ["estimate", "--model", "m.json"],
     ])
     def test_flag_rejected_where_it_does_nothing(self, argv):
         with pytest.raises(SystemExit):
             run(argv)
+
+
+SUBCOMMANDS = ("dataset", "train", "eval", "sound", "estimate", "simulate")
+
+
+@pytest.fixture(scope="module")
+def every_manifest(tmp_path_factory):
+    """Each subcommand run once on tiny inputs: name -> (manifest, config path
+    or None, output path)."""
+    from chanident.modulation import random_frame
+
+    tmp = tmp_path_factory.mktemp("every")
+    write_signal_file(tmp / "probe.txt", static_probe(generate_mseq(8), [1.0, 0.5j], [0, 2]))
+    write_signal_file(tmp / "frame.txt", random_frame(512, seed=2))
+    paths = {name: str(tmp / f"{name}.out") for name in SUBCOMMANDS}
+    configs = {"dataset": _write_cfg(tmp, "ds.json", TINY_DATASET_CFG),
+               "train": _write_cfg(tmp, "train.json", FAST_TRAIN_CFG),
+               "simulate": _write_cfg(tmp, "sim.json", {"n_samples": 64})}
+    files = {"train": ["--dataset", paths["dataset"]],
+             "eval": ["--model", paths["train"], "--dataset", paths["dataset"]],
+             "sound": ["--signal", str(tmp / "probe.txt")],
+             "estimate": ["--signal", str(tmp / "frame.txt"), "--frame", str(tmp / "frame.txt")]}
+    manifests = {}
+    for name in SUBCOMMANDS:
+        cfg = ["--config", configs[name]] if name in configs else []
+        assert run([name, *cfg, *files.get(name, []), "--output", paths[name]]) == 0, name
+        manifest = json.loads(Path(paths[name] + ".manifest.json").read_text())
+        manifests[name] = (manifest, configs.get(name), paths[name])
+    return manifests
+
+
+class TestManifests:
+    def test_every_subcommand_writes_the_same_top_level_keys(self, every_manifest):
+        common = {"format", "subcommand", "config_path", "config", "outputs", "timings_s"}
+        extra = {"dataset": {"blas"}, "train": {"epochs_run", "best_epoch", "stopped_on"}}
+        for name, (manifest, _, out) in every_manifest.items():
+            assert set(manifest) == common | extra.get(name, set()), name
+            assert manifest["format"] == "chanident-manifest v1"
+            assert manifest["subcommand"] == name
+            assert manifest["outputs"] == [out]
+            assert manifest["timings_s"], name
+            assert all(isinstance(v, float) for v in manifest["timings_s"].values()), name
+
+    def test_dataset_train_eval_manifests_are_pinned(self, every_manifest):
+        # the manifests as the CLI wrote them before the subcommand table, bar timing values
+        dataset_config = {
+            "estimation": "oracle-cir", "master_seed": 3, "samples_per_vector": 400,
+            "scenario_labels": [1],
+            "sim": {"normalized_doppler": 0.004, "samples_per_symbol": 1, "seed": 0,
+                    "symbol_rate_hz": 100000.0},
+            "snr_list_db": ["noiseless", 10.0], "vectors_per_condition": 1, "window_len": 512}
+        train_config = {"batch_size": 4, "epochs": 3, "hidden_sizes": [8], "init_seed": 0,
+                        "learning_rate": 0.01, "momentum": 0.9, "plateau_patience": 100,
+                        "plateau_rel_tol": 0.0001, "seed": 0}
+        expected = {
+            "dataset": ({"config": dataset_config, "blas": _blas.describe()},
+                        ["generate", "write"]),
+            "train": ({"config": train_config, "epochs_run": 3, "best_epoch": 3,
+                       "stopped_on": "epoch_limit"}, ["read", "train"]),
+            "eval": ({"config": {}}, ["evaluate"]),
+        }
+        for name, (fields, stages) in expected.items():
+            manifest, cfg, out = every_manifest[name]
+            assert sorted(manifest["timings_s"]) == stages, name
+            assert {k: v for k, v in manifest.items() if k != "timings_s"} == {
+                "format": "chanident-manifest v1", "subcommand": name, "config_path": cfg,
+                "outputs": [out], **fields}, name
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_print_config_round_trips(self, tmp_path, capsys, name):
+        assert run([name, "--print-config"]) == 0
+        printed = capsys.readouterr().out
+        cfg = tmp_path / "printed.json"
+        cfg.write_text(printed)
+        assert run([name, "--config", str(cfg), "--print-config"]) == 0
+        assert capsys.readouterr().out == printed
 
 
 def test_cli_chain_writes_the_files_of_run_experiment(tmp_path):

@@ -317,6 +317,13 @@ class TestSoundAndProfile:
         with pytest.warns(UserWarning, match="static"):
             sound_and_profile(received, self.MSEQ, normalized_doppler=0.004)
 
+    @pytest.mark.parametrize("nu", [-1.0, 0.5, float("nan")])
+    def test_normalized_doppler_outside_simconfig_range_refused(self, nu):
+        # -1 and NaN used to skip the quasi-static warning without a word
+        received = static_probe(self.MSEQ, [1.0], [0])
+        with pytest.raises(ValueError, match="normalized_doppler must be finite and in"):
+            sound_and_profile(received, self.MSEQ, normalized_doppler=nu)
+
     def test_candidate_range_respected(self):
         received = static_probe(self.MSEQ, [1.0, 0.8], [2, 9])
         order, delays = sound_and_profile(received, self.MSEQ,
