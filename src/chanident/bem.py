@@ -23,7 +23,7 @@ from scipy.linalg import lapack
 
 from . import _blas, slepian
 from .errors import IdentifiabilityError
-from .simulate import CIRMatrix, ComplexSignal
+from .simulate import CIRMatrix, ComplexSignal, SimConfig
 from .slepian import DPSSBasis, basis_dimension, generate_dpss
 
 DEFAULT_WINDOW_LEN = 512
@@ -125,8 +125,12 @@ def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
     return coeffs.reshape(taps, count)
 
 
-def _unique_delays(delay_grid) -> tuple[int, ...]:
+def _unique_delays(delay_grid, n: int) -> tuple[int, ...]:
+    """The delays of ``delay_grid``, refused unless they are distinct
+    integers inside a received signal of ``n`` samples."""
     delays = tuple(delay_grid)
+    if not delays:
+        raise ValueError("delay_grid must name at least one delay")
     if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in delays):
         raise ValueError(f"delay_grid entries must be integers, got {list(delays)}")
     delays = tuple(int(d) for d in delays)
@@ -134,6 +138,9 @@ def _unique_delays(delay_grid) -> tuple[int, ...]:
         raise ValueError("delay_grid entries must be unique")
     if any(d < 0 for d in delays):
         raise ValueError("delay_grid entries must be >= 0")
+    if max(delays) >= n:
+        raise ValueError(f"delay_grid entries must be < the signal length {n}, "
+                         f"got {max(delays)}")
     return delays
 
 
@@ -143,8 +150,8 @@ def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
     """The gains mu_l[n] = sum_d c[l, d] u_d[n] of the least-squares fit of
     y[n] = sum_l sum_d c[l, d] * u_d[n] * x[n - tau_l] over every sample,
     with ``frame`` the known transmitted x."""
-    delays = _unique_delays(delay_grid)
     n = len(received)
+    delays = _unique_delays(delay_grid, n)
     if basis.length != n:
         raise ValueError(f"basis length {basis.length} != received length {n}")
     if len(frame) != n:
@@ -163,9 +170,11 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
     ``basis_dimension`` for the window length; a short tail is merged into
     the final window.  The known ``frame`` is global, so regressors near a
     window's start reach back into the previous window's symbols.
+    ``normalized_doppler`` must be one ``SimConfig`` takes.
     """
-    delays = _unique_delays(delay_grid)
+    SimConfig(normalized_doppler)
     n = len(received)
+    delays = _unique_delays(delay_grid, n)
     if window_len < 2:
         raise ValueError("window_len must be >= 2")
     if len(frame) != n:

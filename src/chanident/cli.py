@@ -5,8 +5,8 @@ Subcommands: ``dataset``, ``train``, ``eval``, ``sound``, ``estimate``,
 config file (defaults shown by ``--print-config``) and writes its outputs
 plus a manifest recording the fully resolved configuration, output paths
 and the seconds each stage took (``timings_s``, never empty); ``sound``
-writes its result and manifest only when given ``--output``, and refuses a
-``normalized_doppler`` outside [0, 0.5).  Re-running a subcommand with the
+writes its result and manifest only when given ``--output``.  ``SimConfig``
+checks every ``normalized_doppler``.  Re-running a subcommand with the
 manifest's config snapshot reproduces the outputs byte for byte.
 ``dataset``, ``train`` and ``simulate`` take a ``--seed`` override, and
 ``dataset`` a ``--threads`` worker cap.
@@ -294,9 +294,9 @@ def _cmd_estimate(args, config, timed) -> dict:
 
 def _cmd_simulate(args, config, timed) -> dict:
     profile = profiles.load_profile(config["label"])
-    sim = SimConfig(**{k: v for k, v in config.items() if k not in ("label", "n_samples")})
+    sim = SimConfig(config["normalized_doppler"])
     with timed("generate"):
-        cir = generate_fading(profile, config["n_samples"], sim)
+        cir = generate_fading(profile, config["n_samples"], sim, config["seed"])
     _write_trace(args.output, cir.gains, cir.delay_units)
     print(f"wrote {cir.tap_count}-tap fading trace ({cir.n_samples} samples) to {args.output}")
     return {}
@@ -335,7 +335,7 @@ _COMMANDS = {
                           "normalized_doppler": 0.004, "window_len": 512},
                          ("signal", "frame", "output")),
     "simulate": _Command(_cmd_simulate, "emit fading gain traces for one scenario",
-                         {"label": 1, "n_samples": 4096, **asdict(SimConfig())},
+                         {"label": 1, "n_samples": 4096, **asdict(SimConfig()), "seed": 0},
                          ("output",), ("seed",)),
 }
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .profiles import SAMPLE_PERIOD_S
 from .simulate import ComplexSignal
 
 
@@ -28,8 +29,8 @@ def map_qpsk(bits) -> np.ndarray:
     return (i + 1j * q) / math.sqrt(2.0)
 
 
-def random_frame(n_symbols: int, seed: int, sample_period_s: float = 1e-5) -> ComplexSignal:
-    """A random-QPSK frame, known to the receiver at every sample."""
+def random_frame(n_symbols: int, seed: int) -> ComplexSignal:
+    """A random-QPSK frame, one symbol per sample, known to the receiver."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * n_symbols)
-    return ComplexSignal(map_qpsk(bits), sample_period_s)
+    return ComplexSignal(map_qpsk(bits), SAMPLE_PERIOD_S)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .profiles import SAMPLE_PERIOD_S
+
 # Minimal-weight primitive polynomials, one per register length; entries are
 # the exponents with nonzero coefficient (the constant term 1 is implicit).
 PRIMITIVE_TAPS: dict[int, tuple[int, ...]] = {
@@ -58,7 +60,7 @@ def _is_int(value) -> bool:
 
 
 def generate_mseq(register_length: int, taps: tuple[int, ...] | None = None,
-                  initial_state=None, chip_period_s: float = 1e-5) -> MSequence:
+                  initial_state=None, chip_period_s: float = SAMPLE_PERIOD_S) -> MSequence:
     """Run the LFSR for one full period and return the +/-1 chip sequence.
 
     ``taps`` defaults to the registry entry for ``register_length``;

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -37,6 +38,9 @@ REPORT_FORMAT = "chanident-report v1"
 NOISELESS = "noiseless"
 
 ESTIMATION_MODES = ("bem-ls", "oracle-cir")
+# Largest |SNR| in dB a dataset takes; add_awgn's 10^(snr/10) leaves the
+# float range near +-3000 dB.
+MAX_ABS_SNR_DB = 300.0
 # The classifier's hidden layer widths in the accuracy-vs-SNR experiment.
 HIDDEN_SIZES = (64, 48, 32, 24)
 
@@ -84,6 +88,10 @@ class DatasetSpec:
         bad = [s for s in snrs if s is not None and not math.isfinite(s)]
         if bad:
             raise ValueError(f"snr_list_db entries must be finite or None (noiseless), not {bad}")
+        bad = [s for s in snrs if s is not None and abs(s) > MAX_ABS_SNR_DB]
+        if bad:
+            raise ValueError(f"snr_list_db entries must lie in [-{MAX_ABS_SNR_DB:g}, "
+                             f"{MAX_ABS_SNR_DB:g}] dB, not {bad}")
         # A repeated entry would repeat its records, seeds and all.
         for name, entries in (("scenario_labels", labels), ("snr_list_db", snrs)):
             if len(set(entries)) != len(entries):
@@ -159,8 +167,7 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     profile = profiles.load_profile(label)
     n = spec.samples_per_vector
     true_cir = generate_fading(profile, n, spec.sim, seed=derive_seed(seed, "fading"))
-    frame = random_frame(n, seed=derive_seed(seed, "frame"),
-                         sample_period_s=spec.sim.sample_period_s)
+    frame = random_frame(n, seed=derive_seed(seed, "frame"))
     received = apply_channel(frame, true_cir)
     received = add_awgn(received, snr_db, seed=derive_seed(seed, "noise"))
     if spec.estimation == "oracle-cir":
@@ -168,7 +175,7 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     else:
         try:
             cir = estimate_cir_windowed(received, frame.samples, profile.delay_units,
-                                        spec.sim.doppler_per_sample, spec.window_len)
+                                        spec.sim.normalized_doppler, spec.window_len)
         except IdentifiabilityError as exc:
             raise IdentifiabilityError(
                 f"record (scenario {label}, snr {_snr_token(snr_db)}, index {index}): "
@@ -192,14 +199,16 @@ def generate_records(spec: DatasetSpec, threads: int = 1) -> list[DatasetRecord]
     """All records of ``spec`` in canonical (scenario, SNR, index) order.
 
     Records are seeded independently, so the result is identical for any
-    ``threads`` value.
+    ``threads`` value.  The pool starts all its workers at once, so their
+    count is capped at the record count and the CPU count.
     """
     coords = list(_record_coords(spec))
-    if threads <= 1:
+    workers = min(threads, len(coords), os.cpu_count() or 1)
+    if workers <= 1:
         return [make_record(spec, *c) for c in coords]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_make_record_star, [(spec, *c) for c in coords],
-                             chunksize=max(1, len(coords) // (8 * threads))))
+                             chunksize=max(1, len(coords) // (8 * workers))))
 
 
 def write_dataset(path, spec: DatasetSpec, records: list[DatasetRecord]) -> None:
@@ -364,13 +373,11 @@ def sound_and_profile(received: ComplexSignal, local: MSequence,
     ``threshold_factor`` defaults to 0.05 here (not the 0.5 of raw
     ``estimate_order``) so taps up to 20 dB below the strongest - the COST
     207 worst case - still count.  When ``normalized_doppler`` is given, it
-    must be finite and in [0, 0.5), and a probe too long for the
+    must be one ``SimConfig`` takes, and a probe too long for the
     quasi-static amplitude assumption (nu * length > 0.1) draws a warning.
     """
     if normalized_doppler is not None:
-        if not 0 <= normalized_doppler < 0.5:
-            raise ValueError(f"normalized_doppler must be finite and in [0, 0.5), "
-                             f"got {normalized_doppler!r}")
+        SimConfig(normalized_doppler)
         if normalized_doppler * len(received) > 0.1:
             warnings.warn(
                 f"probe spans {len(received)} samples at normalized Doppler "

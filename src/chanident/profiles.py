@@ -14,6 +14,8 @@ from functools import lru_cache
 from importlib import resources
 
 DELAY_UNIT_US = 10.0
+# One sample per delay unit: the 0.1 Ms/s grid of simulated signals and channels.
+SAMPLE_PERIOD_S = 1e-5
 MAX_DELAY_UNITS = 12  # largest scenario (cost207BUx12) spans 12 grid rows
 
 _GAUSS_RE = re.compile(r"^gaussian\((-?[0-9.]+),([0-9.]+)\)$")

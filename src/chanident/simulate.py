@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .profiles import DopplerSpectrum, ScenarioProfile
+from .profiles import SAMPLE_PERIOD_S, DopplerSpectrum, ScenarioProfile
 
 # Resolution targets for the spectral synthesis grid: at least this many
 # frequency bins across the Doppler band, capped to bound FFT size.
@@ -34,34 +34,26 @@ _MAX_FFT = 1 << 22
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation timing parameters.
+    """Simulation parameters.
 
-    ``normalized_doppler`` is the maximum Doppler frequency times the symbol
-    period (0.004 reproduces the reference setup at 0.1 Ms/s).
+    ``normalized_doppler`` is the maximum Doppler frequency times the sample
+    period ``profiles.SAMPLE_PERIOD_S`` (0.004 reproduces the reference
+    setup at 0.1 Ms/s).
     """
 
-    symbol_rate_hz: float = 1e5
     normalized_doppler: float = 0.004
-    samples_per_symbol: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.symbol_rate_hz < math.inf:
-            raise ValueError("symbol_rate_hz must be finite and > 0")
         # 0 is admitted as the degenerate frozen-channel limit.
         if not 0 <= self.normalized_doppler < 0.5:
-            raise ValueError("normalized_doppler must lie in [0, 0.5)")
-        if self.samples_per_symbol < 1:
-            raise ValueError("samples_per_symbol must be >= 1")
-
-    @property
-    def sample_period_s(self) -> float:
-        return 1.0 / (self.symbol_rate_hz * self.samples_per_symbol)
+            raise ValueError(f"normalized_doppler must be finite and in [0, 0.5), "
+                             f"got {self.normalized_doppler!r}")
 
     @property
     def doppler_per_sample(self) -> float:
-        """Maximum Doppler frequency in cycles per sample."""
-        return self.normalized_doppler / self.samples_per_symbol
+        """Maximum Doppler frequency in cycles per sample, which one sample
+        per symbol makes ``normalized_doppler`` itself."""
+        return self.normalized_doppler
 
 
 @dataclass(frozen=True)
@@ -254,26 +246,25 @@ def _band_taps(n_samples: int, fd: float, powers, spectra,
 
 
 def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
-                    seed: int | None = None) -> CIRMatrix:
+                    seed: int) -> CIRMatrix:
     """Simulate the tap-gain series of ``profile`` for ``n_samples`` samples.
 
     Taps are mutually independent; each has mean power equal to its
     configured average gain and a power spectrum following its Doppler
-    descriptor scaled to ``config.doppler_per_sample``.  Deterministic for a
+    descriptor scaled to ``config.normalized_doppler``.  Deterministic for a
     given (profile, n_samples, config, seed).
 
-    Random stream: one generator seeded with ``seed`` (default
-    ``config.seed``) serves the taps in profile order.  Each tap takes 2m
-    standard normals, where m is the number of synthesis-grid bins in which
-    its Doppler spectrum has nonzero mass: first the real parts of those
-    bins in ascending bin index (negative frequencies last), then their
-    imaginary parts.  A frozen tap (zero Doppler) takes two: real, then
-    imaginary.
+    Random stream: one generator seeded with ``seed`` serves the taps in
+    profile order.  Each tap takes 2m standard normals, where m is the
+    number of synthesis-grid bins in which its Doppler spectrum has nonzero
+    mass: first the real parts of those bins in ascending bin index
+    (negative frequencies last), then their imaginary parts.  A frozen tap
+    (zero Doppler) takes two: real, then imaginary.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-    fd = config.doppler_per_sample
+    rng = np.random.default_rng(seed)
+    fd = config.normalized_doppler
     powers = profile.gains_linear()
     if fd == 0.0:
         # Degenerate limit: all spectral mass at DC, i.e. frozen taps.
@@ -283,7 +274,7 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
             row[:] = math.sqrt(power / 2.0) * (re + 1j * im)
     else:
         gains = _band_taps(n_samples, fd, powers, profile.doppler_spectra, rng)
-    return CIRMatrix._adopt(gains, config.sample_period_s, profile.delay_units)
+    return CIRMatrix._adopt(gains, SAMPLE_PERIOD_S, profile.delay_units)
 
 
 def apply_channel(signal: ComplexSignal, cir: CIRMatrix) -> ComplexSignal:

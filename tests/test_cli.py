@@ -12,6 +12,7 @@ from chanident import _blas, cli
 from chanident.cli import read_signal_file, run, write_signal_file
 from chanident.mlp import init_mlp, save_mlp
 from chanident.mlp import TrainConfig
+from chanident.modulation import random_frame
 from chanident.mseq import generate_mseq
 from chanident.pipeline import DatasetSpec, read_dataset, run_experiment
 from chanident.simulate import ComplexSignal
@@ -70,7 +71,7 @@ class TestDatasetCommand:
 
     @pytest.mark.parametrize("command, payload, key", [
         ("dataset", {"sim": None}, "sim"),
-        ("dataset", {"sim": {"seed": 1.5}}, "sim.seed"),
+        ("dataset", {"sim": {"normalized_doppler": "0.02"}}, "sim.normalized_doppler"),
         ("dataset", {"window_len": 600.5}, "window_len"),
         ("estimate", {"window_len": 600.5}, "window_len"),
         ("train", {"epochs": "10"}, "epochs"),
@@ -82,13 +83,30 @@ class TestDatasetCommand:
         assert capsys.readouterr().err.startswith(f"chanident {command}: config file {cfg}: "
                                                   f"{key} must be ")
 
-    def test_nan_symbol_rate_rejected(self, tmp_path, capsys):
+    def test_nan_doppler_rejected(self, tmp_path, capsys):
         # json accepts the NaN literal, so the value reaches SimConfig
         cfg = tmp_path / "c.json"
-        cfg.write_text('{"sim": {"symbol_rate_hz": NaN}}')
+        cfg.write_text('{"sim": {"normalized_doppler": NaN}}')
         out = tmp_path / "x.txt"
         assert run(["dataset", "--config", str(cfg), "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("chanident dataset: symbol_rate_hz")
+        assert capsys.readouterr().err.startswith("chanident dataset: normalized_doppler")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, payload, key", [
+        ("dataset", {"sim": {"symbol_rate_hz": 1e5}}, "symbol_rate_hz"),
+        ("dataset", {"sim": {"samples_per_symbol": 1}}, "samples_per_symbol"),
+        ("dataset", {"sim": {"seed": 0}}, "seed"),
+        ("simulate", {"symbol_rate_hz": 1e5}, "symbol_rate_hz"),
+        ("simulate", {"samples_per_symbol": 1}, "samples_per_symbol"),
+    ])
+    def test_removed_sim_keys_are_unknown(self, tmp_path, capsys, command, payload, key):
+        # they changed no record; simulate keeps "seed" as its own key
+        cfg = _write_cfg(tmp_path, "c.json", payload)
+        out = tmp_path / "x.txt"
+        assert run([command, "--config", cfg, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"chanident {command}: config file {cfg}: unknown key")
+        assert key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("payload, field", [
@@ -463,6 +481,26 @@ class TestEstimateCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal, key", [
+        ('{"normalized_doppler": NaN}', "normalized_doppler"),
+        ('{"normalized_doppler": 0.7}', "normalized_doppler"),
+        ('{"normalized_doppler": Infinity}', "normalized_doppler"),
+        ('{"delay_grid": []}', "delay_grid"),
+    ])
+    def test_bad_doppler_or_empty_grid_refused_by_name(self, tmp_path, capsys, literal, key):
+        # each failed deep in BEM-LS without naming its key; Infinity raised
+        # OverflowError out of the CLI
+        write_signal_file(tmp_path / "rx.txt", random_frame(64, seed=1))
+        cfg = tmp_path / "est.json"
+        cfg.write_text(literal)
+        out = tmp_path / "cir.txt"
+        assert run(["estimate", "--signal", str(tmp_path / "rx.txt"),
+                    "--frame", str(tmp_path / "rx.txt"),
+                    "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"chanident estimate: {key} ")
+        assert not out.exists()
+        assert not (tmp_path / "cir.txt.manifest.json").exists()
+
 
 class TestSimulateCommand:
     def test_writes_trace(self, tmp_path):
@@ -498,6 +536,36 @@ class TestFlagScope:
     def test_flag_rejected_where_it_does_nothing(self, argv):
         with pytest.raises(SystemExit):
             run(argv)
+
+
+# The config edge values: each must run, or exit 1 naming its key.
+EDGE_VALUES = [0, 1, -1, 2, 0.5, -0.5, float("nan"), float("inf"), float("-inf"), 1e6,
+               [], [-1], [0, 0], [1.5], [100000]]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=json.dumps)
+@pytest.mark.parametrize("command, key", [
+    ("dataset", "sim.normalized_doppler"), ("dataset", "snr_list_db"),
+    ("estimate", "normalized_doppler"), ("estimate", "delay_grid"),
+    ("simulate", "normalized_doppler"),
+])
+def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, command, key, value):
+    section, _, leaf = key.rpartition(".")
+    base = {"dataset": TINY_DATASET_CFG, "estimate": {}, "simulate": {"n_samples": 64}}
+    payload = dict(base[command], **({section: {leaf: value}} if section else {leaf: value}))
+    cfg = _write_cfg(tmp_path, "c.json", payload)
+    files = []
+    if command == "estimate":
+        write_signal_file(tmp_path / "frame.txt", random_frame(512, seed=2))
+        files = ["--signal", str(tmp_path / "frame.txt"), "--frame", str(tmp_path / "frame.txt")]
+    out = tmp_path / "out.txt"
+    rc = run([command, "--config", cfg, *files, "--output", str(out)])
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert out.exists()
+    else:
+        assert rc == 1 and leaf in err, err
+        assert not out.exists()
 
 
 SUBCOMMANDS = ("dataset", "train", "eval", "sound", "estimate", "simulate")
@@ -542,12 +610,11 @@ class TestManifests:
             assert all(isinstance(v, float) for v in manifest["timings_s"].values()), name
 
     def test_dataset_train_eval_manifests_are_pinned(self, every_manifest):
-        # the manifests as the CLI wrote them before the subcommand table, bar timing values
+        # the manifests as the CLI wrote them before the subcommand table, bar timing
+        # values and the sim keys that changed no record
         dataset_config = {
             "estimation": "oracle-cir", "master_seed": 3, "samples_per_vector": 400,
-            "scenario_labels": [1],
-            "sim": {"normalized_doppler": 0.004, "samples_per_symbol": 1, "seed": 0,
-                    "symbol_rate_hz": 100000.0},
+            "scenario_labels": [1], "sim": {"normalized_doppler": 0.004},
             "snr_list_db": ["noiseless", 10.0], "vectors_per_condition": 1, "window_len": 512}
         train_config = {"batch_size": 4, "epochs": 3, "hidden_sizes": [8], "init_seed": 0,
                         "learning_rate": 0.01, "momentum": 0.9, "plateau_patience": 100,

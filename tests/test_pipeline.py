@@ -12,7 +12,7 @@ from chanident.pipeline import (DATASET_FORMAT, DatasetRecord, DatasetSpec, deri
                                 evaluate, generate_records, read_dataset, sound_and_profile,
                                 split_train_test, write_dataset, write_report)
 from chanident.profiles import load_profile
-from chanident.simulate import ComplexSignal
+from chanident.simulate import ComplexSignal, SimConfig
 
 TINY = DatasetSpec(scenario_labels=(1, 3), vectors_per_condition=2,
                    snr_list_db=(None, 10.0), samples_per_vector=400,
@@ -42,8 +42,7 @@ class TestDatasetSpec:
     def test_absent_keys_take_the_dataclass_defaults(self):
         assert DatasetSpec.from_dict({}) == DatasetSpec()
         spec = DatasetSpec.from_dict({"sim": {"normalized_doppler": 0.02}})
-        assert spec.sim.normalized_doppler == 0.02
-        assert spec.sim.symbol_rate_hz == DatasetSpec().sim.symbol_rate_hz
+        assert spec == DatasetSpec(sim=SimConfig(normalized_doppler=0.02))
 
     def test_fingerprint_stable_and_sensitive(self):
         assert TINY.fingerprint() == DatasetSpec.from_dict(TINY.to_dict()).fingerprint()
@@ -71,6 +70,15 @@ class TestDatasetSpec:
         # NaN failed inside the first record and inf made records
         with pytest.raises(ValueError, match="snr_list_db entries must be finite"):
             DatasetSpec(snr_list_db=(None, 10.0, snr))
+
+    @pytest.mark.parametrize("snr", [100000, 3100, -3100, -100000, 300.5])
+    def test_rejects_snr_past_the_bound(self, snr):
+        # 3100 and 100000 raised OverflowError in add_awgn, -100000 ZeroDivisionError
+        with pytest.raises(ValueError, match=r"^snr_list_db entries must lie in \[-300, 300\] dB"):
+            DatasetSpec(snr_list_db=(None, snr))
+
+    def test_snr_bound_is_inclusive(self):
+        assert DatasetSpec(snr_list_db=(-300, 300.0)).snr_list_db == (-300.0, 300.0)
 
     @pytest.mark.parametrize("labels", [(True,), (1.0,), (np.int64(1),)])
     def test_rejects_labels_not_int(self, labels):
@@ -116,6 +124,41 @@ class TestGenerateRecords:
         b = generate_records(TINY, threads=2)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.feature.values, rb.feature.values)
+
+    def test_worker_count_capped_by_records_and_cpus(self, monkeypatch):
+        # the pool forks all max_workers processes at the first submit
+        started = []
+
+        class FakePool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
+        two = DatasetSpec(scenario_labels=(1,), vectors_per_condition=1,
+                          snr_list_db=(None, 10.0), samples_per_vector=400,
+                          estimation="oracle-cir")
+        serial = generate_records(two)
+        pooled = generate_records(two, threads=5000)
+        assert started == [2]
+        for a, b in zip(serial, pooled, strict=True):
+            assert np.array_equal(a.feature.values, b.feature.values)
+        generate_records(TINY, threads=5000)  # 8 records
+        assert started == [2, 3]
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+        generate_records(TINY, threads=5000)  # an unknown CPU count runs serially
+        assert started == [2, 3]
 
     def test_bem_ls_mode_runs(self):
         spec = DatasetSpec(scenario_labels=(2,), vectors_per_condition=1,
@@ -176,6 +219,22 @@ class TestDatasetFile:
         path.write_text("not a dataset\n")
         with pytest.raises(ValueError, match="dataset"):
             read_dataset(path)
+
+    def test_v2_header_with_the_removed_sim_keys_reads(self, tmp_path):
+        # files written before SimConfig lost its rate and seed keys
+        path = tmp_path / "data.txt"
+        records = generate_records(TINY)
+        write_dataset(path, TINY, records)
+        lines = path.read_text().splitlines()
+        old = '"sim":{"normalized_doppler":0.004,"samples_per_symbol":1,"seed":0,' \
+              '"symbol_rate_hz":100000.0}'
+        assert '"sim":{"normalized_doppler":0.004}' in lines[1]
+        lines[1] = lines[1].replace('"sim":{"normalized_doppler":0.004}', old)
+        path.write_text("\n".join(lines) + "\n")
+        spec, back = read_dataset(path)
+        assert spec == TINY
+        for a, b in zip(records, back, strict=True):
+            assert np.array_equal(a.feature.values, b.feature.values)
 
     @pytest.mark.parametrize("version", ["v1", "v20", "v2.1"])
     def test_other_format_version_rejected(self, tmp_path, version):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 from scipy.special import j0
 from scipy.stats import chi2
 
-from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
+from chanident.modulation import random_frame
+from chanident.mseq import generate_mseq
+from chanident.profiles import (DELAY_UNIT_US, SAMPLE_PERIOD_S, DopplerSpectrum,
+                                ScenarioProfile, load_profile)
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _grid_mass,
                                 _synthesis_grid, add_awgn, apply_channel, generate_fading)
 
@@ -18,8 +23,7 @@ def _single_tap_profile(gain_db=0.0, kind="jakes"):
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
-        assert cfg.sample_period_s == 1e-5
-        assert cfg.doppler_per_sample == 0.004
+        assert cfg.doppler_per_sample == cfg.normalized_doppler == 0.004
 
     def test_rejects_bad_doppler(self):
         with pytest.raises(ValueError):
@@ -27,14 +31,22 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(normalized_doppler=-0.1)
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            SimConfig(symbol_rate_hz=0.0)
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    def test_rejects_doppler_not_finite(self, nu):
+        with pytest.raises(ValueError,
+                           match=r"^normalized_doppler must be finite and in \[0, 0.5\)"):
+            SimConfig(normalized_doppler=nu)
 
-    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
-    def test_rejects_rate_not_finite(self, rate):
-        with pytest.raises(ValueError, match="symbol_rate_hz must be finite and > 0"):
-            SimConfig(symbol_rate_hz=rate)
+    def test_the_doppler_is_the_only_field(self):
+        # the symbol rate, samples per symbol and seed changed no record
+        assert [f.name for f in fields(SimConfig)] == ["normalized_doppler"]
+
+    def test_one_sample_per_delay_unit(self):
+        cir = generate_fading(load_profile(1), 8, SimConfig(), seed=0)
+        assert cir.sample_period_s == SAMPLE_PERIOD_S == 1e-5
+        assert random_frame(8, seed=0).sample_period_s == SAMPLE_PERIOD_S
+        assert generate_mseq(3).chip_period_s == SAMPLE_PERIOD_S
+        assert SAMPLE_PERIOD_S * 1e6 == pytest.approx(DELAY_UNIT_US, rel=1e-15)
 
 
 class TestGenerateFading:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -273,6 +275,28 @@ class TestWindowedEstimation:
         frame = random_frame(64, seed=1)
         with pytest.raises(ValueError, match="integers"):
             estimate_cir_windowed(frame, frame.samples, grid, 0.01)
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf, 0.7, 0.5, -1e-3])
+    def test_doppler_outside_simconfig_range_refused(self, nu):
+        # NaN failed in int(), 0.7 in the Slepian bandwidth check and inf with
+        # an OverflowError, none of them naming the Doppler
+        frame = random_frame(64, seed=1)
+        with pytest.raises(ValueError,
+                           match=r"^normalized_doppler must be finite and in \[0, 0.5\)"):
+            estimate_cir_windowed(frame, frame.samples, (0, 1), nu)
+
+    @pytest.mark.parametrize("grid, message", [
+        ((), "delay_grid must name at least one delay"),
+        ((0, 64), "delay_grid entries must be < the signal length 64, got 64"),
+    ])
+    def test_empty_grid_or_delay_past_the_signal_refused(self, grid, message):
+        # () failed in a reshape; a delay past the signal in a singular fit
+        frame = random_frame(64, seed=1)
+        basis = generate_dpss(64, 0.01, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_cir_windowed(frame, frame.samples, grid, 0.01)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bem_ls_estimate(frame, frame.samples, grid, basis)
 
     def test_numpy_integer_delays_accepted(self):
         frame = random_frame(64, seed=1)
