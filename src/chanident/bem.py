@@ -157,7 +157,7 @@ def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
     coeffs = _fit(_shifted_frame(frame, delays), received.samples, basis)
-    return CIRMatrix._adopt(coeffs @ basis.sequences, received.sample_period_s, delays)
+    return CIRMatrix._adopt(coeffs @ basis.sequences, delays)
 
 
 @_blas.single_thread()
@@ -191,4 +191,4 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
         coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
         gains[:, w0:w1] = coeffs @ basis.sequences
-    return CIRMatrix._adopt(gains, received.sample_period_s, delays)
+    return CIRMatrix._adopt(gains, delays)

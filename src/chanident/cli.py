@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -31,10 +32,13 @@ from .features import FEATURE_LENGTH, N_SCENARIOS
 from .mlp import TrainConfig, load_mlp, save_mlp
 from .mseq import generate_mseq
 from .pipeline import DatasetSpec
+from .profiles import SAMPLE_PERIOD_S
 from .simulate import ComplexSignal, SimConfig, generate_fading
 from .sounding import DelayAmplitudeEstimate, OrderEstimate
 
 SIGNAL_FORMAT = "chanident-signal v1"
+# Signal files are on the simulation grid, one sample per delay unit.
+SAMPLE_RATE_HZ = 1.0 / SAMPLE_PERIOD_S
 TRACE_FORMAT = "chanident-trace v1"
 MANIFEST_FORMAT = "chanident-manifest v1"
 
@@ -70,7 +74,7 @@ def _load_config(subcommand: str, path: str | None) -> dict:
         if isinstance(resolved[key], dict):  # "sim", the one nested section
             for sk, sv in value.items():
                 if sk not in resolved[key]:
-                    raise CliError(f"config file {path}: unknown key {key}.{sk!r}")
+                    raise CliError(f"config file {path}: unknown key {f'{key}.{sk}'!r}")
                 _check_type(path, f"{key}.{sk}", resolved[key][sk], sv)
                 resolved[key][sk] = sv
         else:
@@ -113,14 +117,14 @@ def _check_type(path: str, key: str, default, value) -> None:
 
 def write_signal_file(path, signal: ComplexSignal) -> None:
     with open(path, "w") as fh:
-        rate = 1.0 / signal.sample_period_s
-        fh.write(f"# {SIGNAL_FORMAT} sample_rate_hz={rate!r} count={len(signal)}\n")
+        fh.write(f"# {SIGNAL_FORMAT} sample_rate_hz={SAMPLE_RATE_HZ!r} count={len(signal)}\n")
         for z in signal.samples:
             fh.write(f"{float(z.real)!r} {float(z.imag)!r}\n")
 
 
 def read_signal_file(path) -> ComplexSignal:
-    """Parse a signal file; errors carry the byte offset of the bad line."""
+    """Parse a signal file; errors carry the byte offset of the bad line.
+    Its rate must be the grid's, ``SAMPLE_RATE_HZ``."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -137,8 +141,8 @@ def read_signal_file(path) -> ComplexSignal:
         count = int(fields["count"])
     except (KeyError, ValueError, IndexError):
         raise CliError(f"{path}: byte 0: malformed signal header {header!r}") from None
-    if not 0 < rate < np.inf:
-        raise CliError(f"{path}: byte 0: sample_rate_hz must be finite and > 0, "
+    if not math.isclose(rate, SAMPLE_RATE_HZ, rel_tol=1e-9):
+        raise CliError(f"{path}: byte 0: sample_rate_hz must be {SAMPLE_RATE_HZ:g}, "
                        f"got {fields['sample_rate_hz']}")
     offset = len(lines[0]) + 1
     samples = []
@@ -157,7 +161,7 @@ def read_signal_file(path) -> ComplexSignal:
         raise CliError(
             f"{path}: byte {offset - 1}: truncated signal file: header promises "
             f"{count} samples, found {len(samples)}")
-    return ComplexSignal(np.array(samples), 1.0 / rate)
+    return ComplexSignal(np.array(samples))
 
 
 def _write_manifest(path, doc: dict) -> None:
@@ -235,40 +239,36 @@ def _cmd_sound(args, config, timed) -> dict:
         raise CliError(f"{args.signal}: {n} samples hold no whole period of the "
                        f"m-sequence, 2^{p} - 1 chips")
     taps = config["feedback_taps"]
-    mseq = generate_mseq(p, tuple(taps) if taps else None,
-                         config["initial_state"],
-                         chip_period_s=received.sample_period_s)
+    mseq = generate_mseq(p, tuple(taps) if taps else None, config["initial_state"])
     cand_max = config["max_candidate_delay"]
     cand = range(mseq.period if cand_max is None else cand_max + 1)
     with timed("sound"):
         order_est, delays = pipeline.sound_and_profile(
             received, mseq, threshold_factor=config["threshold_factor"],
             candidate_delays=cand, normalized_doppler=config["normalized_doppler"])
-    _print_sounding(received, order_est, delays)
+    _print_sounding(order_est, delays)
     if args.output:
-        _write_sounding(args.output, order_est, delays, received.sample_period_s)
+        _write_sounding(args.output, order_est, delays)
     return {}
 
 
-def _print_sounding(received: ComplexSignal, order_est: OrderEstimate,
-                    delays: DelayAmplitudeEstimate) -> None:
-    unit_us = received.sample_period_s * 1e6
+def _print_sounding(order_est: OrderEstimate, delays: DelayAmplitudeEstimate) -> None:
     print(f"estimated channel order: {order_est.order}")
     print("delay_units  delay_us  |amplitude|  phase_deg")
     for d, a in delays.paths:
-        print(f"{d:>11d}  {d * unit_us:>8.1f}  {abs(a):>11.4f}  {np.degrees(np.angle(a)):>9.1f}")
+        print(f"{d:>11d}  {d * SAMPLE_PERIOD_S * 1e6:>8.1f}  {abs(a):>11.4f}  "
+              f"{np.degrees(np.angle(a)):>9.1f}")
     print(f"residual cost {delays.residual_cost:.6g} after {delays.iterations} sweeps")
 
 
-def _write_sounding(path, order_est: OrderEstimate, delays: DelayAmplitudeEstimate,
-                    sample_period_s: float) -> None:
+def _write_sounding(path, order_est: OrderEstimate, delays: DelayAmplitudeEstimate) -> None:
     doc = {
         "format": "chanident-sounding v1",
         "order": order_est.order,
         "peak_lags": list(order_est.peak_lags),
         "peak_values": list(order_est.peak_values),
         "threshold": order_est.threshold,
-        "paths": [{"delay_units": d, "delay_us": d * sample_period_s * 1e6,
+        "paths": [{"delay_units": d, "delay_us": d * SAMPLE_PERIOD_S * 1e6,
                    "amplitude_re": a.real, "amplitude_im": a.imag}
                   for d, a in delays.paths],
         "residual_cost": delays.residual_cost,

@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.plateau_patience < 1:
             raise ValueError("plateau_patience must be >= 1")
         if not 0 <= self.plateau_rel_tol < 1:

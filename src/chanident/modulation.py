@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 
-from .profiles import SAMPLE_PERIOD_S
 from .simulate import ComplexSignal
 
 
@@ -33,4 +32,4 @@ def random_frame(n_symbols: int, seed: int) -> ComplexSignal:
     """A random-QPSK frame, one symbol per sample, known to the receiver."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=2 * n_symbols)
-    return ComplexSignal(map_qpsk(bits), SAMPLE_PERIOD_S)
+    return ComplexSignal(map_qpsk(bits))

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import SAMPLE_PERIOD_S
-
 # Minimal-weight primitive polynomials, one per register length; entries are
 # the exponents with nonzero coefficient (the constant term 1 is implicit).
 PRIMITIVE_TAPS: dict[int, tuple[int, ...]] = {
@@ -33,10 +31,7 @@ PRIMITIVE_TAPS: dict[int, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class MSequence:
-    register_length: int
-    feedback_taps: tuple[int, ...]
-    chips: np.ndarray  # +/-1 int8, length 2^p - 1
-    chip_period_s: float
+    chips: np.ndarray  # +/-1 int8, length 2^p - 1, one chip per delay unit
 
     def __post_init__(self):
         chips = np.array(self.chips, dtype=np.int8, copy=True)
@@ -60,7 +55,7 @@ def _is_int(value) -> bool:
 
 
 def generate_mseq(register_length: int, taps: tuple[int, ...] | None = None,
-                  initial_state=None, chip_period_s: float = SAMPLE_PERIOD_S) -> MSequence:
+                  initial_state=None) -> MSequence:
     """Run the LFSR for one full period and return the +/-1 chip sequence.
 
     ``taps`` defaults to the registry entry for ``register_length``;
@@ -108,4 +103,4 @@ def generate_mseq(register_length: int, taps: tuple[int, ...] | None = None,
         for t in taps:
             fb ^= s[t - 1]
         s = [fb] + s[:-1]
-    return MSequence(p, taps, 1 - 2 * bits, chip_period_s)
+    return MSequence(1 - 2 * bits)

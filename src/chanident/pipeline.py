@@ -73,11 +73,15 @@ class DatasetSpec:
         # bool is an int subclass; a numpy integer would not serialize
         if type(self.window_len) is not int or self.window_len < 2:
             raise ValueError(f"window_len must be an int >= 2, not {self.window_len!r}")
+        for name in ("scenario_labels", "snr_list_db"):
+            if not len(getattr(self, name)):
+                raise ValueError(f"{name} must not be empty")
         for label in self.scenario_labels:
             if type(label) is not int:
                 raise ValueError(f"scenario_labels entries must be ints, not {label!r}")
             if not 1 <= label <= N_SCENARIOS:
-                raise ValueError(f"unknown scenario label {label}")
+                raise ValueError(f"scenario_labels entries must lie in 1..{N_SCENARIOS}, "
+                                 f"not {label}")
         labels = tuple(self.scenario_labels)
         # bool is an int, and float() would take a string
         if any(s is not None and (isinstance(s, bool) or not isinstance(s, (int, float)))
@@ -323,6 +327,8 @@ def train_classifier(records: list[DatasetRecord], hidden_sizes, config: TrainCo
     Returns the trained parameters, the training report and the fingerprint
     that the model file carries.
     """
+    if init_seed < 0:
+        raise ValueError(f"init_seed must be >= 0, got {init_seed}")
     x = np.stack([r.feature.values for r in records])
     t = np.stack([one_hot(r.label) for r in records])
     sizes = [FEATURE_LENGTH, *hidden_sizes, N_SCENARIOS]
@@ -360,7 +366,7 @@ def probe_signal(mseq: MSequence, periods: int = 4) -> ComplexSignal:
     if periods < 1:
         raise ValueError("periods must be >= 1")
     chips = np.tile(mseq.chips.astype(np.complex128), periods)
-    return ComplexSignal(chips, mseq.chip_period_s)
+    return ComplexSignal(chips)
 
 
 def sound_and_profile(received: ComplexSignal, local: MSequence,

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .profiles import SAMPLE_PERIOD_S, DopplerSpectrum, ScenarioProfile
+from .profiles import DopplerSpectrum, ScenarioProfile
 
 # Resolution targets for the spectral synthesis grid: at least this many
 # frequency bins across the Doppler band, capped to bound FFT size.
@@ -37,8 +37,8 @@ class SimConfig:
     """Simulation parameters.
 
     ``normalized_doppler`` is the maximum Doppler frequency times the sample
-    period ``profiles.SAMPLE_PERIOD_S`` (0.004 reproduces the reference
-    setup at 0.1 Ms/s).
+    period, one delay unit of 10 us (0.004 reproduces the reference setup
+    at 0.1 Ms/s).
     """
 
     normalized_doppler: float = 0.004
@@ -58,10 +58,9 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ComplexSignal:
-    """A finite complex baseband sample sequence."""
+    """A finite complex baseband sample sequence, one sample per delay unit."""
 
     samples: np.ndarray
-    sample_period_s: float
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=np.complex128, copy=True)
@@ -69,8 +68,6 @@ class ComplexSignal:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("samples must be finite")
-        if not 0 < self.sample_period_s < math.inf:
-            raise ValueError("sample_period_s must be finite and > 0")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -87,7 +84,6 @@ class CIRMatrix:
     ``gains[l, n]`` at delay ``delay_units[l]``."""
 
     gains: np.ndarray
-    sample_period_s: float
     delay_units: tuple[int, ...]
 
     def __post_init__(self):
@@ -105,13 +101,12 @@ class CIRMatrix:
         object.__setattr__(self, "delay_units", tuple(int(d) for d in self.delay_units))
 
     @classmethod
-    def _adopt(cls, gains: np.ndarray, sample_period_s: float, delay_units) -> "CIRMatrix":
+    def _adopt(cls, gains: np.ndarray, delay_units) -> "CIRMatrix":
         """A matrix that takes ownership of the complex128 ``gains``, which no
         one else may write, without the constructor's defensive copy (a
         strided view is still made contiguous); the constructor's checks
         still apply."""
         cir = object.__new__(cls)
-        object.__setattr__(cir, "sample_period_s", sample_period_s)
         object.__setattr__(cir, "delay_units", delay_units)
         cir._freeze(np.ascontiguousarray(gains, dtype=np.complex128))
         return cir
@@ -263,6 +258,8 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     fd = config.normalized_doppler
     powers = profile.gains_linear()
@@ -274,7 +271,7 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
             row[:] = math.sqrt(power / 2.0) * (re + 1j * im)
     else:
         gains = _band_taps(n_samples, fd, powers, profile.doppler_spectra, rng)
-    return CIRMatrix._adopt(gains, SAMPLE_PERIOD_S, profile.delay_units)
+    return CIRMatrix._adopt(gains, profile.delay_units)
 
 
 def apply_channel(signal: ComplexSignal, cir: CIRMatrix) -> ComplexSignal:
@@ -295,7 +292,7 @@ def apply_channel(signal: ComplexSignal, cir: CIRMatrix) -> ComplexSignal:
             out += cir.gains[l] * x
         else:
             out[d:] += cir.gains[l, d:] * x[:-d]
-    return ComplexSignal(out, signal.sample_period_s)
+    return ComplexSignal(out)
 
 
 def add_awgn(signal: ComplexSignal, snr_db: float | None, seed: int = 0) -> ComplexSignal:
@@ -314,4 +311,4 @@ def add_awgn(signal: ComplexSignal, snr_db: float | None, seed: int = 0) -> Comp
     sigma2 = p / 10.0 ** (snr_db / 10.0)
     n = len(signal)
     noise = math.sqrt(sigma2 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return ComplexSignal(signal.samples + noise, signal.sample_period_s)
+    return ComplexSignal(signal.samples + noise)

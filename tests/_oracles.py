@@ -46,7 +46,7 @@ def zero_padded(cir: CIRMatrix) -> CIRMatrix:
     unit d in row d, and all-zero rows for the delay units with no tap."""
     gains = np.zeros((MAX_DELAY_UNITS, cir.n_samples), dtype=np.complex128)
     gains[list(cir.delay_units)] = cir.gains
-    return CIRMatrix(gains, cir.sample_period_s, tuple(range(MAX_DELAY_UNITS)))
+    return CIRMatrix(gains, tuple(range(MAX_DELAY_UNITS)))
 
 
 def steering_matrix(freq: FrequencyData, delays) -> np.ndarray:
@@ -71,9 +71,9 @@ def static_probe(mseq: MSequence, amplitudes, delays, periods: int = 4,
                  snr_db=None, seed: int = 0) -> ComplexSignal:
     """Repeated chips through a frozen multipath channel, plus optional noise."""
     n = periods * mseq.period
-    x = ComplexSignal(np.tile(mseq.chips.astype(complex), periods), mseq.chip_period_s)
+    x = ComplexSignal(np.tile(mseq.chips.astype(complex), periods))
     gains = np.repeat(np.asarray(amplitudes, dtype=complex)[:, None], n, axis=1)
-    received = apply_channel(x, CIRMatrix(gains, mseq.chip_period_s, tuple(delays)))
+    received = apply_channel(x, CIRMatrix(gains, tuple(delays)))
     return add_awgn(received, snr_db, seed=seed)
 
 

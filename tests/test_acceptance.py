@@ -126,7 +126,7 @@ def test_criterion_4_dpss_bem():
     coeffs = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
     gains = coeffs @ basis.sequences
     frame = random_frame(n, seed=41)
-    rx = apply_channel(frame, CIRMatrix(gains, 1e-5, (0,)))
+    rx = apply_channel(frame, CIRMatrix(gains, (0,)))
     est = bem_ls_estimate(rx, frame.samples, (0,), basis)
     nmse = np.sum(np.abs(est.gains - gains) ** 2) / np.sum(np.abs(gains) ** 2)
     assert nmse < 1e-14

@@ -109,6 +109,12 @@ class TestDatasetCommand:
         assert key in err
         assert not out.exists()
 
+    def test_unknown_sim_key_quotes_the_whole_path(self, tmp_path, capsys):
+        # it read "unknown key sim.'seed'"
+        cfg = _write_cfg(tmp_path, "c.json", {"sim": {"seed": 1}})
+        assert run(["dataset", "--config", cfg, "--output", str(tmp_path / "x.txt")]) == 1
+        assert capsys.readouterr().err.rstrip().endswith("unknown key 'sim.seed'")
+
     @pytest.mark.parametrize("payload, field", [
         ({"scenario_labels": [True]}, "scenario_labels"),
         ({"snr_list_db": ["noiseless", True]}, "snr_list_db"),
@@ -164,6 +170,11 @@ class TestDatasetCommand:
             names = [b["library"] for b in manifest["blas"]]
             assert len(names) == 2 and all(n.startswith("libscipy_openblas") for n in names)
             assert sum("openblas64_" in n for n in names) == 1
+
+    def test_negative_master_seed_still_runs(self, tmp_path):
+        cfg = _write_cfg(tmp_path, "ds.json", TINY_DATASET_CFG)
+        assert run(["dataset", "--config", cfg, "--seed", "-1",
+                    "--output", str(tmp_path / "d.txt")]) == 0
 
     def test_seed_flag_overrides(self, tmp_path):
         out1, cfg = _make_dataset(tmp_path, name="a.txt")
@@ -307,15 +318,19 @@ class TestEvalCommand:
 
 class TestSignalFiles:
     def test_round_trip(self, tmp_path):
-        sig = ComplexSignal(np.array([1 + 2j, -0.25 - 1e-9j, 0j]), 1e-5)
+        sig = ComplexSignal(np.array([1 + 2j, -0.25 - 1e-9j, 0j]))
         path = tmp_path / "sig.txt"
         write_signal_file(path, sig)
         back = read_signal_file(path)
         assert np.array_equal(back.samples, sig.samples)
-        assert back.sample_period_s == sig.sample_period_s
+
+    def test_hand_written_grid_rate_reads(self, tmp_path):
+        path = tmp_path / "sig.txt"
+        path.write_text("# chanident-signal v1 sample_rate_hz=100000 count=1\n1.0 -2.0\n")
+        assert read_signal_file(path).samples.tolist() == [1 - 2j]
 
     def test_truncated_file_byte_offset(self, tmp_path, capsys):
-        sig = ComplexSignal(np.ones(10), 1e-5)
+        sig = ComplexSignal(np.ones(10))
         path = tmp_path / "sig.txt"
         write_signal_file(path, sig)
         data = path.read_bytes()
@@ -329,12 +344,20 @@ class TestSignalFiles:
         with pytest.raises(cli.CliError, match="header"):
             read_signal_file(path)
 
-    @pytest.mark.parametrize("rate", ["0.0", "-1e5", "inf", "nan"])
+    @pytest.mark.parametrize("rate", ["0.0", "-1e5", "inf", "nan", "2e5"])
     def test_rate_not_finite_positive_rejected(self, tmp_path, rate):
         path = tmp_path / "sig.txt"
         path.write_text(f"# chanident-signal v1 sample_rate_hz={rate} count=1\n1.0 0.0\n")
-        with pytest.raises(cli.CliError, match=r"byte 0: sample_rate_hz must be finite and > 0"):
+        with pytest.raises(cli.CliError, match=r"byte 0: sample_rate_hz must be 100000, "):
             read_signal_file(path)
+
+
+def _set_rate(path, rate: str) -> None:
+    """Rewrite the rate in the header of the signal file at ``path``."""
+    header, rest = Path(path).read_text().split("\n", 1)
+    fields = [f"sample_rate_hz={rate}" if f.startswith("sample_rate_hz=") else f
+              for f in header.split(" ")]
+    Path(path).write_text(" ".join(fields) + "\n" + rest)
 
 
 class TestSoundCommand:
@@ -423,6 +446,16 @@ class TestSoundCommand:
         assert not out.exists()
         assert not (tmp_path / "sounding.json.manifest.json").exists()
 
+    def test_probe_off_the_grid_rate_refused(self, tmp_path, capsys):
+        # a 200 kHz probe printed delay unit 2 as 10.0 us; features read it as 20 us
+        probe = self._probe_file(tmp_path, [1.0, 0.5j], [0, 2])
+        _set_rate(probe, "200000.0")
+        out = tmp_path / "sounding.json"
+        assert run(["sound", "--signal", probe, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"chanident sound: {probe}: byte 0: sample_rate_hz must be 100000")
+        assert not out.exists()
+
     def test_truncated_signal_file(self, tmp_path, capsys):
         probe = self._probe_file(tmp_path, [1.0], [0])
         data = open(probe, "rb").read()
@@ -457,9 +490,21 @@ class TestEstimateCommand:
         row0 = np.array([float(lines[1].split()[0]), float(lines[1].split()[1])])
         assert abs(complex(row0[0], row0[1]) - cir.gains[0, 0]) < 0.2
 
+    def test_frame_off_the_grid_rate_refused(self, tmp_path, capsys):
+        # a frame at another rate than the received signal was taken silently
+        write_signal_file(tmp_path / "rx.txt", random_frame(512, seed=2))
+        write_signal_file(tmp_path / "frame.txt", random_frame(512, seed=2))
+        _set_rate(tmp_path / "frame.txt", "200000.0")
+        out = tmp_path / "cir.txt"
+        assert run(["estimate", "--signal", str(tmp_path / "rx.txt"),
+                    "--frame", str(tmp_path / "frame.txt"), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"chanident estimate: {tmp_path / 'frame.txt'}: byte 0: sample_rate_hz must be 100000")
+        assert not out.exists()
+
     def test_length_mismatch_fails(self, tmp_path, capsys):
-        write_signal_file(tmp_path / "rx.txt", ComplexSignal(np.ones(8), 1e-5))
-        write_signal_file(tmp_path / "fr.txt", ComplexSignal(np.ones(9), 1e-5))
+        write_signal_file(tmp_path / "rx.txt", ComplexSignal(np.ones(8)))
+        write_signal_file(tmp_path / "fr.txt", ComplexSignal(np.ones(9)))
         rc = run(["estimate", "--signal", str(tmp_path / "rx.txt"),
                   "--frame", str(tmp_path / "fr.txt"),
                   "--output", str(tmp_path / "o.txt")])
@@ -470,7 +515,7 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("grid", [[0.7, True, 2.9], [[1]], [0, "1"], [0, 1.0], [False]])
     def test_delay_grid_entries_must_be_integers(self, tmp_path, capsys, grid):
         # int() turned [0.7, true, 2.9] into delays 0, 1, 2; [[1]] was a TypeError
-        write_signal_file(tmp_path / "rx.txt", ComplexSignal(np.ones(64), 1e-5))
+        write_signal_file(tmp_path / "rx.txt", ComplexSignal(np.ones(64)))
         cfg = _write_cfg(tmp_path, "est.json", {"delay_grid": grid})
         out = tmp_path / "cir.txt"
         assert run(["estimate", "--signal", str(tmp_path / "rx.txt"),
@@ -543,21 +588,34 @@ EDGE_VALUES = [0, 1, -1, 2, 0.5, -0.5, float("nan"), float("inf"), float("-inf")
                [], [-1], [0, 0], [1.5], [100000]]
 
 
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A dataset file of TINY_DATASET_CFG's two records."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    return _make_dataset(tmp)[0]
+
+
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=json.dumps)
 @pytest.mark.parametrize("command, key", [
     ("dataset", "sim.normalized_doppler"), ("dataset", "snr_list_db"),
+    ("dataset", "scenario_labels"),
     ("estimate", "normalized_doppler"), ("estimate", "delay_grid"),
-    ("simulate", "normalized_doppler"),
+    ("simulate", "normalized_doppler"), ("simulate", "seed"),
+    ("train", "seed"), ("train", "init_seed"),
 ])
-def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, command, key, value):
+def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, tiny_dataset,
+                                                      command, key, value):
     section, _, leaf = key.rpartition(".")
-    base = {"dataset": TINY_DATASET_CFG, "estimate": {}, "simulate": {"n_samples": 64}}
+    base = {"dataset": TINY_DATASET_CFG, "estimate": {}, "simulate": {"n_samples": 64},
+            "train": FAST_TRAIN_CFG}
     payload = dict(base[command], **({section: {leaf: value}} if section else {leaf: value}))
     cfg = _write_cfg(tmp_path, "c.json", payload)
     files = []
     if command == "estimate":
         write_signal_file(tmp_path / "frame.txt", random_frame(512, seed=2))
         files = ["--signal", str(tmp_path / "frame.txt"), "--frame", str(tmp_path / "frame.txt")]
+    elif command == "train":
+        files = ["--dataset", tiny_dataset]
     out = tmp_path / "out.txt"
     rc = run([command, "--config", cfg, *files, "--output", str(out)])
     err = capsys.readouterr().err

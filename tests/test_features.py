@@ -15,7 +15,7 @@ from chanident.simulate import CIRMatrix, SimConfig, add_awgn, apply_channel, ge
 
 
 def _estimate_from(gains):
-    return CIRMatrix(gains, 1e-5, tuple(range(gains.shape[0])))
+    return CIRMatrix(gains, tuple(range(gains.shape[0])))
 
 
 def _full_grid_cir(label, n, seed):
@@ -98,7 +98,7 @@ class TestDelayGrid:
 
     def test_taps_land_on_their_rows_in_any_order(self):
         gains = np.stack([np.full(400, 0.73 + 0j), np.full(400, 1.3 + 0j)])
-        d = build_ddpdp(CIRMatrix(gains, 1e-5, (9, 2)))
+        d = build_ddpdp(CIRMatrix(gains, (9, 2)))
         assert d.bins.shape == (MAX_DELAY_UNITS, ENVELOPE_BINS)
         assert d.bins[9, 146] == 1.0 and d.bins[2, 260] == 1.0
         others = [r for r in range(MAX_DELAY_UNITS) if r not in (2, 9)]
@@ -108,7 +108,7 @@ class TestDelayGrid:
     def test_delays_off_the_grid_or_repeated_rejected(self, delays):
         gains = np.ones((len(delays), 400), dtype=complex)
         with pytest.raises(ValueError, match=re.escape(f"delay units {list(delays)}")):
-            build_ddpdp(CIRMatrix(gains, 1e-5, delays))
+            build_ddpdp(CIRMatrix(gains, delays))
 
 
 class TestFlatten:

@@ -21,3 +21,14 @@ def test_pipeline_and_cli_import_no_heavy_scipy_modules():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_only_profiles_and_the_cli_name_the_sample_period():
+    # One sample per delay unit: profiles holds the grid and the CLI's signal
+    # files carry it; no signal, channel or sequence keeps a copy.
+    package = Path(chanident.__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert sorted(name for name, text in sources.items()
+                  if "SAMPLE_PERIOD_S" in text) == ["cli.py", "profiles.py"]
+    assert [name for name, text in sources.items()
+            if "sample_period_s" in text or "chip_period_s" in text] == []

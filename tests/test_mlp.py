@@ -280,8 +280,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
 
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            TrainConfig(seed=-1)
+
     def test_accepts_the_edges(self):
-        TrainConfig(plateau_patience=1, plateau_rel_tol=0.0)
+        TrainConfig(plateau_patience=1, plateau_rel_tol=0.0, seed=0)
         TrainConfig(plateau_rel_tol=0.999)
 
 

@@ -7,6 +7,7 @@ from _oracles import static_probe
 from chanident import pipeline
 from chanident.errors import InvalidSplitError, NoChannelDetectedError
 from chanident.features import FEATURE_LENGTH, FeatureVector
+from chanident.mlp import TrainConfig
 from chanident.mseq import generate_mseq
 from chanident.pipeline import (DATASET_FORMAT, DatasetRecord, DatasetSpec, derive_seed,
                                 evaluate, generate_records, read_dataset, sound_and_profile,
@@ -64,6 +65,12 @@ class TestDatasetSpec:
             DatasetSpec(scenario_labels=(1, 1))
         with pytest.raises(ValueError, match="snr_list_db entries must be unique"):
             DatasetSpec(snr_list_db=(None, 10, 10.0))
+
+    @pytest.mark.parametrize("key", ["scenario_labels", "snr_list_db"])
+    def test_rejects_empty_list_by_name(self, key):
+        # an empty list wrote a dataset of 0 records
+        with pytest.raises(ValueError, match=f"^{key} must not be empty"):
+            DatasetSpec(**{key: ()})
 
     @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
     def test_rejects_snr_not_finite(self, snr):
@@ -278,6 +285,11 @@ class TestSplit:
         assert not test
 
 
+def test_train_classifier_rejects_negative_init_seed_by_name():
+    with pytest.raises(ValueError, match="^init_seed must be >= 0"):
+        pipeline.train_classifier([_synthetic_record(1, None)], (4,), TrainConfig(), -1)
+
+
 class TestEvaluate:
     def _grouped(self, labels=(1, 2, 3, 4, 5, 6), snrs=(0.0, 10.0), per=3):
         return {s: [_synthetic_record(l, s, i) for l in labels for i in range(per)]
@@ -364,7 +376,7 @@ class TestSoundAndProfile:
         n = 4 * self.MSEQ.period
         for _ in range(100):
             noise = np.sqrt(10 / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            probe = ComplexSignal(noise, self.MSEQ.chip_period_s)
+            probe = ComplexSignal(noise)
             try:
                 sound_and_profile(probe, self.MSEQ)
             except NoChannelDetectedError:

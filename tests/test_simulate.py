@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import j0
 from scipy.stats import chi2
 
-from chanident.modulation import random_frame
-from chanident.mseq import generate_mseq
+from chanident.mseq import MSequence
 from chanident.profiles import (DELAY_UNIT_US, SAMPLE_PERIOD_S, DopplerSpectrum,
                                 ScenarioProfile, load_profile)
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _grid_mass,
@@ -41,11 +40,15 @@ class TestSimConfig:
         # the symbol rate, samples per symbol and seed changed no record
         assert [f.name for f in fields(SimConfig)] == ["normalized_doppler"]
 
+    @pytest.mark.parametrize("cls, names", [
+        (ComplexSignal, ["samples"]), (CIRMatrix, ["gains", "delay_units"]),
+        (MSequence, ["chips"]),
+    ])
+    def test_signals_carry_no_sample_period(self, cls, names):
+        # one sample per delay unit: the grid is profiles', not each value's
+        assert [f.name for f in fields(cls)] == names
+
     def test_one_sample_per_delay_unit(self):
-        cir = generate_fading(load_profile(1), 8, SimConfig(), seed=0)
-        assert cir.sample_period_s == SAMPLE_PERIOD_S == 1e-5
-        assert random_frame(8, seed=0).sample_period_s == SAMPLE_PERIOD_S
-        assert generate_mseq(3).chip_period_s == SAMPLE_PERIOD_S
         assert SAMPLE_PERIOD_S * 1e6 == pytest.approx(DELAY_UNIT_US, rel=1e-15)
 
 
@@ -166,6 +169,11 @@ class TestGenerateFading:
         with pytest.raises(ValueError):
             generate_fading(load_profile(1), 0, SimConfig(), seed=0)
 
+    def test_rejects_negative_seed_by_name(self):
+        # numpy's "expected non-negative integer" named no key
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            generate_fading(load_profile(1), 8, SimConfig(), seed=-1)
+
 
 class TestBandDraw:
     """The random stream: each tap takes 2m normals for the m bins where its
@@ -247,30 +255,30 @@ class TestBandDraw:
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        x = ComplexSignal(np.arange(8) + 1j, 1e-5)
-        cir = CIRMatrix(np.ones((1, 8)), 1e-5, (0,))
+        x = ComplexSignal(np.arange(8) + 1j)
+        cir = CIRMatrix(np.ones((1, 8)), (0,))
         y = apply_channel(x, cir)
         assert np.array_equal(y.samples, x.samples)
 
     def test_pure_delay(self):
-        x = ComplexSignal(np.arange(1, 9, dtype=float), 1e-5)
-        cir = CIRMatrix(np.ones((1, 8)), 1e-5, (3,))
+        x = ComplexSignal(np.arange(1, 9, dtype=float))
+        cir = CIRMatrix(np.ones((1, 8)), (3,))
         y = apply_channel(x, cir)
         assert np.array_equal(y.samples[:3], np.zeros(3))
         assert np.array_equal(y.samples[3:], x.samples[:5])
 
     def test_two_tap_impulse_response(self):
         # hand convolution: taps (1, 0.5j) at delays (0, 2), unit impulse in
-        x = ComplexSignal(np.eye(1, 6, 0).ravel(), 1e-5)
+        x = ComplexSignal(np.eye(1, 6, 0).ravel())
         gains = np.vstack([np.ones(6), 0.5j * np.ones(6)])
-        cir = CIRMatrix(gains, 1e-5, (0, 2))
+        cir = CIRMatrix(gains, (0, 2))
         y = apply_channel(x, cir)
         expected = np.array([1, 0, 0.5j, 0, 0, 0], dtype=complex)
         assert np.allclose(y.samples, expected, atol=1e-15)
 
     def test_length_mismatch_raises(self):
-        x = ComplexSignal(np.ones(8), 1e-5)
-        cir = CIRMatrix(np.ones((1, 9)), 1e-5, (0,))
+        x = ComplexSignal(np.ones(8))
+        cir = CIRMatrix(np.ones((1, 9)), (0,))
         with pytest.raises(ValueError, match="length"):
             apply_channel(x, cir)
 
@@ -289,37 +297,37 @@ class TestApplyChannel:
             + 1j * rng.standard_normal(len(x[:-spacing:spacing]))
         gains_const = rng.standard_normal(len(delays)) + 1j * rng.standard_normal(len(delays))
         gains = np.repeat(gains_const[:, None], n, axis=1)
-        sig = ComplexSignal(x, 1e-5)
-        out = apply_channel(sig, CIRMatrix(gains, 1e-5, tuple(delays)))
+        sig = ComplexSignal(x)
+        out = apply_channel(sig, CIRMatrix(gains, tuple(delays)))
         expected = np.sum(np.abs(gains_const) ** 2) * sig.power()
         assert out.power() == pytest.approx(expected, rel=1e-9)
 
 
 class TestAddAwgn:
     def test_noiseless_returns_input(self):
-        x = ComplexSignal(np.ones(16), 1e-5)
+        x = ComplexSignal(np.ones(16))
         assert add_awgn(x, None, seed=1) is x
 
     def test_0db_noise_power(self):
         rng = np.random.default_rng(0)
-        x = ComplexSignal(rng.standard_normal(100_000) + 0j, 1e-5)
+        x = ComplexSignal(rng.standard_normal(100_000) + 0j)
         y = add_awgn(x, 0.0, seed=2)
         noise_p = np.mean(np.abs(y.samples - x.samples) ** 2)
         assert noise_p == pytest.approx(x.power(), rel=0.01)
 
     def test_40db_noise_variance(self):
-        x = ComplexSignal(np.ones(100_000), 1e-5)  # unit power
+        x = ComplexSignal(np.ones(100_000))  # unit power
         y = add_awgn(x, 40.0, seed=3)
         noise_p = np.mean(np.abs(y.samples - x.samples) ** 2)
         assert noise_p == pytest.approx(1e-4, rel=0.05)
 
     def test_zero_power_signal_rejected(self):
-        x = ComplexSignal(np.zeros(64), 1e-5)
+        x = ComplexSignal(np.zeros(64))
         with pytest.raises(ValueError, match="zero-power"):
             add_awgn(x, 10.0, seed=0)
 
     def test_deterministic(self):
-        x = ComplexSignal(np.ones(128), 1e-5)
+        x = ComplexSignal(np.ones(128))
         a = add_awgn(x, 5.0, seed=9)
         b = add_awgn(x, 5.0, seed=9)
         assert np.array_equal(a.samples, b.samples)
@@ -328,17 +336,12 @@ class TestAddAwgn:
 class TestComplexSignal:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            ComplexSignal(np.array([1.0, np.nan]), 1e-5)
+            ComplexSignal(np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="finite"):
-            ComplexSignal(np.array([1.0, np.inf * 1j]), 1e-5)
-
-    @pytest.mark.parametrize("period", [0.0, np.nan, np.inf, -np.inf])
-    def test_rejects_sample_period_not_finite_positive(self, period):
-        with pytest.raises(ValueError, match="sample_period_s must be finite and > 0"):
-            ComplexSignal(np.ones(4), period)
+            ComplexSignal(np.array([1.0, np.inf * 1j]))
 
     def test_samples_read_only(self):
-        sig = ComplexSignal(np.ones(4), 1e-5)
+        sig = ComplexSignal(np.ones(4))
         with pytest.raises(ValueError):
             sig.samples[0] = 0
 
@@ -349,6 +352,6 @@ class TestCIRMatrix:
             gains = np.ones((2, 4), dtype=complex)
             gains[1, 2] = bad
             with pytest.raises(ValueError, match="finite"):
-                CIRMatrix(gains, 1e-5, (0, 3))
+                CIRMatrix(gains, (0, 3))
             with pytest.raises(ValueError, match="finite"):
-                CIRMatrix._adopt(gains, 1e-5, (0, 3))
+                CIRMatrix._adopt(gains, (0, 3))

@@ -111,7 +111,7 @@ def _single_tap_profile():
 
 def _received(gains, frame, snr_db=None, seed=0):
     n = gains.shape[1]
-    cir = CIRMatrix(gains, 1e-5, tuple(range(gains.shape[0])))
+    cir = CIRMatrix(gains, tuple(range(gains.shape[0])))
     rx = apply_channel(frame, cir)
     return add_awgn(rx, snr_db, seed=seed)
 
@@ -196,7 +196,7 @@ class TestBemLs:
         frame = random_frame(n, seed=8)
         basis = generate_dpss(n, 0.05, 8)  # 10 observations < 2 x 8 unknowns
         with pytest.raises(IdentifiabilityError, match="2 delays x 8"):
-            bem_ls_estimate(ComplexSignal(np.ones(n), 1e-5), frame.samples, (0, 1), basis)
+            bem_ls_estimate(ComplexSignal(np.ones(n)), frame.samples, (0, 1), basis)
 
 
 class TestWindowedEstimation:
@@ -232,7 +232,7 @@ class TestWindowedEstimation:
         frame = random_frame(n, seed=42)
         gains_full = np.zeros((4, n), dtype=complex)
         gains_full[0], gains_full[2] = true.gains[0], true.gains[1]
-        cir = CIRMatrix(gains_full, 1e-5, (0, 1, 2, 3))
+        cir = CIRMatrix(gains_full, (0, 1, 2, 3))
         rx = add_awgn(apply_channel(frame, cir), 30.0, seed=43)
         est = estimate_cir_windowed(rx, frame.samples, (0, 1, 2, 3), nu, window_len=512)
         err = np.sum(np.abs(est.gains[[0, 2]] - gains_full[[0, 2]]) ** 2)
@@ -251,14 +251,14 @@ class TestWindowedEstimation:
         delays = profile.delay_units[::-1]
         est = estimate_cir_windowed(rx, frame.samples, delays, cfg.doppler_per_sample)
         assert est.delay_units == delays
-        assert est.gains.shape == (len(delays), n) and est.sample_period_s == rx.sample_period_s
+        assert est.gains.shape == (len(delays), n)
         assert est.gains.flags.c_contiguous and not est.gains.flags.writeable
 
     def test_silent_frame_is_singular(self):
         # An all-zero frame gives a zero Gram matrix, which has no Cholesky
         # factor; the error names the window whose fit failed.
         n = 1024
-        rx = ComplexSignal(np.ones(n, dtype=complex), 1e-5)
+        rx = ComplexSignal(np.ones(n, dtype=complex))
         with pytest.raises(IdentifiabilityError,
                            match=r"^window \[0, 512\): normal equations singular "
                                  r"for 2 delays x \d+ basis terms from 512 observations$"):

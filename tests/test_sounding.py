@@ -29,12 +29,12 @@ class TestEstimateOrder:
         assert est.peak_lags == (0, 3, 7, 11)
 
     def test_all_zero_probe_rejected(self):
-        received = ComplexSignal(np.zeros(2 * N), MSEQ.chip_period_s)
+        received = ComplexSignal(np.zeros(2 * N))
         with pytest.raises(InsufficientSignalError):
             estimate_order(received, MSEQ)
 
     def test_short_probe_rejected(self):
-        received = ComplexSignal(np.ones(N - 1), MSEQ.chip_period_s)
+        received = ComplexSignal(np.ones(N - 1))
         with pytest.raises(ValueError, match="period"):
             estimate_order(received, MSEQ)
 
@@ -63,20 +63,20 @@ class TestEstimateOrder:
     def test_noise_only_probe_rejected(self):
         rng = np.random.default_rng(8)
         noise = rng.standard_normal(4 * N) + 1j * rng.standard_normal(4 * N)
-        received = ComplexSignal(noise, MSEQ.chip_period_s)
+        received = ComplexSignal(noise)
         with pytest.raises(InsufficientSignalError):
             estimate_order(received, MSEQ)
 
 
 class TestProbeSpectrum:
     def test_identity_channel_matches_local(self):
-        received = ComplexSignal(MSEQ.chips.astype(complex), MSEQ.chip_period_s)
+        received = ComplexSignal(MSEQ.chips.astype(complex))
         freq = probe_spectrum(received, MSEQ)
         assert np.allclose(freq.R, freq.M_diag)
 
     def test_shift_theorem(self):
         d = 9
-        received = ComplexSignal(np.roll(MSEQ.chips, d).astype(complex), MSEQ.chip_period_s)
+        received = ComplexSignal(np.roll(MSEQ.chips, d).astype(complex))
         freq = probe_spectrum(received, MSEQ)
         k = freq.k_grid()
         assert np.allclose(freq.R, freq.M_diag * np.exp(-2j * np.pi * k * d / N))
@@ -84,12 +84,12 @@ class TestProbeSpectrum:
     def test_parseval(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        freq = probe_spectrum(ComplexSignal(x, MSEQ.chip_period_s), MSEQ)
+        freq = probe_spectrum(ComplexSignal(x), MSEQ)
         assert np.sum(np.abs(x) ** 2) == pytest.approx(np.sum(np.abs(freq.R) ** 2) / N)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="period"):
-            probe_spectrum(ComplexSignal(np.ones(N + 1), 1e-5), MSEQ)
+            probe_spectrum(ComplexSignal(np.ones(N + 1)), MSEQ)
 
 
 def _freq_for(amplitudes, delays, snr_db=None, seed=0):
