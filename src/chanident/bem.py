@@ -160,6 +160,18 @@ def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
     return CIRMatrix._adopt(coeffs @ basis.sequences, delays)
 
 
+def window_plan(n: int, window_len: int,
+                normalized_doppler: float) -> list[tuple[int, int, int]]:
+    """The windows ``estimate_cir_windowed`` fits over ``n`` samples, as
+    (start, stop, basis size): ``window_len`` samples each, with a tail
+    shorter than half a window merged into the last one."""
+    starts = list(range(0, n, window_len))
+    if len(starts) > 1 and n - starts[-1] < window_len // 2:
+        starts.pop()
+    return [(w0, w1, min(basis_dimension(normalized_doppler, w1 - w0), w1 - w0))
+            for w0, w1 in zip(starts, starts[1:] + [n])]
+
+
 @_blas.single_thread()
 def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid,
                           normalized_doppler: float,
@@ -179,14 +191,10 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
         raise ValueError("window_len must be >= 2")
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
-    starts = list(range(0, n, window_len))
-    if len(starts) > 1 and n - starts[-1] < window_len // 2:
-        starts.pop()  # merge short tail into the previous window
     shifts = _shifted_frame(frame, delays)
     gains = np.empty((len(delays), n), dtype=np.complex128)  # windows cover [0, n)
-    for w0, w1 in zip(starts, starts[1:] + [n]):
+    for w0, w1, count in window_plan(n, window_len, normalized_doppler):
         wlen = w1 - w0
-        count = min(basis_dimension(normalized_doppler, wlen), wlen)
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
         coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")

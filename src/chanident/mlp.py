@@ -1,6 +1,9 @@
 """From-scratch multilayer perceptron: tanh on every layer (output included),
 mean-squared-error loss against {0,1} one-hot targets, mini-batch gradient
 descent with momentum.  Everything is plain numpy and deterministic per seed.
+
+Training steps the first layer in the row space of the training set, as
+``W0 = W0_init + C X`` with one coefficient per training row (see ``train``).
 """
 
 from __future__ import annotations
@@ -81,63 +84,74 @@ def init_mlp(layer_sizes, seed: int) -> MLPParams:
     return MLPParams(sizes, weights, biases)
 
 
-def _forward_batch(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
-    acts = [x]
-    a = x
-    for w, b in zip(params.weights, params.biases):
-        a = np.tanh(a @ w.T + b)
-        acts.append(a)
+def _activations(params: MLPParams, z0: np.ndarray) -> list[np.ndarray]:
+    """The outputs of every layer, given the first layer's pre-activation."""
+    acts = [np.tanh(z0)]
+    for w, b in zip(params.weights[1:], params.biases[1:]):
+        acts.append(np.tanh(acts[-1] @ w.T + b))
     return acts
+
+
+def _output(params: MLPParams, x: np.ndarray) -> np.ndarray:
+    return _activations(params, x @ params.weights[0].T + params.biases[0])[-1]
 
 
 def forward(params: MLPParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.layer_sizes[0],):
         raise ValueError(f"input length {x.shape} != {params.layer_sizes[0]}")
-    return _forward_batch(params, x[None, :])[-1][0]
+    return _output(params, x[None, :])[0]
 
 
 def batch_loss(params: MLPParams, x: np.ndarray, t: np.ndarray) -> float:
-    out = _forward_batch(params, x)[-1]
-    return float(np.mean((out - t) ** 2))
+    return float(np.mean((_output(params, x) - t) ** 2))
 
 
-def _loss_and_gradients(params: MLPParams, x: np.ndarray, t: np.ndarray,
-                        grad_w: list[np.ndarray], grad_b: list[np.ndarray]) -> float:
-    """Batch loss; writes dloss/dW[h] and dloss/dB[h] into the caller's
-    buffers ``grad_w[h]`` and ``grad_b[h]`` (shaped like the parameters)."""
-    acts = _forward_batch(params, x)
+def _backprop(params: MLPParams, z0: np.ndarray, t: np.ndarray):
+    """Backpropagation from the first layer's pre-activation ``z0``.
+
+    Returns the batch loss, delta1 = dloss/dz0, the gradients dloss/dW[h]
+    of the layers h >= 1 and dloss/dB[h] of every layer.  The first layer's
+    weight gradient is delta1^T x, which the caller forms from its own
+    inputs.
+    """
+    acts = _activations(params, z0)
     out = acts[-1]
     loss = float(np.mean((out - t) ** 2))
     scale = 2.0 / out.size
     delta = scale * (out - t) * (1.0 - out ** 2)
-    for h in range(len(params.weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[h], out=grad_w[h])
-        np.sum(delta, axis=0, out=grad_b[h])
-        if h:
-            delta = (delta @ params.weights[h]) * (1.0 - acts[h] ** 2)
-    return loss
+    grad_w = [None] * (len(params.weights) - 1)
+    grad_b = [None] * len(params.biases)
+    for h in range(len(params.weights) - 1, 0, -1):
+        grad_w[h - 1] = delta.T @ acts[h - 1]
+        grad_b[h] = delta.sum(axis=0)
+        delta = (delta @ params.weights[h]) * (1.0 - acts[h - 1] ** 2)
+    grad_b[0] = delta.sum(axis=0)
+    return loss, delta, grad_w, grad_b
 
 
-def gradients(params: MLPParams, x: np.ndarray, t: np.ndarray):
-    """Analytic gradient of the mean-over-batch-and-output MSE loss."""
+def _check_batch(params: MLPParams, x, t) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``t`` as 2-D float arrays, refused unless they are a
+    non-empty, finite batch of inputs and targets that fits the network."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(t, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    if x.shape[1] != params.layer_sizes[0] or t.shape[1] != params.layer_sizes[-1]:
+    if (x.ndim != 2 or t.ndim != 2 or x.shape[1] != params.layer_sizes[0]
+            or t.shape[1] != params.layer_sizes[-1]):
         raise ValueError("batch dimensions do not match the network")
     if x.shape[0] != t.shape[0]:
         raise ValueError("inputs and targets must pair up")
-    dw = [np.empty_like(w) for w in params.weights]
-    db = [np.empty_like(b) for b in params.biases]
-    _loss_and_gradients(params, x, t, dw, db)
-    return dw, db
+    if not (np.isfinite(x).all() and np.isfinite(t).all()):
+        raise ValueError("inputs and targets must be finite")
+    return x, t
 
 
-# Elements per block of the momentum update: 256 KB of float64, so the
-# block's four passes over weight, velocity and gradient stay in a 2 MB L2.
-_UPDATE_BLOCK = 32 * 1024
+def gradients(params: MLPParams, x: np.ndarray, t: np.ndarray):
+    """Analytic gradient of the mean-over-batch-and-output MSE loss."""
+    x, t = _check_batch(params, x, t)
+    _, delta, grad_w, grad_b = _backprop(params, x @ params.weights[0].T + params.biases[0], t)
+    return [delta.T @ x] + grad_w, grad_b
 
 
 def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
@@ -145,26 +159,32 @@ def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
     """Mini-batch gradient descent with momentum; returns fresh parameters.
 
     Each step computes ``v = momentum * v - learning_rate * g; p += v`` for
-    every weight and bias array, in place and one cache-sized block at a
-    time: the same operations in the same order, so the same bits, as the
-    textbook expression, without allocating arrays of weight size.
+    every weight and bias array.  The first layer is kept in coefficient
+    form, ``W0 = W0_init + C X``, with ``X`` the n x d training matrix and
+    ``C`` an h1 x n coefficient matrix with its own velocity: every
+    gradient delta1^T x[idx] is a combination of training rows, so the
+    step on ``W0`` is the step on ``C`` with delta1^T written into the
+    batch's columns ``idx`` (a batch is a slice of a permutation, so the
+    columns are distinct).  The pre-activation x[idx] W0^T is then
+    ``H[idx] + K[idx] C^T`` from ``H = X W0_init^T`` and the Gram matrix
+    ``K = X X^T``, both computed once, and ``W0`` is formed once at the
+    end.  The parameters are those of the direct form in real arithmetic;
+    only the rounding differs.
+
+    A step costs O(batch * n * h1) for the first layer, against
+    O(batch * d * h1) for the direct form, and holds the n x n Gram matrix
+    in memory.  A training set with more rows than the input is wide
+    (n > d) therefore costs more per step than the direct form would.
     """
-    x = np.asarray(features, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or len(x) == 0:
-        raise ValueError("dataset must be a non-empty 2-D feature array")
-    if len(x) != len(t):
-        raise ValueError("features and targets must pair up")
+    x, t = _check_batch(params, features, targets)
     p = params.copy()
-    grad_w = [np.empty_like(w) for w in p.weights]
-    grad_b = [np.empty_like(b) for b in p.biases]
-    # (parameter, velocity, gradient) views of at most _UPDATE_BLOCK elements
-    blocks = []
-    for param, grad in zip(p.weights + p.biases, grad_w + grad_b):
-        flat_p, flat_v, flat_g = param.reshape(-1), np.zeros(param.size), grad.reshape(-1)
-        for lo in range(0, param.size, _UPDATE_BLOCK):
-            blk = slice(lo, lo + _UPDATE_BLOCK)
-            blocks.append((flat_p[blk], flat_v[blk], flat_g[blk]))
+    w0_init = p.weights[0]
+    h_init = x @ w0_init.T
+    gram = x @ x.T
+    coef = np.zeros((w0_init.shape[0], len(x)))
+    coef_velocity = np.zeros_like(coef)
+    rest = p.weights[1:] + p.biases
+    velocities = [np.zeros_like(a) for a in rest]
     rng = np.random.default_rng(config.seed)
     losses = []
     best = np.inf
@@ -176,12 +196,17 @@ def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
         epoch_losses = []
         for lo in range(0, len(x), config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            epoch_losses.append(_loss_and_gradients(p, x[idx], t[idx], grad_w, grad_b))
-            for w, v, g in blocks:
+            z0 = h_init[idx] + gram[idx] @ coef.T + p.biases[0]
+            loss, delta, grad_w, grad_b = _backprop(p, z0, t[idx])
+            epoch_losses.append(loss)
+            coef_velocity *= config.momentum
+            coef_velocity[:, idx] -= config.learning_rate * delta.T
+            coef += coef_velocity
+            for a, v, g in zip(rest, velocities, grad_w + grad_b):
                 v *= config.momentum
                 g *= config.learning_rate
                 v -= g
-                w += v
+                a += v
         loss = float(np.mean(epoch_losses))
         losses.append(loss)
         if loss < best * (1.0 - config.plateau_rel_tol):
@@ -193,7 +218,8 @@ def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
             if since_best >= config.plateau_patience:
                 stopped_on = "plateau"
                 break
-    out = _forward_batch(p, x)[-1]
+    p.weights[0] = w0_init + coef @ x
+    out = _output(p, x)
     acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(t, axis=1)))
     return p, TrainReport(tuple(losses), acc, best_epoch, stopped_on)
 

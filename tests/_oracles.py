@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 from scipy.signal import fftconvolve
 
-from chanident.mlp import MLPParams
+from chanident.mlp import MLPParams, TrainReport
 from chanident.mseq import MSequence
 from chanident.profiles import MAX_DELAY_UNITS
 from chanident.simulate import CIRMatrix, ComplexSignal, add_awgn, apply_channel
@@ -104,8 +104,8 @@ def _reference_loss_and_gradients(params: MLPParams, x: np.ndarray, t: np.ndarra
 
 def reference_train(params: MLPParams, features, targets, config):
     """Mini-batch momentum descent written as ``v = momentum * v - lr * g;
-    w += v`` with fresh arrays each step.  Returns the trained parameters,
-    the per-epoch losses and the final training accuracy."""
+    w += v`` with fresh arrays each step, every weight array stepped
+    directly.  Returns the trained parameters and their ``TrainReport``."""
     x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     p = params.copy()
@@ -114,8 +114,10 @@ def reference_train(params: MLPParams, features, targets, config):
     rng = np.random.default_rng(config.seed)
     losses = []
     best = np.inf
+    best_epoch = 0
     since_best = 0
-    for _epoch in range(config.epochs):
+    stopped_on = "epoch_limit"
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(x))
         epoch_losses = []
         for lo in range(0, len(x), config.batch_size):
@@ -132,11 +134,13 @@ def reference_train(params: MLPParams, features, targets, config):
         losses.append(loss)
         if loss < best * (1.0 - config.plateau_rel_tol):
             best = loss
+            best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.plateau_patience:
+                stopped_on = "plateau"
                 break
     out = _reference_forward_batch(p, x)[-1]
     acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(t, axis=1)))
-    return p, tuple(losses), acc
+    return p, TrainReport(tuple(losses), acc, best_epoch, stopped_on)

@@ -4,14 +4,17 @@
 and so on) with span-recording wrappers.  A refactor that stops calling one
 of them through that name leaves its layer reading 0 with no error, so this
 test runs one record under the benchmark's own wrappers and asserts that
-every layer recorded a span.  It reads ``bench/`` and changes nothing there.
+every layer recorded a span; the trainer and the model file get the same
+check.  It reads ``bench/`` and changes nothing there.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-from chanident import pipeline
+import numpy as np
+
+from chanident import mlp, pipeline
 from chanident.pipeline import DatasetSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -41,4 +44,21 @@ def test_trace_targets_resolve(monkeypatch):
                  "pipeline.add_awgn", "pipeline.generate_fading",
                  "pipeline.estimate_cir_windowed", "pipeline.build_ddpdp",
                  "bem.generate_dpss"):
+        assert name in names, f"no span named {name}; recorded {sorted(names)}"
+
+
+def test_trainer_spans_resolve(monkeypatch, tmp_path):
+    """``mlp.train.ms_per_step`` and the model-file metrics read these spans."""
+    run, tracing = _load("run", monkeypatch), _load("tracing", monkeypatch)
+    tracer = tracing.Tracer()
+    x, t = np.eye(3), np.eye(3)
+    run._traced_wrappers(tracer)
+    try:
+        params, _ = mlp.train(mlp.init_mlp((3, 4, 3), seed=0), x, t, mlp.TrainConfig(epochs=2))
+        mlp.save_mlp(params, tmp_path / "model.json")
+        mlp.load_mlp(tmp_path / "model.json")
+    finally:
+        tracer.unwrap_all()
+    names = {span.name for span in tracer.spans}
+    for name in ("mlp.train", "mlp.save_mlp", "mlp.load_mlp"):
         assert name in names, f"no span named {name}; recorded {sorted(names)}"

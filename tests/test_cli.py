@@ -598,7 +598,7 @@ def tiny_dataset(tmp_path_factory):
 @pytest.mark.parametrize("value", EDGE_VALUES, ids=json.dumps)
 @pytest.mark.parametrize("command, key", [
     ("dataset", "sim.normalized_doppler"), ("dataset", "snr_list_db"),
-    ("dataset", "scenario_labels"),
+    ("dataset", "scenario_labels"), ("dataset", "window_len"),
     ("estimate", "normalized_doppler"), ("estimate", "delay_grid"),
     ("simulate", "normalized_doppler"), ("simulate", "seed"),
     ("train", "seed"), ("train", "init_seed"),
@@ -609,6 +609,8 @@ def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, tiny_dat
     base = {"dataset": TINY_DATASET_CFG, "estimate": {}, "simulate": {"n_samples": 64},
             "train": FAST_TRAIN_CFG}
     payload = dict(base[command], **({section: {leaf: value}} if section else {leaf: value}))
+    if leaf == "window_len":
+        payload["estimation"] = "bem-ls"  # only BEM-LS fits windows
     cfg = _write_cfg(tmp_path, "c.json", payload)
     files = []
     if command == "estimate":

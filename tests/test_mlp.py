@@ -182,26 +182,54 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(p, np.zeros((0, 2)), np.zeros((0, 2)), TrainConfig())
 
+    @pytest.mark.parametrize("features, targets, message", [
+        (np.zeros((0, 2)), np.zeros((0, 2)), "batch must be non-empty"),
+        (np.ones((4, 3)), np.eye(2)[[0, 1, 0, 1]], "batch dimensions do not match"),
+        (np.ones((4, 2)), np.ones((4, 3)), "batch dimensions do not match"),
+        (np.ones((4, 2, 1)), np.eye(2)[[0, 1, 0, 1]], "batch dimensions do not match"),
+        (np.ones((4, 2)), np.eye(2)[[0, 1, 0]], "inputs and targets must pair up"),
+        (np.array([[0.0, np.nan]] * 4), np.eye(2)[[0, 1, 0, 1]], "must be finite"),
+        (np.array([[0.0, np.inf]] * 4), np.eye(2)[[0, 1, 0, 1]], "must be finite"),
+        (np.ones((4, 2)), np.array([[np.nan, 1.0]] * 4), "must be finite"),
+    ])
+    def test_refuses_what_gradients_refuses(self, features, targets, message):
+        p = init_mlp([2, 3, 2], seed=0)
+        with pytest.raises(ValueError, match=message):
+            gradients(p, features, targets)
+        with pytest.raises(ValueError, match=message):
+            train(p, features, targets, TrainConfig(epochs=2))
+
 
 # (layer sizes, vectors, config): batch of one; a partial last batch; one
-# batch larger than the set; the paper's 4800-input network, whose first
-# layer spans several update blocks; no momentum; a run the plateau stops.
+# batch larger than the set; the paper's 4800-input network, in one batch
+# and in several batches with a partial last one; no momentum; a run the
+# plateau stops.
 REFERENCE_CASES = {
     "batch1": ([5, 7, 3], 9, TrainConfig(batch_size=1, epochs=20, seed=1)),
     "partial-batch": ([5, 7, 3], 10, TrainConfig(batch_size=4, epochs=20, seed=2)),
     "batch-over-n": ([5, 7, 3], 6, TrainConfig(batch_size=32, epochs=20, seed=3)),
     "paper-network": ([4800, 64, 48, 32, 24, 6], 6,
                       TrainConfig(batch_size=6, epochs=8, seed=4)),
+    "paper-network-n120": ([4800, 64, 48, 32, 24, 6], 120,
+                           TrainConfig(batch_size=32, epochs=5, seed=10)),
     "no-momentum": ([5, 7, 3], 10, TrainConfig(batch_size=4, momentum=0.0, epochs=20,
                                                seed=5)),
     "plateau": ([2, 8, 2], 20, TrainConfig(learning_rate=0.1, epochs=2000, seed=6,
                                            plateau_patience=5, plateau_rel_tol=0.02)),
 }
 
+# train keeps the first layer as W0_init + C X, which equals the reference's
+# directly stepped W0 in real arithmetic but rounds differently.  Over these
+# cases the worst difference was 1.6e-15 of an array's largest entry and
+# 5.8e-16 of an epoch loss (numpy 2.4 with its bundled OpenBLAS).
+REL_TOL = 1e-12
+
 
 class TestTrainMatchesReference:
-    """train's in-place, blocked momentum step gives the bits of the textbook
-    loop that allocates every velocity and gradient afresh."""
+    """train's coefficient-form first layer gives the parameters and losses
+    of the textbook loop that steps every weight array directly, to
+    rounding, and the same accuracy, best epoch and stop.  The test's name
+    dates from the direct form, which matched the reference bit for bit."""
 
     @staticmethod
     def _run(case):
@@ -218,17 +246,19 @@ class TestTrainMatchesReference:
     def test_same_bits_as_reference(self, case):
         params, x, t, cfg = self._run(case)
         got, report = train(params, x, t, cfg)
-        want, losses, acc = reference_train(params, x, t, cfg)
+        want, ref = reference_train(params, x, t, cfg)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-            assert np.array_equal(a, b)
-        assert report.epoch_losses == losses
-        assert report.final_accuracy == acc
+            assert np.max(np.abs(a - b)) <= REL_TOL * np.max(np.abs(b))
+        assert len(report.epoch_losses) == len(ref.epoch_losses)
+        for a, b in zip(report.epoch_losses, ref.epoch_losses):
+            assert abs(a - b) <= REL_TOL * abs(b)
+        assert report.final_accuracy == ref.final_accuracy
+        assert report.best_epoch == ref.best_epoch
+        assert report.stopped_on == ref.stopped_on
 
     def test_cases_cover_the_edges(self):
-        from chanident.mlp import _UPDATE_BLOCK
-
-        params, _, _, _ = self._run("paper-network")
-        assert params.weights[0].size > 2 * _UPDATE_BLOCK
+        _, n, cfg = REFERENCE_CASES["paper-network-n120"]
+        assert n % cfg.batch_size and n > 2 * cfg.batch_size
         params, x, t, cfg = self._run("plateau")
         _, report = train(params, x, t, cfg)
         assert report.stopped_on == "plateau"

@@ -103,6 +103,25 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="window_len must be an int >= 2"):
             DatasetSpec(window_len=window_len)
 
+    @pytest.mark.parametrize("labels, window_len", [
+        ((1, 2, 3, 4, 5, 6), 2), ((6,), 8), ((6,), 40), ((1,), 8)])
+    def test_window_too_short_for_bem_ls_refused_by_name(self, labels, window_len):
+        with pytest.raises(ValueError, match=f"^window_len {window_len} leaves a"):
+            DatasetSpec(scenario_labels=labels, window_len=window_len)
+        # no window is fitted
+        DatasetSpec(scenario_labels=labels, window_len=window_len, estimation="oracle-cir")
+
+    def test_window_check_covers_every_window(self):
+        # 4 taps x 4 basis terms fit a 24-sample window, 12 taps need 48
+        DatasetSpec(scenario_labels=(1,), window_len=24)
+        DatasetSpec(scenario_labels=(6,), window_len=48)
+        # one window when the record is shorter: 12 x 7 = 84 unknowns in 450
+        DatasetSpec(scenario_labels=(6,), window_len=25600, samples_per_vector=450)
+        # 400 = 6 x 60 + 40: the 40-sample tail is at least half a window,
+        # so it is fitted on its own, and cannot hold 48 unknowns
+        with pytest.raises(ValueError, match="^window_len 60 leaves a 40-sample window"):
+            DatasetSpec(scenario_labels=(6,), window_len=60, samples_per_vector=400)
+
 
 def test_derive_seed_stable():
     assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
@@ -178,11 +197,14 @@ class TestGenerateRecords:
     def test_identifiability_error_carries_record_context(self):
         from chanident.errors import IdentifiabilityError
 
-        # 12-tap scenario in a 64-sample window: far fewer equations than
-        # unknowns, so the estimator must refuse and name the record
+        # 12-tap scenario in a 24-sample window: far fewer equations than
+        # unknowns, so the estimator must refuse and name the record.
+        # DatasetSpec refuses such a window itself, so the spec is altered
+        # after its checks, as a record whose fit fails all the same would be.
         spec = DatasetSpec(scenario_labels=(6,), vectors_per_condition=1,
                            snr_list_db=(10.0,), samples_per_vector=400,
-                           estimation="bem-ls", window_len=24, master_seed=5)
+                           estimation="bem-ls", master_seed=5)
+        object.__setattr__(spec, "window_len", 24)
         with pytest.raises(IdentifiabilityError, match="scenario 6, snr 10.0, index 0"):
             generate_records(spec)
 
