@@ -160,16 +160,27 @@ def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
     return CIRMatrix._adopt(coeffs @ basis.sequences, delays)
 
 
-def window_plan(n: int, window_len: int,
-                normalized_doppler: float) -> list[tuple[int, int, int]]:
+def window_plan(n: int, window_len: int, normalized_doppler: float,
+                taps: int) -> list[tuple[int, int, int]]:
     """The windows ``estimate_cir_windowed`` fits over ``n`` samples, as
     (start, stop, basis size): ``window_len`` samples each, with a tail
-    shorter than half a window merged into the last one."""
+    shorter than half a window merged into the last one.
+
+    Raises ``IdentifiabilityError`` naming ``window_len`` when a window has
+    fewer samples than the ``taps`` x basis-size unknowns of its fit.
+    """
     starts = list(range(0, n, window_len))
     if len(starts) > 1 and n - starts[-1] < window_len // 2:
         starts.pop()
-    return [(w0, w1, min(basis_dimension(normalized_doppler, w1 - w0), w1 - w0))
+    plan = [(w0, w1, min(basis_dimension(normalized_doppler, w1 - w0), w1 - w0))
             for w0, w1 in zip(starts, starts[1:] + [n])]
+    for w0, w1, count in plan:
+        if w1 - w0 < taps * count:
+            raise IdentifiabilityError(
+                f"window_len {window_len} leaves a {w1 - w0}-sample window, fewer "
+                f"observations than the {taps} taps x {count} basis terms "
+                f"= {taps * count} unknowns of BEM-LS")
+    return plan
 
 
 @_blas.single_thread()
@@ -193,7 +204,7 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
         raise ValueError(f"frame length {len(frame)} != received length {n}")
     shifts = _shifted_frame(frame, delays)
     gains = np.empty((len(delays), n), dtype=np.complex128)  # windows cover [0, n)
-    for w0, w1, count in window_plan(n, window_len, normalized_doppler):
+    for w0, w1, count in window_plan(n, window_len, normalized_doppler, len(delays)):
         wlen = w1 - w0
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
         coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,

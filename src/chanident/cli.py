@@ -1,20 +1,24 @@
 """Command-line surface.
 
-Subcommands: ``dataset``, ``train``, ``eval``, ``sound``, ``estimate``,
-``simulate``, each described once in ``_COMMANDS``.  Each takes a JSON
-config file (defaults shown by ``--print-config``) and writes its outputs
-plus a manifest recording the fully resolved configuration, output paths
-and the seconds each stage took (``timings_s``, never empty); ``sound``
-writes its result and manifest only when given ``--output``.  ``SimConfig``
-checks every ``normalized_doppler``.  Re-running a subcommand with the
-manifest's config snapshot reproduces the outputs byte for byte.
-``dataset``, ``train`` and ``simulate`` take a ``--seed`` override, and
-``dataset`` a ``--threads`` worker cap.
+Subcommands: ``dataset``, ``train``, ``eval``, ``experiment``, ``sound``,
+``estimate``, ``simulate``, each described once in ``_COMMANDS``;
+``experiment`` runs ``pipeline.run_experiment`` on the ``dataset`` and
+``train`` keys, writing the files of that chain and ``eval`` into one
+directory.  Each takes a JSON config file (defaults shown by
+``--print-config``) and writes its outputs plus a manifest recording the
+fully resolved configuration, output paths and the seconds each stage took
+(``timings_s``, never empty); ``sound`` writes its result and manifest only
+when given ``--output``.  ``SimConfig`` checks every ``normalized_doppler``.
+Re-running a subcommand with the manifest's config snapshot reproduces the
+outputs byte for byte.
+``dataset``, ``train``, ``experiment`` and ``simulate`` take a ``--seed``
+override, and ``dataset`` and ``experiment`` a ``--threads`` worker cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -22,12 +26,13 @@ import time
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _blas, pipeline, profiles
-from .bem import estimate_cir_windowed
+from .bem import DEFAULT_WINDOW_LEN, estimate_cir_windowed
 from .features import FEATURE_LENGTH, N_SCENARIOS
 from .mlp import TrainConfig, load_mlp, save_mlp
 from .mseq import generate_mseq
@@ -197,21 +202,28 @@ def _cmd_dataset(args, config, timed) -> dict:
     return {"config": spec.to_dict(), "blas": _blas.describe()}
 
 
+def _train_config(config) -> TrainConfig:
+    return TrainConfig(**{k: config[k] for k in asdict(TrainConfig())})
+
+
+def _training_fields(report) -> dict:
+    """The manifest fields of a training run."""
+    return {"epochs_run": len(report.epoch_losses), "best_epoch": report.best_epoch,
+            "stopped_on": report.stopped_on}
+
+
 def _cmd_train(args, config, timed) -> dict:
     with timed("read"):
         records = _read_records(args.dataset)
     train_records, _ = pipeline.split_train_test(records)
-    tc = TrainConfig(**{k: v for k, v in config.items()
-                        if k not in ("hidden_sizes", "init_seed")})
     with timed("train"):
         params, report, fingerprint = pipeline.train_classifier(
-            train_records, config["hidden_sizes"], tc, config["init_seed"])
+            train_records, config["hidden_sizes"], _train_config(config), config["init_seed"])
     save_mlp(params, args.output, fingerprint)
     print(f"trained on {len(train_records)} noiseless vectors, "
           f"{len(report.epoch_losses)} epochs, final training accuracy "
           f"{report.final_accuracy:.3f}")
-    return {"epochs_run": len(report.epoch_losses), "best_epoch": report.best_epoch,
-            "stopped_on": report.stopped_on}
+    return _training_fields(report)
 
 
 def _cmd_eval(args, config, timed) -> dict:
@@ -230,6 +242,19 @@ def _cmd_eval(args, config, timed) -> dict:
     pipeline.write_report(args.output, report)
     print(pipeline.format_accuracy_table(report))
     return {}
+
+
+def _cmd_experiment(args, config, timed) -> dict:
+    spec = DatasetSpec.from_dict(config)
+    with timed("experiment"):
+        records, train_report, report = pipeline.run_experiment(
+            spec, args.output, config["hidden_sizes"], _train_config(config),
+            config["init_seed"], threads=args.threads)
+    print(f"{len(records)} records, {len(train_report.epoch_losses)} epochs, final training "
+          f"accuracy {train_report.final_accuracy:.3f}; outputs in {args.output}")
+    print(pipeline.format_accuracy_table(report))
+    return {"config": {**config, **spec.to_dict()}, "blas": _blas.describe(),
+            **_training_fields(train_report)}
 
 
 def _cmd_sound(args, config, timed) -> dict:
@@ -311,28 +336,36 @@ class _Command(NamedTuple):
     defaults: dict
     files: tuple[str, ...]           # the file options it cannot run without
     seed_keys: tuple[str, ...] = ()  # the config keys --seed overrides; none: no --seed
+    threads: bool = False            # takes --threads, the worker-process cap
 
+
+_DATASET_DEFAULTS = DatasetSpec().to_dict()
+_TRAIN_DEFAULTS = {"hidden_sizes": list(pipeline.HIDDEN_SIZES), "init_seed": 0,
+                   **asdict(TrainConfig())}
 
 _COMMANDS = {
-    "dataset": _Command(_cmd_dataset, "generate a feature dataset",
-                        DatasetSpec().to_dict(), ("output",), ("master_seed",)),
+    "dataset": _Command(_cmd_dataset, "generate a feature dataset", _DATASET_DEFAULTS,
+                        ("output",), ("master_seed",), threads=True),
     "train": _Command(_cmd_train, "train the scenario classifier on noiseless records",
-                      {"hidden_sizes": list(pipeline.HIDDEN_SIZES), "init_seed": 0,
-                       **asdict(TrainConfig())},
-                      ("dataset", "output"), ("seed", "init_seed")),
+                      _TRAIN_DEFAULTS, ("dataset", "output"), ("seed", "init_seed")),
     "eval": _Command(_cmd_eval, "evaluate a trained classifier per SNR", {},
                      ("model", "dataset", "output")),
+    "experiment": _Command(_cmd_experiment,
+                           "generate, train and evaluate per SNR into one run directory",
+                           {**_DATASET_DEFAULTS, **_TRAIN_DEFAULTS}, ("output",),
+                           ("master_seed", "seed", "init_seed"), threads=True),
     "sound": _Command(_cmd_sound, "estimate channel order, delays and amplitudes from a probe",
                       {"register_length": 8,
                        "feedback_taps": None,   # null -> registry default for the register length
                        "initial_state": None,   # null -> all ones
-                       "threshold_factor": 0.05,
+                       "threshold_factor": inspect.signature(
+                           pipeline.sound_and_profile).parameters["threshold_factor"].default,
                        "max_candidate_delay": None,  # null -> whole period
                        "normalized_doppler": None},  # used only for the quasi-static warning
                       ("signal",)),
     "estimate": _Command(_cmd_estimate, "BEM-LS gain estimation on a received signal",
                          {"delay_grid": list(range(profiles.MAX_DELAY_UNITS)),
-                          "normalized_doppler": 0.004, "window_len": 512},
+                          "normalized_doppler": 0.004, "window_len": DEFAULT_WINDOW_LEN},
                          ("signal", "frame", "output")),
     "simulate": _Command(_cmd_simulate, "emit fading gain traces for one scenario",
                          {"label": 1, "n_samples": 4096, **asdict(SimConfig()), "seed": 0},
@@ -350,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         if cmd.seed_keys:
             p.add_argument("--seed", type=int, help="override the config's seed")
-        if name == "dataset":
+        if cmd.threads:
             p.add_argument("--threads", type=int, default=1, help="worker process cap")
         p.add_argument("--output", help=_FILE_HELP["output"])
         p.add_argument("--print-config", action="store_true",
@@ -384,7 +417,8 @@ def _dispatch(args) -> int:
 
     fields = cmd.handler(args, config, timed)  # may replace "config"
     if args.output:
-        _write_manifest(args.output + ".manifest.json", {
+        # beside the output, also a directory given with a trailing separator
+        _write_manifest(f"{Path(args.output)}.manifest.json", {
             "subcommand": name, "config_path": args.config, "config": config,
             "outputs": [args.output],
             "timings_s": {k: round(v, 6) for k, v in timings.items()}, **fields})

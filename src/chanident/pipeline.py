@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _blas, profiles
-from .bem import estimate_cir_windowed, window_plan
+from .bem import DEFAULT_WINDOW_LEN, estimate_cir_windowed, window_plan
 from .errors import (IdentifiabilityError, InsufficientSignalError,
                      InvalidSplitError, NoChannelDetectedError)
 from .features import (FEATURE_LENGTH, N_SCENARIOS, FeatureVector, build_ddpdp,
@@ -60,7 +60,7 @@ class DatasetSpec:
     samples_per_vector: int = 25600
     sim: SimConfig = field(default_factory=SimConfig)
     estimation: str = "bem-ls"
-    window_len: int = 512
+    window_len: int = DEFAULT_WINDOW_LEN
     master_seed: int = 0
 
     def __post_init__(self):
@@ -103,14 +103,8 @@ class DatasetSpec:
         object.__setattr__(self, "scenario_labels", labels)
         object.__setattr__(self, "snr_list_db", snrs)
         if self.estimation == "bem-ls":
-            taps = max(len(profiles.load_profile(label).delay_units) for label in labels)
-            for w0, w1, count in window_plan(self.samples_per_vector, self.window_len,
-                                             self.sim.normalized_doppler):
-                if w1 - w0 < taps * count:
-                    raise ValueError(
-                        f"window_len {self.window_len} leaves a {w1 - w0}-sample window, "
-                        f"fewer observations than the {taps} taps x {count} basis terms "
-                        f"= {taps * count} unknowns of BEM-LS")
+            window_plan(self.samples_per_vector, self.window_len, self.sim.normalized_doppler,
+                        max(len(profiles.load_profile(label).delay_units) for label in labels))
 
     @property
     def record_count(self) -> int:

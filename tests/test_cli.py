@@ -573,6 +573,8 @@ class TestFlagScope:
         ["eval", "--threads", "2"],
         ["simulate", "--threads", "2"],
         ["simulate", "--dataset", "d.txt"],
+        ["experiment", "--dataset", "d.txt"],
+        ["experiment", "--model", "m.json"],
         ["dataset", "--model", "m.json"],
         ["eval", "--signal", "s.txt"],
         ["sound", "--frame", "f.txt"],
@@ -600,6 +602,7 @@ def tiny_dataset(tmp_path_factory):
     ("dataset", "sim.normalized_doppler"), ("dataset", "snr_list_db"),
     ("dataset", "scenario_labels"), ("dataset", "window_len"),
     ("estimate", "normalized_doppler"), ("estimate", "delay_grid"),
+    ("estimate", "window_len"),
     ("simulate", "normalized_doppler"), ("simulate", "seed"),
     ("train", "seed"), ("train", "init_seed"),
 ])
@@ -609,7 +612,7 @@ def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, tiny_dat
     base = {"dataset": TINY_DATASET_CFG, "estimate": {}, "simulate": {"n_samples": 64},
             "train": FAST_TRAIN_CFG}
     payload = dict(base[command], **({section: {leaf: value}} if section else {leaf: value}))
-    if leaf == "window_len":
+    if (command, key) == ("dataset", "window_len"):
         payload["estimation"] = "bem-ls"  # only BEM-LS fits windows
     cfg = _write_cfg(tmp_path, "c.json", payload)
     files = []
@@ -628,7 +631,7 @@ def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, tiny_dat
         assert not out.exists()
 
 
-SUBCOMMANDS = ("dataset", "train", "eval", "sound", "estimate", "simulate")
+SUBCOMMANDS = ("dataset", "train", "eval", "experiment", "sound", "estimate", "simulate")
 
 
 @pytest.fixture(scope="module")
@@ -643,6 +646,7 @@ def every_manifest(tmp_path_factory):
     paths = {name: str(tmp / f"{name}.out") for name in SUBCOMMANDS}
     configs = {"dataset": _write_cfg(tmp, "ds.json", TINY_DATASET_CFG),
                "train": _write_cfg(tmp, "train.json", FAST_TRAIN_CFG),
+               "experiment": _write_cfg(tmp, "exp.json", {**TINY_DATASET_CFG, **FAST_TRAIN_CFG}),
                "simulate": _write_cfg(tmp, "sim.json", {"n_samples": 64})}
     files = {"train": ["--dataset", paths["dataset"]],
              "eval": ["--model", paths["train"], "--dataset", paths["dataset"]],
@@ -660,7 +664,8 @@ def every_manifest(tmp_path_factory):
 class TestManifests:
     def test_every_subcommand_writes_the_same_top_level_keys(self, every_manifest):
         common = {"format", "subcommand", "config_path", "config", "outputs", "timings_s"}
-        extra = {"dataset": {"blas"}, "train": {"epochs_run", "best_epoch", "stopped_on"}}
+        training = {"epochs_run", "best_epoch", "stopped_on"}
+        extra = {"dataset": {"blas"}, "train": training, "experiment": {"blas"} | training}
         for name, (manifest, _, out) in every_manifest.items():
             assert set(manifest) == common | extra.get(name, set()), name
             assert manifest["format"] == "chanident-manifest v1"
@@ -716,8 +721,31 @@ def test_cli_chain_writes_the_files_of_run_experiment(tmp_path):
     assert run(["train", "--config", train_cfg, "--dataset", data, "--output", model,
                 "--seed", "6"]) == 0
     assert run(["eval", "--model", model, "--dataset", data, "--output", report]) == 0
+    exp_cfg = _write_cfg(tmp_path, "exp.json", {**cfg, **FAST_TRAIN_CFG})
+    assert run(["experiment", "--config", exp_cfg, "--output", str(tmp_path / "cli"),
+                "--seed", "6", "--threads", "2"]) == 0
+    # a rerun from the manifest's config snapshot
+    manifest = json.loads((tmp_path / "cli.manifest.json").read_text())
+    rerun_cfg = _write_cfg(tmp_path, "rerun.json", manifest["config"])
+    assert run(["experiment", "--config", rerun_cfg, "--output", str(tmp_path / "rerun")]) == 0
     for name in ("dataset.txt", "model.json", "report.txt"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / "exp" / name).read_bytes(), name
+        expected = (tmp_path / "exp" / name).read_bytes()
+        for got in (tmp_path / name, tmp_path / "cli" / name, tmp_path / "rerun" / name):
+            assert got.read_bytes() == expected, got
+
+
+def test_experiment_manifest_sits_beside_a_run_directory_given_with_a_slash(tmp_path):
+    cfg = _write_cfg(tmp_path, "exp.json", {**TINY_DATASET_CFG, **FAST_TRAIN_CFG})
+    assert run(["experiment", "--config", cfg, "--output", f"{tmp_path / 'run'}/"]) == 0
+    assert (tmp_path / "run.manifest.json").exists()
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "dataset.txt", "model.json", "report.txt"]
+
+
+def test_experiment_takes_the_dataset_and_train_keys():
+    dataset, train = cli._COMMANDS["dataset"].defaults, cli._COMMANDS["train"].defaults
+    assert not set(dataset) & set(train)
+    assert cli._COMMANDS["experiment"].defaults == {**dataset, **train}
 
 
 class TestModuleEntryPoint:
