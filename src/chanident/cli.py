@@ -91,27 +91,14 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
                list: "a list", dict: "an object"}
 
 
-# What each key whose default is null takes besides null; JSON true and
-# false parse to bool, which is not an integer here.
-_NULLABLE = {
-    "feedback_taps": ("a list of integers",
-                      lambda v: type(v) is list and all(type(t) is int for t in v)),
-    "initial_state": ("a list of 0/1 integers",
-                      lambda v: type(v) is list and all(type(b) is int and b in (0, 1)
-                                                        for b in v)),
-    "max_candidate_delay": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
-    "normalized_doppler": ("a number", lambda v: type(v) in (float, int)),
-}
-
-
 def _check_type(path: str, key: str, default, value) -> None:
     """``value`` must have the JSON type of ``default``; an integer may stand
-    for a number, and a key whose default is null takes null or what
-    ``_NULLABLE`` names."""
+    for a number, and the one key whose default is null,
+    ``normalized_doppler``, takes null or a number.  JSON true and false
+    parse to bool, which is not an integer here."""
     if default is None:
-        what, accepts = _NULLABLE[key]
-        if value is not None and not accepts(value):
-            raise CliError(f"config file {path}: {key} must be null or {what}, "
+        if value is not None and type(value) not in (float, int):
+            raise CliError(f"config file {path}: {key} must be null or a number, "
                            f"got {json.dumps(value)}")
         return
     allowed = (float, int) if type(default) is float else (type(default),)
@@ -263,14 +250,11 @@ def _cmd_sound(args, config, timed) -> dict:
     if p >= (n + 1).bit_length():  # 2^p - 1 > n, without forming 2^p for a huge p
         raise CliError(f"{args.signal}: {n} samples hold no whole period of the "
                        f"m-sequence, 2^{p} - 1 chips")
-    taps = config["feedback_taps"]
-    mseq = generate_mseq(p, tuple(taps) if taps else None, config["initial_state"])
-    cand_max = config["max_candidate_delay"]
-    cand = range(mseq.period if cand_max is None else cand_max + 1)
+    mseq = generate_mseq(p)
     with timed("sound"):
         order_est, delays = pipeline.sound_and_profile(
             received, mseq, threshold_factor=config["threshold_factor"],
-            candidate_delays=cand, normalized_doppler=config["normalized_doppler"])
+            normalized_doppler=config["normalized_doppler"])
     _print_sounding(order_est, delays)
     if args.output:
         _write_sounding(args.output, order_est, delays)
@@ -356,11 +340,8 @@ _COMMANDS = {
                            ("master_seed", "seed", "init_seed"), threads=True),
     "sound": _Command(_cmd_sound, "estimate channel order, delays and amplitudes from a probe",
                       {"register_length": 8,
-                       "feedback_taps": None,   # null -> registry default for the register length
-                       "initial_state": None,   # null -> all ones
                        "threshold_factor": inspect.signature(
                            pipeline.sound_and_profile).parameters["threshold_factor"].default,
-                       "max_candidate_delay": None,  # null -> whole period
                        "normalized_doppler": None},  # used only for the quasi-static warning
                       ("signal",)),
     "estimate": _Command(_cmd_estimate, "BEM-LS gain estimation on a received signal",

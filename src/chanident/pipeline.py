@@ -31,7 +31,8 @@ from .mseq import MSequence
 from .mlp import (MLPParams, TrainConfig, TrainReport, classify, config_fingerprint,
                   init_mlp, save_mlp, train)
 from .simulate import ComplexSignal, SimConfig, add_awgn, apply_channel, generate_fading
-from .sounding import DelayAmplitudeEstimate, OrderEstimate, estimate_order, fold_periods, probe_spectrum, relax_estimate
+from .sounding import (DelayAmplitudeEstimate, OrderEstimate, estimate_order, fold_periods,
+                       relax_estimate)
 
 DATASET_FORMAT = "chanident-dataset v2"
 REPORT_FORMAT = "chanident-report v1"
@@ -374,10 +375,10 @@ def probe_signal(mseq: MSequence, periods: int = 4) -> ComplexSignal:
 
 def sound_and_profile(received: ComplexSignal, local: MSequence,
                       threshold_factor: float = 0.05,
-                      candidate_delays=None,
                       normalized_doppler: float | None = None,
                       ) -> tuple[OrderEstimate, DelayAmplitudeEstimate]:
-    """Run order estimation, then fit that many paths to the probe spectrum.
+    """Run order estimation, then fit that many paths, at any delay in the
+    m-sequence period, to the period-folded probe.
 
     ``threshold_factor`` defaults to 0.05 here (not the 0.5 of raw
     ``estimate_order``) so taps up to 20 dB below the strongest - the COST
@@ -398,8 +399,5 @@ def sound_and_profile(received: ComplexSignal, local: MSequence,
     if order_est.order == 0:
         raise NoChannelDetectedError("no correlation peak cleared the threshold")
     folded = fold_periods(received.samples, local.period)
-    freq = probe_spectrum(folded, local)
-    if candidate_delays is None:
-        candidate_delays = range(local.period)
-    delays = relax_estimate(freq, order_est.order, candidate_delays)
+    delays = relax_estimate(folded, local, order_est.order, range(local.period))
     return order_est, delays

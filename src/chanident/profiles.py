@@ -139,10 +139,6 @@ def _registry() -> dict[int, ScenarioProfile]:
     return _parse_registry(text)
 
 
-def all_labels() -> tuple[int, ...]:
-    return tuple(sorted(_registry()))
-
-
 def load_profile(label: int) -> ScenarioProfile:
     """Return the registered profile for ``label`` (1..6)."""
     try:

@@ -9,10 +9,12 @@ the path's random carrier phase.  (Taking |r[n]| before correlating would
 destroy the chip modulation - a single-path envelope is constant - so the
 magnitude must come after the correlation.)
 
-Delay/amplitude estimation works on the frequency-domain probe: paths are
+Delay/amplitude estimation works on the same folded probe period in the
+delay domain (RELAX; Li & Stoica, IEEE Trans. SP 44(2), 1996): paths are
 added one at a time, and after each addition every path is alternately
-re-fitted against the residual spectrum of the others until the quadratic
-cost stops decreasing (a RELAX-style coordinate descent).  All candidate
+re-fitted against the residual of the others, the folded probe minus the
+delayed and scaled chips of every other path, through the same circular
+correlation, until the quadratic cost stops decreasing.  All candidate
 delays are integer sample offsets.
 """
 
@@ -69,36 +71,6 @@ class DelayAmplitudeEstimate:
     @property
     def amplitudes(self) -> tuple[complex, ...]:
         return tuple(a for _, a in self.paths)
-
-
-@dataclass(frozen=True)
-class FrequencyData:
-    """Centered spectra of one probe period and of the local chips.
-
-    Index convention: entry i corresponds to integer frequency
-    k = i - floor(N/2), i.e. k runs over -floor(N/2) .. ceil(N/2)-1.
-    """
-
-    R: np.ndarray
-    M_diag: np.ndarray
-
-    def __post_init__(self):
-        R = np.array(self.R, dtype=np.complex128, copy=True)
-        M = np.array(self.M_diag, dtype=np.complex128, copy=True)
-        if R.ndim != 1 or M.ndim != 1 or len(R) != len(M):
-            raise ValueError("R and M_diag must be 1-D arrays of equal length")
-        R.flags.writeable = False
-        M.flags.writeable = False
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "M_diag", M)
-
-    @property
-    def n(self) -> int:
-        return len(self.R)
-
-    def k_grid(self) -> np.ndarray:
-        n = self.n
-        return np.arange(n) - n // 2
 
 
 def fold_periods(samples: np.ndarray, period: int) -> np.ndarray:
@@ -158,95 +130,73 @@ def estimate_order(received: ComplexSignal, local: MSequence,
     )
 
 
-def probe_spectrum(received: ComplexSignal | np.ndarray, local: MSequence) -> FrequencyData:
-    """DFT of one (period-averaged) probe period and of the local chips."""
-    samples = received.samples if isinstance(received, ComplexSignal) else np.asarray(received)
-    if len(samples) != local.period:
-        raise ValueError(
-            f"received length {len(samples)} != m-sequence period {local.period}")
-    R = np.fft.fftshift(np.fft.fft(samples))
-    M = np.fft.fftshift(np.fft.fft(local.chips.astype(np.float64)))
-    return FrequencyData(R, M)
-
-
-def _alpha(n: int, delay: float) -> np.ndarray:
-    k = np.arange(n) - n // 2
-    return np.exp(-2j * np.pi * delay * k / n)
-
-
-def _objective_all_delays(freq: FrequencyData, residual: np.ndarray) -> np.ndarray:
-    """g[tau] = alpha(tau)^H (conj(M) * residual) for every integer tau."""
-    y = np.fft.ifftshift(np.conj(freq.M_diag) * residual)
-    return np.fft.ifft(y) * freq.n
-
-
-def _model(freq: FrequencyData, paths) -> np.ndarray:
-    out = np.zeros(freq.n, dtype=np.complex128)
+def _residual(folded: np.ndarray, chips: np.ndarray, paths) -> np.ndarray:
+    """The folded probe minus the chips delayed and scaled along each path."""
+    out = folded.copy()
     for delay, amp in paths:
-        out += amp * freq.M_diag * _alpha(freq.n, delay)
+        out -= amp * np.roll(chips, delay)
     return out
 
 
-def residual_spectrum(freq: FrequencyData, paths) -> np.ndarray:
-    """R minus the reconstruction of the given (delay, amplitude) paths."""
-    return freq.R - _model(freq, paths)
-
-
-def fit_cost(freq: FrequencyData, paths) -> float:
-    """Quadratic mismatch between R and the multipath model."""
-    return float(np.sum(np.abs(residual_spectrum(freq, paths)) ** 2))
-
-
-def relax_estimate(freq: FrequencyData, order: int,
+def relax_estimate(folded: np.ndarray, local: MSequence, order: int,
                    candidate_delays) -> DelayAmplitudeEstimate:
-    """Staged coordinate-descent fit of ``order`` paths to the probe spectrum.
+    """Staged coordinate-descent fit of ``order`` paths to one folded probe period.
 
     Stage l seeds path l from the residual of the l-1 already-fitted paths,
     then re-fits every path in turn against the residual of the others.  A
-    sweep that fails to decrease the cost (each single-path re-fit is an
-    exact least-squares step, so this only happens through the candidate
+    re-fit correlates the residual with the chips, g = corr(r, chips), takes
+    the free candidate delay d of the largest |g| and the amplitude
+    g[d] / N, the exact least-squares step for +/-1 chips.  A sweep that
+    fails to decrease the cost (this only happens through the candidate
     exclusion rule) rolls back and ends the stage early.
     """
+    folded = np.asarray(folded, dtype=np.complex128)
+    n = local.period
+    if folded.shape != (n,):
+        raise ValueError(f"folded probe of shape {folded.shape} is not one m-sequence "
+                         f"period of {n} samples")
     if order < 1:
         raise ValueError("order must be >= 1")
     cand = np.unique(np.asarray(list(candidate_delays), dtype=np.intp))
     if len(cand) < order:
         raise ValueError(f"{order} paths requested but only {len(cand)} candidate delays")
-    if len(cand) and (cand.min() < 0 or cand.max() >= freq.n):
-        raise ValueError(f"candidate delays must lie in [0, {freq.n})")
-    norm_m = np.sum(np.abs(freq.M_diag) ** 2)
+    if len(cand) and (cand.min() < 0 or cand.max() >= n):
+        raise ValueError(f"candidate delays must lie in [0, {n})")
+    chips = local.chips.astype(np.float64)
 
-    def refit(others, res):
+    def refit(others):
         free = cand[~np.isin(cand, [d for d, _ in others])]
-        g = _objective_all_delays(freq, res)
-        d = int(free[np.argmax(np.abs(g[free]) ** 2)])
-        return d, complex(g[d] / norm_m)
+        g = _circular_corr(_residual(folded, chips, others), chips)
+        d = int(free[np.argmax(np.abs(g[free]))])
+        return d, complex(g[d] / n)
+
+    def cost(paths):  # N * sum |r|^2, which is sum |DFT(r)|^2 by Parseval
+        return n * float(np.sum(np.abs(_residual(folded, chips, paths)) ** 2))
 
     paths: list[tuple[int, complex]] = []
     trace: list[float] = []
     sweeps = 0
     for _stage in range(order):
-        paths.append(refit(paths, residual_spectrum(freq, paths)))
-        prev = fit_cost(freq, paths)
+        paths.append(refit(paths))
+        prev = cost(paths)
         trace.append(prev)
         for _ in range(MAX_OUTER_ITERS):
             snapshot = list(paths)
             for j in range(len(paths)):
-                others = paths[:j] + paths[j + 1:]
-                paths[j] = refit(others, residual_spectrum(freq, others))
-            cost = fit_cost(freq, paths)
+                paths[j] = refit(paths[:j] + paths[j + 1:])
+            new = cost(paths)
             sweeps += 1
-            if cost > prev:
+            if new > prev:
                 paths = snapshot  # non-decreasing cost guard
                 break
-            trace.append(cost)
-            if prev - cost <= TOL * max(prev, np.finfo(float).tiny):
+            trace.append(new)
+            if prev - new <= TOL * max(prev, np.finfo(float).tiny):
                 break
-            prev = cost
+            prev = new
     paths.sort(key=lambda p: p[0])
     return DelayAmplitudeEstimate(
         paths=tuple(paths),
-        residual_cost=fit_cost(freq, paths),
+        residual_cost=cost(paths),
         iterations=sweeps,
         cost_trace=tuple(trace),
     )

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's own computation paths: the multipath
 fit oracle is an exhaustive joint grid search over delay combinations with a
-dense least-squares solve per combination, probes are built by explicit
+dense least-squares solve per combination in the frequency domain (the
+package fits in the delay domain), probes are built by explicit
 convolution of frozen channels, the training reference is the textbook
 momentum loop that allocates every gradient and velocity afresh, the
 Slepian concentrations are Rayleigh quotients against the sinc kernel by
@@ -20,7 +21,6 @@ from chanident.mlp import MLPParams, TrainReport
 from chanident.mseq import MSequence
 from chanident.profiles import MAX_DELAY_UNITS
 from chanident.simulate import CIRMatrix, ComplexSignal, add_awgn, apply_channel
-from chanident.sounding import FrequencyData
 
 
 def sinc_kernel_row(length: int, half_bandwidth: float) -> np.ndarray:
@@ -49,19 +49,28 @@ def zero_padded(cir: CIRMatrix) -> CIRMatrix:
     return CIRMatrix(gains, tuple(range(MAX_DELAY_UNITS)))
 
 
-def steering_matrix(freq: FrequencyData, delays) -> np.ndarray:
-    k = freq.k_grid()
-    n = freq.n
-    return np.stack([freq.M_diag * np.exp(-2j * np.pi * d * k / n) for d in delays], axis=1)
+def _centred_dft(x: np.ndarray) -> np.ndarray:
+    """DFT of ``x`` with entry i at integer frequency k = i - floor(N/2)."""
+    return np.fft.fftshift(np.fft.fft(x))
 
 
-def brute_force_paths(freq: FrequencyData, order: int, candidates):
-    """Minimise the quadratic probe-fit cost by trying every delay set."""
+def steering_matrix(mseq: MSequence, delays) -> np.ndarray:
+    """Column l: the centred chip spectrum delayed by ``delays[l]`` samples."""
+    n = mseq.period
+    k = np.arange(n) - n // 2
+    m = _centred_dft(mseq.chips.astype(np.float64))
+    return np.stack([m * np.exp(-2j * np.pi * d * k / n) for d in delays], axis=1)
+
+
+def brute_force_paths(folded: np.ndarray, mseq: MSequence, order: int, candidates):
+    """Minimise the quadratic probe-fit cost, over the centred spectrum of one
+    folded probe period, by trying every delay set."""
+    r = _centred_dft(folded)
     best = None
     for combo in combinations(sorted(candidates), order):
-        a = steering_matrix(freq, combo)
-        amps, *_ = np.linalg.lstsq(a, freq.R, rcond=None)
-        cost = float(np.sum(np.abs(freq.R - a @ amps) ** 2))
+        a = steering_matrix(mseq, combo)
+        amps, *_ = np.linalg.lstsq(a, r, rcond=None)
+        cost = float(np.sum(np.abs(r - a @ amps) ** 2))
         if best is None or cost < best[0]:
             best = (cost, combo, amps)
     return best

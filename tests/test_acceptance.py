@@ -23,7 +23,7 @@ from chanident.pipeline import HIDDEN_SIZES, DatasetSpec, run_experiment, split_
 from chanident.profiles import load_profile
 from chanident.simulate import SimConfig, generate_fading
 from chanident.slepian import basis_dimension, generate_dpss
-from chanident.sounding import estimate_order, probe_spectrum, relax_estimate
+from chanident.sounding import estimate_order, relax_estimate
 from test_features import _full_grid_cir
 from test_mlp import finite_difference_check
 from test_simulate import _single_tap_profile
@@ -94,9 +94,10 @@ def test_criterion_3_relax_vs_brute_force():
             amps = mags * np.exp(2j * np.pi * rng.uniform(size=order))
             delays = np.sort(rng.choice(list(candidates), order, replace=False))
             probe = static_probe(mseq, amps, delays, periods=4)
-            freq = probe_spectrum(fold_periods(probe.samples, mseq.period), mseq)
-            est = relax_estimate(freq, order, candidates)
-            cost, oracle_delays, oracle_amps = brute_force_paths(freq, order, candidates)
+            folded = fold_periods(probe.samples, mseq.period)
+            est = relax_estimate(folded, mseq, order, candidates)
+            cost, oracle_delays, oracle_amps = brute_force_paths(folded, mseq, order,
+                                                                 candidates)
             assert est.delays == oracle_delays == tuple(delays)
             assert np.allclose(est.amplitudes, oracle_amps, atol=1e-6)
             trace = np.array(est.cost_trace)

@@ -133,8 +133,9 @@ class TestDatasetCommand:
         cfg = _write_cfg(tmp_path, "c.json", {"sim": {"normalized_doppler": 0}})
         assert run(["dataset", "--config", cfg, "--print-config"]) == 0
         assert json.loads(capsys.readouterr().out)["sim"]["normalized_doppler"] == 0
-        cfg = _write_cfg(tmp_path, "s.json", {"max_candidate_delay": 40})
+        cfg = _write_cfg(tmp_path, "s.json", {"normalized_doppler": 0.004})
         assert run(["sound", "--config", cfg, "--print-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["normalized_doppler"] == 0.004
 
     def test_print_config(self, tmp_path, capsys):
         assert run(["dataset", "--print-config"]) == 0
@@ -398,21 +399,33 @@ class TestSoundCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("normalized_doppler", "x"), ("normalized_doppler", True),
-        ("feedback_taps", 5), ("feedback_taps", [8.0, 4, 3, 2]),
-        ("feedback_taps", [8, True, 3, 2]), ("feedback_taps", ["8", 4, 3, 2]),
-        ("initial_state", 5), ("initial_state", [1, 1, 1, 1, 1, 1, 1, 2]),
-        ("initial_state", [True] * 8), ("initial_state", [1.0] * 8),
-        ("max_candidate_delay", 3.7), ("max_candidate_delay", True),
-        ("max_candidate_delay", "7"), ("max_candidate_delay", -1),
     ])
     def test_null_default_key_takes_only_its_type(self, tmp_path, capsys, key, value):
-        # each ended in a TypeError traceback or was int()-ed into another value
+        # null, an integer and a float run; "x" ended in a TypeError traceback
+        probe = self._probe_file(tmp_path, [1.0], [0])
+        out = tmp_path / "sounding.json"
+        for accepted in (None, 0, 1e-6):
+            cfg = _write_cfg(tmp_path, "s.json", {key: accepted})
+            assert run(["sound", "--config", cfg, "--signal", probe]) == 0
+        cfg = _write_cfg(tmp_path, "s.json", {key: value})
+        capsys.readouterr()
+        assert run(["sound", "--config", cfg, "--signal", probe, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"chanident sound: config file {cfg}: {key} must be null or a number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("feedback_taps", [8, 4, 3, 2]), ("initial_state", [1] * 8),
+        ("max_candidate_delay", 40),
+    ], ids=["feedback_taps", "initial_state", "max_candidate_delay"])
+    def test_removed_key_refused_by_name(self, tmp_path, capsys, key, value):
+        # values these keys took before they were removed
         probe = self._probe_file(tmp_path, [1.0], [0])
         cfg = _write_cfg(tmp_path, "s.json", {key: value})
         out = tmp_path / "sounding.json"
         assert run(["sound", "--config", cfg, "--signal", probe, "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"chanident sound: config file {cfg}: {key} must be null or ")
+        assert capsys.readouterr().err == (
+            f"chanident sound: config file {cfg}: unknown key {key!r} for 'sound'\n")
         assert not out.exists()
 
     def test_probe_shorter_than_a_period_refused_before_generating(self, tmp_path, capsys,
@@ -424,8 +437,8 @@ class TestSoundCommand:
         monkeypatch.setattr(cli, "generate_mseq", no_generation)
         probe = self._probe_file(tmp_path, [1.0], [0])
         out = tmp_path / "sounding.json"
-        for p, taps in ((10, [10, 3]), (30, [30, 6, 4, 1])):  # 1023 and 2^30 - 1 > 1020
-            cfg = _write_cfg(tmp_path, "s.json", {"register_length": p, "feedback_taps": taps})
+        for p in (10, 30):  # 1023 and 2^30 - 1 > 1020
+            cfg = _write_cfg(tmp_path, "s.json", {"register_length": p})
             assert run(["sound", "--config", cfg, "--signal", probe,
                         "--output", str(out)]) == 1
             err = capsys.readouterr().err
@@ -603,14 +616,18 @@ def tiny_dataset(tmp_path_factory):
     ("dataset", "scenario_labels"), ("dataset", "window_len"),
     ("estimate", "normalized_doppler"), ("estimate", "delay_grid"),
     ("estimate", "window_len"),
+    # not register_length: 2 is a valid register that the probe was not made
+    # with, refused as "no multipath component detected", a refusal of the
+    # signal rather than of the key
+    ("sound", "threshold_factor"), ("sound", "normalized_doppler"),
     ("simulate", "normalized_doppler"), ("simulate", "seed"),
     ("train", "seed"), ("train", "init_seed"),
 ])
 def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, tiny_dataset,
                                                       command, key, value):
     section, _, leaf = key.rpartition(".")
-    base = {"dataset": TINY_DATASET_CFG, "estimate": {}, "simulate": {"n_samples": 64},
-            "train": FAST_TRAIN_CFG}
+    base = {"dataset": TINY_DATASET_CFG, "estimate": {}, "sound": {},
+            "simulate": {"n_samples": 64}, "train": FAST_TRAIN_CFG}
     payload = dict(base[command], **({section: {leaf: value}} if section else {leaf: value}))
     if (command, key) == ("dataset", "window_len"):
         payload["estimation"] = "bem-ls"  # only BEM-LS fits windows
@@ -619,6 +636,9 @@ def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, tiny_dat
     if command == "estimate":
         write_signal_file(tmp_path / "frame.txt", random_frame(512, seed=2))
         files = ["--signal", str(tmp_path / "frame.txt"), "--frame", str(tmp_path / "frame.txt")]
+    elif command == "sound":
+        write_signal_file(tmp_path / "probe.txt", static_probe(generate_mseq(8), [1.0], [0]))
+        files = ["--signal", str(tmp_path / "probe.txt")]
     elif command == "train":
         files = ["--dataset", tiny_dataset]
     out = tmp_path / "out.txt"

@@ -417,8 +417,7 @@ class TestSoundAndProfile:
         with pytest.raises(ValueError, match="normalized_doppler must be finite and in"):
             sound_and_profile(received, self.MSEQ, normalized_doppler=nu)
 
-    def test_candidate_range_respected(self):
-        received = static_probe(self.MSEQ, [1.0, 0.8], [2, 9])
-        order, delays = sound_and_profile(received, self.MSEQ,
-                                          candidate_delays=range(16))
-        assert delays.delays == (2, 9)
+    def test_delays_fitted_over_the_whole_period(self):
+        received = static_probe(self.MSEQ, [1.0, 0.8], [2, self.MSEQ.period - 1])
+        order, delays = sound_and_profile(received, self.MSEQ)
+        assert delays.delays == (2, self.MSEQ.period - 1)

@@ -1,7 +1,12 @@
 import pytest
 
-from chanident.profiles import (DELAY_UNIT_US, DopplerSpectrum, ScenarioProfile,
-                                all_labels, load_profile)
+from chanident.profiles import (DELAY_UNIT_US, DopplerSpectrum, ScenarioProfile, _registry,
+                                load_profile)
+
+
+def all_labels() -> tuple[int, ...]:
+    """The labels of the bundled registry, ascending."""
+    return tuple(sorted(_registry()))
 
 
 def test_registry_has_six_profiles():

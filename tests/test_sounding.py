@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_paths, static_probe, steering_matrix
+from _oracles import brute_force_paths, static_probe
 from chanident.errors import InsufficientSignalError
 from chanident.mseq import generate_mseq
 from chanident.simulate import ComplexSignal
-from chanident.sounding import (FrequencyData, estimate_order, fit_cost, probe_spectrum,
-                                relax_estimate, residual_spectrum)
+from chanident.sounding import estimate_order, fold_periods, relax_estimate
 
 MSEQ = generate_mseq(8)
 N = MSEQ.period
@@ -68,64 +67,37 @@ class TestEstimateOrder:
             estimate_order(received, MSEQ)
 
 
-class TestProbeSpectrum:
-    def test_identity_channel_matches_local(self):
-        received = ComplexSignal(MSEQ.chips.astype(complex))
-        freq = probe_spectrum(received, MSEQ)
-        assert np.allclose(freq.R, freq.M_diag)
-
-    def test_shift_theorem(self):
-        d = 9
-        received = ComplexSignal(np.roll(MSEQ.chips, d).astype(complex))
-        freq = probe_spectrum(received, MSEQ)
-        k = freq.k_grid()
-        assert np.allclose(freq.R, freq.M_diag * np.exp(-2j * np.pi * k * d / N))
-
-    def test_parseval(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        freq = probe_spectrum(ComplexSignal(x), MSEQ)
-        assert np.sum(np.abs(x) ** 2) == pytest.approx(np.sum(np.abs(freq.R) ** 2) / N)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="period"):
-            probe_spectrum(ComplexSignal(np.ones(N + 1)), MSEQ)
-
-
-def _freq_for(amplitudes, delays, snr_db=None, seed=0):
-    from chanident.sounding import fold_periods
+def _folded_for(amplitudes, delays, snr_db=None, seed=0):
     received = static_probe(MSEQ, amplitudes, delays, periods=4, snr_db=snr_db, seed=seed)
-    return probe_spectrum(fold_periods(received.samples, N), MSEQ)
+    return fold_periods(received.samples, N)
 
 
-def _one_path(freq, candidate_delays, scale=1.0):
-    """The single path that relax_estimate fits to ``scale`` times the probe
-    spectrum: the candidate delay maximising |alpha^H (conj(M) R)|^2 and its
-    closed-form least-squares amplitude."""
-    scaled = FrequencyData(scale * freq.R, freq.M_diag)
-    return relax_estimate(scaled, 1, candidate_delays).paths[0]
+def _one_path(folded, candidate_delays, scale=1.0):
+    """The single path that relax_estimate fits to ``scale`` times the folded
+    probe: the candidate delay of the largest |correlation with the chips|
+    and its closed-form least-squares amplitude."""
+    return relax_estimate(scale * folded, MSEQ, 1, candidate_delays).paths[0]
 
 
 class TestAmplitudeGivenDelay:
     """A single candidate delay fixes the path, so only its amplitude is fitted."""
 
     def test_single_unit_path(self):
-        freq = _freq_for([1.0], [0])
-        assert _one_path(freq, [0])[1] == pytest.approx(1.0, abs=1e-9)
+        folded = _folded_for([1.0], [0])
+        assert _one_path(folded, [0])[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_linearity_in_residual(self):
-        freq = _freq_for([0.5 + 0.2j], [3])
+        folded = _folded_for([0.5 + 0.2j], [3])
         c = -1.3 + 0.7j
-        a1 = _one_path(freq, [3])[1]
-        a2 = _one_path(freq, [3], scale=c)[1]
+        a1 = _one_path(folded, [3])[1]
+        a2 = _one_path(folded, [3], scale=c)[1]
         assert a2 == pytest.approx(c * a1)
 
     def test_two_path_residual_with_second_removed(self):
-        # construct the residual analytically: R minus path 2's exact term
+        # construct the residual analytically: the probe minus path 2's exact term
         mu = (0.8 - 0.3j, 0.25j)
-        freq = _freq_for(mu, [2, 9])
-        second = steering_matrix(freq, [9])[:, 0] * mu[1]
-        residual = FrequencyData(freq.R - second, freq.M_diag)
+        folded = _folded_for(mu, [2, 9])
+        residual = folded - mu[1] * np.roll(MSEQ.chips, 9)
         assert _one_path(residual, [2])[1] == pytest.approx(mu[0], abs=1e-9)
 
 
@@ -133,49 +105,47 @@ class TestDelayArgmax:
     """A one-path fit picks the candidate delay of the largest objective."""
 
     def test_single_path(self):
-        freq = _freq_for([1.0], [5])
-        assert _one_path(freq, range(N))[0] == 5
+        folded = _folded_for([1.0], [5])
+        assert _one_path(folded, range(N))[0] == 5
 
     def test_dominant_path_wins(self):
         # oracle: evaluate the objective exhaustively with explicit loops
-        freq = _freq_for([1.0, 0.3], [2, 9])
-        k = freq.k_grid()
+        folded = _folded_for([1.0, 0.3], [2, 9])
         best, best_val = None, -1.0
         for tau in range(N):
-            alpha = np.exp(-2j * np.pi * tau * k / N)
-            val = np.abs(np.vdot(alpha, np.conj(freq.M_diag) * freq.R)) ** 2
+            val = abs(sum(folded[n] * MSEQ.chips[(n - tau) % N] for n in range(N)))
             if val > best_val:
                 best, best_val = tau, val
         assert best == 2
-        assert _one_path(freq, range(N))[0] == 2
+        assert _one_path(folded, range(N))[0] == 2
 
     @given(st.integers(0, 2 ** 31), st.integers(1, 120))
     @settings(max_examples=20, deadline=None)
     def test_invariant_to_residual_scaling(self, seed, scale_steps):
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        freq = _freq_for(amps, [1, 6, 14])
+        folded = _folded_for(amps, [1, 6, 14])
         c = 0.01 * scale_steps * np.exp(2j * np.pi * rng.uniform())
-        assert _one_path(freq, range(30))[0] == _one_path(freq, range(30), scale=c)[0]
+        assert _one_path(folded, range(30))[0] == _one_path(folded, range(30), scale=c)[0]
 
     def test_empty_range_rejected(self):
-        freq = _freq_for([1.0], [0])
+        folded = _folded_for([1.0], [0])
         with pytest.raises(ValueError, match="0 candidate delays"):
-            _one_path(freq, [])
+            _one_path(folded, [])
 
 
 class TestRelaxEstimate:
     def test_single_path_exact(self):
-        freq = _freq_for([0.8j], [7])
-        est = relax_estimate(freq, 1, range(N))
+        folded = _folded_for([0.8j], [7])
+        est = relax_estimate(folded, MSEQ, 1, range(N))
         assert est.delays == (7,)
         assert est.amplitudes[0] == pytest.approx(0.8j, abs=1e-9)
         assert est.residual_cost < 1e-18
 
     def test_two_paths_match_brute_force(self):
-        freq = _freq_for([1.0, 0.5], [0, 4])
-        est = relax_estimate(freq, 2, range(24))
-        cost, delays, amps = brute_force_paths(freq, 2, range(24))
+        folded = _folded_for([1.0, 0.5], [0, 4])
+        est = relax_estimate(folded, MSEQ, 2, range(24))
+        cost, delays, amps = brute_force_paths(folded, MSEQ, 2, range(24))
         assert est.delays == delays == (0, 4)
         assert np.allclose(est.amplitudes, amps, atol=1e-6)
         assert est.residual_cost < 1e-12
@@ -187,40 +157,47 @@ class TestRelaxEstimate:
             mags = np.array([1.0, 0.7, 0.5])
             phases = np.exp(2j * np.pi * rng.uniform(size=3))
             delays = np.sort(rng.choice(24, 3, replace=False))
-            freq = _freq_for(mags * phases, delays, snr_db=20.0, seed=trial)
-            est = relax_estimate(freq, 3, range(24))
+            folded = _folded_for(mags * phases, delays, snr_db=20.0, seed=trial)
+            est = relax_estimate(folded, MSEQ, 3, range(24))
             hits += est.delays == tuple(delays)
         assert hits >= 95
 
     def test_cost_trace_non_increasing(self):
         rng = np.random.default_rng(3)
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        freq = _freq_for(amps, [0, 5, 11, 19], snr_db=10.0)
-        est = relax_estimate(freq, 4, range(32))
+        folded = _folded_for(amps, [0, 5, 11, 19], snr_db=10.0)
+        est = relax_estimate(folded, MSEQ, 4, range(32))
         trace = np.array(est.cost_trace)
         assert np.all(np.diff(trace) <= 1e-12 * trace[0])
 
     def test_residual_cost_recomputable(self):
-        freq = _freq_for([1.0, 0.4j], [2, 8], snr_db=15.0)
-        est = relax_estimate(freq, 2, range(16))
-        assert fit_cost(freq, est.paths) == pytest.approx(est.residual_cost, rel=1e-12)
-        res = residual_spectrum(freq, est.paths)
-        assert np.sum(np.abs(res) ** 2) == pytest.approx(est.residual_cost, rel=1e-12)
+        folded = _folded_for([1.0, 0.4j], [2, 8], snr_db=15.0)
+        est = relax_estimate(folded, MSEQ, 2, range(16))
+        residual = folded - sum(a * np.roll(MSEQ.chips, d) for d, a in est.paths)
+        assert N * np.sum(np.abs(residual) ** 2) == pytest.approx(est.residual_cost, rel=1e-12)
+        # Parseval: the same cost as the squared norm of the residual's DFT
+        spectral = np.sum(np.abs(np.fft.fft(residual)) ** 2)
+        assert spectral == pytest.approx(est.residual_cost, rel=1e-12)
+
+    def test_folded_probe_not_one_period_refused(self):
+        for length in (N - 1, N + 1, 2 * N):
+            with pytest.raises(ValueError, match="period"):
+                relax_estimate(np.ones(length, dtype=complex), MSEQ, 1, range(N))
 
     def test_too_few_candidates_rejected(self):
-        freq = _freq_for([1.0], [0])
+        folded = _folded_for([1.0], [0])
         with pytest.raises(ValueError, match="candidate"):
-            relax_estimate(freq, 3, [0, 1])
+            relax_estimate(folded, MSEQ, 3, [0, 1])
 
     def test_delays_unique_and_sorted(self):
-        freq = _freq_for([1.0, 0.9, 0.8], [3, 4, 5], snr_db=25.0)
-        est = relax_estimate(freq, 3, range(10))
+        folded = _folded_for([1.0, 0.9, 0.8], [3, 4, 5], snr_db=25.0)
+        est = relax_estimate(folded, MSEQ, 3, range(10))
         assert list(est.delays) == sorted(set(est.delays))
 
     def test_20db_amplitude_ratio_matches_oracle(self):
         # weakest/strongest |mu| ratio of exactly 20 dB, noiseless, N = 255
-        freq = _freq_for([1.0, 0.1j], [3, 12])
-        est = relax_estimate(freq, 2, range(16))
-        _, oracle_delays, _ = brute_force_paths(freq, 2, range(16))
+        folded = _folded_for([1.0, 0.1j], [3, 12])
+        est = relax_estimate(folded, MSEQ, 2, range(16))
+        _, oracle_delays, _ = brute_force_paths(folded, MSEQ, 2, range(16))
         assert est.delays == oracle_delays == (3, 12)
         assert abs(est.amplitudes[1] - 0.1j) < 1e-9
