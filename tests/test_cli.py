@@ -399,33 +399,34 @@ class TestSoundCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("normalized_doppler", "x"), ("normalized_doppler", True),
+        ("feedback_taps", 5), ("feedback_taps", [8.0, 4, 3, 2]),
+        ("feedback_taps", [8, True, 3, 2]), ("feedback_taps", ["8", 4, 3, 2]),
+        ("initial_state", 5), ("initial_state", [1, 1, 1, 1, 1, 1, 1, 2]),
+        ("initial_state", [True] * 8), ("initial_state", [1.0] * 8),
+        ("max_candidate_delay", 3.7), ("max_candidate_delay", True),
+        ("max_candidate_delay", "7"), ("max_candidate_delay", -1),
+        # values the three removed keys took before they were removed
+        ("feedback_taps", [8, 4, 3, 2]), ("initial_state", [1] * 8),
+        ("max_candidate_delay", 40),
     ])
     def test_null_default_key_takes_only_its_type(self, tmp_path, capsys, key, value):
-        # null, an integer and a float run; "x" ended in a TypeError traceback
+        # normalized_doppler is sound's one null-default key: null, an integer and a
+        # float run, and "x" ended in a TypeError traceback. feedback_taps,
+        # initial_state and max_candidate_delay were null-default keys too; they are
+        # gone, and any value of them is refused as an unknown key, by name.
         probe = self._probe_file(tmp_path, [1.0], [0])
         out = tmp_path / "sounding.json"
-        for accepted in (None, 0, 1e-6):
-            cfg = _write_cfg(tmp_path, "s.json", {key: accepted})
-            assert run(["sound", "--config", cfg, "--signal", probe]) == 0
+        if key == "normalized_doppler":
+            for accepted in (None, 0, 1e-6):
+                cfg = _write_cfg(tmp_path, "s.json", {key: accepted})
+                assert run(["sound", "--config", cfg, "--signal", probe]) == 0
+            reason = f"{key} must be null or a number"
+        else:
+            reason = f"unknown key {key!r} for 'sound'\n"
         cfg = _write_cfg(tmp_path, "s.json", {key: value})
         capsys.readouterr()
         assert run(["sound", "--config", cfg, "--signal", probe, "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"chanident sound: config file {cfg}: {key} must be null or a number")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, value", [
-        ("feedback_taps", [8, 4, 3, 2]), ("initial_state", [1] * 8),
-        ("max_candidate_delay", 40),
-    ], ids=["feedback_taps", "initial_state", "max_candidate_delay"])
-    def test_removed_key_refused_by_name(self, tmp_path, capsys, key, value):
-        # values these keys took before they were removed
-        probe = self._probe_file(tmp_path, [1.0], [0])
-        cfg = _write_cfg(tmp_path, "s.json", {key: value})
-        out = tmp_path / "sounding.json"
-        assert run(["sound", "--config", cfg, "--signal", probe, "--output", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"chanident sound: config file {cfg}: unknown key {key!r} for 'sound'\n")
+        assert capsys.readouterr().err.startswith(f"chanident sound: config file {cfg}: {reason}")
         assert not out.exists()
 
     def test_probe_shorter_than_a_period_refused_before_generating(self, tmp_path, capsys,
