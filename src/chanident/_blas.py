@@ -1,21 +1,21 @@
-"""One BLAS thread per record in numpy's and scipy's bundled OpenBLAS.
+"""One BLAS thread in numpy's and scipy's bundled OpenBLAS.
 
 numpy and scipy wheels each bundle their own OpenBLAS, each with its own
-thread pool sized to the CPU count.  A record's least-squares fits are many
-small solves and matrix products: a second BLAS thread adds CPU but no
-speed, and two pools contend for the same cores, worse still under a
-process pool.  ``single_thread`` sets every bundled pool to one thread for
-its scope and restores the counts it found.  The libraries are found among
-the mapped files of this process and driven through ``ctypes``; where none
-is found, the scope does nothing.
+thread pool sized to the CPU count.  The package's work is many small
+least-squares solves and the small products of a small MLP: a second BLAS
+thread adds CPU but no speed, and two pools contend for the same cores,
+worse still under a process pool.  ``pin_one_thread``, called once when
+``chanident`` is imported, sets every bundled pool to one thread for the
+rest of the process, whatever ``OPENBLAS_NUM_THREADS`` says; forked workers
+inherit the count and spawned ones import the package again.  The libraries
+are found among the mapped files of this process and driven through
+``ctypes``; where none is found, nothing is set.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -81,40 +81,12 @@ def pools() -> tuple[Pool, ...]:
     return find_pools(_mapped_paths())
 
 
-# The pools are process-wide, so the count of open scopes is too.
-_lock = threading.Lock()
-_depth = 0
-_saved: list[int] = []
-
-
-@contextmanager
-def single_thread():
-    """Run the scope on one BLAS thread in every bundled pool.
-
-    Scopes nest and may overlap across Python threads: the first to enter
-    saves the counts and sets one thread, and the last to leave restores
-    the saved counts, also when the scope raises.
-    """
-    global _depth, _saved
-    found = pools()
-    with _lock:
-        if _depth == 0:
-            _saved = [p.get() for p in found]
-            for p in found:
-                p.set(1)
-        _depth += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0:
-                for p, count in zip(found, _saved):
-                    p.set(count)
+def pin_one_thread() -> None:
+    """Set every bundled pool to one thread."""
+    for p in pools():
+        p.set(1)
 
 
 def describe() -> list[dict]:
-    """Each pool's library, its thread count here, and the count a record
-    runs on; for a run's manifest."""
-    return [{"library": p.library, "threads_default": p.get(),
-             "threads_per_record": 1} for p in pools()]
+    """Each pool's library and thread count; for a run's manifest."""
+    return [{"library": p.library, "threads": p.get()} for p in pools()]

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from . import _blas, slepian
+from . import slepian
 from .errors import IdentifiabilityError
 from .simulate import CIRMatrix, ComplexSignal, SimConfig
 from .slepian import DPSSBasis, basis_dimension, generate_dpss
@@ -144,7 +144,6 @@ def _unique_delays(delay_grid, n: int) -> tuple[int, ...]:
     return delays
 
 
-@_blas.single_thread()
 def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
                     basis: DPSSBasis) -> CIRMatrix:
     """The gains mu_l[n] = sum_d c[l, d] u_d[n] of the least-squares fit of
@@ -183,7 +182,6 @@ def window_plan(n: int, window_len: int, normalized_doppler: float,
     return plan
 
 
-@_blas.single_thread()
 def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid,
                           normalized_doppler: float,
                           window_len: int = DEFAULT_WINDOW_LEN) -> CIRMatrix:

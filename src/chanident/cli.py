@@ -265,8 +265,10 @@ def _print_sounding(order_est: OrderEstimate, delays: DelayAmplitudeEstimate) ->
     print(f"estimated channel order: {order_est.order}")
     print("delay_units  delay_us  |amplitude|  phase_deg")
     for d, a in delays.paths:
-        print(f"{d:>11d}  {d * SAMPLE_PERIOD_S * 1e6:>8.1f}  {abs(a):>11.4f}  "
-              f"{np.degrees(np.angle(a)):>9.1f}")
+        # one value each for a real path (not -0.0) and a negative one (not -180.0)
+        phase = round(float(np.degrees(np.angle(a))), 1)
+        phase = 180.0 if phase == -180.0 else phase + 0.0
+        print(f"{d:>11d}  {d * SAMPLE_PERIOD_S * 1e6:>8.1f}  {abs(a):>11.4f}  {phase:>9.1f}")
     print(f"residual cost {delays.residual_cost:.6g} after {delays.iterations} sweeps")
 
 

@@ -266,14 +266,28 @@ def save_mlp(params: MLPParams, path, train_fingerprint: dict | None = None) -> 
 
 
 def load_mlp(path) -> tuple[MLPParams, dict]:
+    """The parameters and training fingerprint of a ``save_mlp`` file,
+    refused, naming the file, unless they fit its ``layer_sizes``."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {doc.get('format')!r}")
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != MODEL_FORMAT:
+        raise ValueError(f"{path}: unsupported model format {found!r}")
+    for key in ("layer_sizes", "weights", "biases"):
+        if key not in doc:
+            raise ValueError(f"{path}: model file has no {key!r}")
     sizes = tuple(int(s) for s in doc["layer_sizes"])
-    weights = [np.array(w, dtype=np.float64).reshape(o, i)
-               for w, i, o in zip(doc["weights"], sizes[:-1], sizes[1:])]
-    biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
+    for key in ("weights", "biases"):
+        if len(doc[key]) != len(sizes) - 1:
+            raise ValueError(f"{path}: {len(doc[key])} {key} arrays for the "
+                             f"{len(sizes) - 1} layers of layer_sizes {list(sizes)}")
+    weights, biases = [], []
+    for h, (w, b, i, o) in enumerate(zip(doc["weights"], doc["biases"], sizes[:-1], sizes[1:])):
+        if len(w) != o * i or len(b) != o:
+            raise ValueError(f"{path}: layer {h} holds {len(w)} weights and {len(b)} "
+                             f"biases, layer_sizes {list(sizes)} gives {o * i} and {o}")
+        weights.append(np.array(w, dtype=np.float64).reshape(o, i))
+        biases.append(np.array(b, dtype=np.float64))
     params = MLPParams(sizes, weights, biases)
     for w in weights + biases:
         if not np.all(np.isfinite(w)):

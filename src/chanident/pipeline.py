@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _blas, profiles
+from . import profiles
 from .bem import DEFAULT_WINDOW_LEN, estimate_cir_windowed, window_plan
 from .errors import (IdentifiabilityError, InsufficientSignalError,
                      InvalidSplitError, NoChannelDetectedError)
-from .features import (FEATURE_LENGTH, N_SCENARIOS, FeatureVector, build_ddpdp,
-                       flatten_ddpdp, one_hot)
+from .features import (DDPDP, ENVELOPE_BINS, FEATURE_LENGTH, N_SCENARIOS, FeatureVector,
+                       build_ddpdp, flatten_ddpdp, one_hot)
 from .modulation import random_frame
 from .mseq import MSequence
 from .mlp import (MLPParams, TrainConfig, TrainReport, classify, config_fingerprint,
@@ -159,7 +159,6 @@ def _snr_token(snr_db: float | None) -> str:
     return NOISELESS if snr_db is None else repr(float(snr_db))
 
 
-@_blas.single_thread()
 def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int) -> DatasetRecord:
     """Simulate, estimate and featurize one dataset record.
 
@@ -259,6 +258,7 @@ def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
                 raise ValueError(f"SNR must be finite, got {fields[1]}")
             seed = int(fields[2])
             feature = FeatureVector(np.array([float(v) for v in fields[3:]]), label)
+            DDPDP(feature.values.reshape(-1, ENVELOPE_BINS))  # the row rule
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         records.append(DatasetRecord(feature, label, snr, seed))
@@ -336,7 +336,11 @@ def train_classifier(records: list[DatasetRecord], hidden_sizes, config: TrainCo
     x = np.stack([r.feature.values for r in records])
     t = np.stack([one_hot(r.label) for r in records])
     sizes = [FEATURE_LENGTH, *hidden_sizes, N_SCENARIOS]
-    params, report = train(init_mlp(sizes, seed=init_seed), x, t, config)
+    try:
+        initial = init_mlp(sizes, seed=init_seed)
+    except ValueError as exc:
+        raise ValueError(f"hidden_sizes {list(hidden_sizes)}: {exc}") from exc
+    params, report = train(initial, x, t, config)
     fingerprint = config_fingerprint(config, extra={"init_seed": init_seed,
                                                     "layer_sizes": sizes})
     return params, report, fingerprint

@@ -1,10 +1,17 @@
+import json
+import multiprocessing
+import os
+import subprocess
 import sys
-import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chanident import _blas, bem, pipeline
+import chanident
+from chanident import _blas, bem, mlp, pipeline
 from chanident.modulation import random_frame
 from chanident.pipeline import DatasetSpec
 
@@ -17,12 +24,17 @@ def _counts():
 
 
 @pytest.fixture
-def prior():
+def pools():
+    found = _blas.pools()
+    if not found:
+        pytest.skip("no bundled OpenBLAS loaded")
+    return found
+
+
+@pytest.fixture
+def prior(pools):
     """Distinct counts other than 1 in the bundled pools for the test, and
     the counts found before it restored after it."""
-    pools = _blas.pools()
-    if not pools:
-        pytest.skip("no bundled OpenBLAS loaded")
     found = _counts()
     counts = [2 + i for i in range(len(pools))]
     for p, n in zip(pools, counts):
@@ -32,103 +44,51 @@ def prior():
         p.set(n)
 
 
-class _FakePool:
-    def __init__(self, count):
-        self.count, self.calls = count, []
-
-    def get(self):
-        return self.count
-
-    def set(self, n):
-        self.calls.append(n)
-        self.count = n
-
-
-def test_bundled_pools_of_numpy_and_scipy_found():
-    libraries = [p.library for p in _blas.pools()]
-    if not libraries:
-        pytest.skip("no bundled OpenBLAS loaded")
+def test_bundled_pools_of_numpy_and_scipy_found(pools):
+    libraries = [p.library for p in pools]
     assert len(libraries) == 2
     assert sum("openblas64_" in name for name in libraries) == 1  # numpy's
 
 
-def test_scope_sets_one_thread_and_restores(prior):
-    with _blas.single_thread():
-        assert _counts() == [1] * len(prior)
-    assert _counts() == prior
+def test_pin_sets_one_thread_in_every_pool(prior):
+    _blas.pin_one_thread()
+    assert _counts() == [1] * len(prior)
 
 
-def test_scope_restores_when_it_raises(prior):
-    with pytest.raises(RuntimeError, match="boom"):
-        with _blas.single_thread():
-            raise RuntimeError("boom")
-    assert _counts() == prior
+# Loads _blas.py on its own, which imports no chanident module, to read the
+# counts before and after the package's import in one interpreter.
+_FRESH = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("probe", sys.argv[1])
+probe = sys.modules["probe"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(probe)
+before = [p.get() for p in probe.pools()]
+import chanident
+print(json.dumps({"before": before, "after": [p.get() for p in probe.pools()]}))
+"""
 
 
-def test_nested_scopes_restore_once(monkeypatch):
-    fakes = (_FakePool(3), _FakePool(2))
-    monkeypatch.setattr(_blas, "pools", lambda: fakes)
-    with _blas.single_thread():
-        with _blas.single_thread():
-            pass
-        assert [f.count for f in fakes] == [1, 1]
-    assert [f.calls for f in fakes] == [[1, 3], [1, 2]]
+def test_import_pins_one_thread_whatever_the_environment_says(pools):
+    src = str(Path(chanident.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", _FRESH, _blas.__file__], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    if (os.cpu_count() or 1) >= 2:  # OpenBLAS caps the count at the cores
+        assert counts["before"] == [2] * len(pools)
+    assert counts["after"] == [1] * len(pools)
 
 
-def test_overlapping_scopes_in_two_threads(prior):
-    """The first thread leaves while the second is still inside; the second
-    must still see one thread, and the counts come back when both are out."""
-    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
-    seen = {}
-
-    def first():
-        with _blas.single_thread():
-            first_in.set()
-            second_in.wait(10)
-        first_out.set()
-
-    def second():
-        first_in.wait(10)
-        with _blas.single_thread():
-            second_in.set()
-            first_out.wait(10)
-            seen["after_first_left"] = _counts()
-
-    workers = [threading.Thread(target=first), threading.Thread(target=second)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join(20)
-    assert seen["after_first_left"] == [1] * len(prior)
-    assert _counts() == prior
-
-
-def test_scope_count_survives_thread_switches(monkeypatch):
-    """More threads than cores, switching often: a lost update of the scope
-    count would restore the pools while another thread is still inside."""
-    fakes = (_FakePool(3), _FakePool(2))
-    monkeypatch.setattr(_blas, "pools", lambda: fakes)
-    inside = []
-
-    def work():
-        for _ in range(300):
-            with _blas.single_thread():
-                with _blas.single_thread():
-                    inside.append(tuple(f.count for f in fakes))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=work) for _ in range(8)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert len(inside) == 8 * 300 and set(inside) == {(1, 1)}
-    assert [f.count for f in fakes] == [3, 2]
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_workers_run_on_one_thread(pools, method):
+    # forked workers inherit the count; spawned ones import the package again
+    context = multiprocessing.get_context(method)
+    with ProcessPoolExecutor(2, mp_context=context) as pool:
+        docs = [f.result() for f in [pool.submit(_blas.describe) for _ in range(2)]]
+    assert docs == [[{"library": p.library, "threads": 1} for p in pools]] * 2
 
 
 def test_no_library_found_is_a_no_op(prior, monkeypatch):
@@ -137,20 +97,18 @@ def test_no_library_found_is_a_no_op(prior, monkeypatch):
                              "/nonexistent/libm.so.6"]) == ()
     real = _blas.pools()
     monkeypatch.setattr(_blas, "pools", lambda: ())
-    with _blas.single_thread():
-        assert [p.get() for p in real] == prior
+    _blas.pin_one_thread()
+    assert [p.get() for p in real] == prior
     assert _blas.describe() == []
 
 
 def test_describe_reports_counts_outside_a_record(prior):
-    doc = _blas.describe()
-    assert [d["library"] for d in doc] == [p.library for p in _blas.pools()]
-    assert [d["threads_default"] for d in doc] == prior
-    assert all(d["threads_per_record"] == 1 for d in doc)
+    assert _blas.describe() == [{"library": p.library, "threads": n}
+                                for p, n in zip(_blas.pools(), prior)]
 
 
 @pytest.mark.parametrize("estimation", ["bem-ls", "oracle-cir"])
-def test_record_stages_run_on_one_thread(prior, monkeypatch, estimation):
+def test_record_stages_run_on_one_thread(pools, monkeypatch, estimation):
     seen = []
     build = pipeline.build_ddpdp
 
@@ -160,11 +118,10 @@ def test_record_stages_run_on_one_thread(prior, monkeypatch, estimation):
 
     monkeypatch.setattr(pipeline, "build_ddpdp", spy)
     pipeline.make_record(replace(SPEC, estimation=estimation), 4, 10.0, 0)
-    assert seen == [[1] * len(prior)]
-    assert _counts() == prior
+    assert seen == [[1] * len(pools)]
 
 
-def test_bem_entry_points_run_on_one_thread(prior, monkeypatch):
+def test_bem_entry_points_run_on_one_thread(pools, monkeypatch):
     seen = []
     normal_equations = bem._normal_equations
 
@@ -177,12 +134,20 @@ def test_bem_entry_points_run_on_one_thread(prior, monkeypatch):
     bem.estimate_cir_windowed(frame, frame.samples, (0, 1), 0.02)
     basis = bem.generate_dpss(1024, 0.004, 4)
     bem.bem_ls_estimate(frame, frame.samples, (0, 1), basis)
-    assert len(seen) == 3 and all(c == [1] * len(prior) for c in seen)
-    assert _counts() == prior
+    assert len(seen) == 3 and all(c == [1] * len(pools) for c in seen)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_generate_records_restores_counts(prior, threads):
-    records = pipeline.generate_records(SPEC, threads=threads)
-    assert len(records) == SPEC.record_count
-    assert _counts() == prior
+def test_training_runs_on_one_thread(pools, monkeypatch):
+    seen = []
+    backprop = mlp._backprop
+
+    def spy(*args):
+        seen.append(_counts())
+        return backprop(*args)
+
+    monkeypatch.setattr(mlp, "_backprop", spy)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(6, 20))
+    mlp.train(mlp.init_mlp([20, 8, 6], seed=0), x, np.eye(6),
+              mlp.TrainConfig(epochs=2, batch_size=4))
+    assert len(seen) == 4 and all(c == [1] * len(pools) for c in seen)

@@ -164,9 +164,7 @@ class TestDatasetCommand:
         _make_dataset(tmp_path)
         manifest = json.loads((tmp_path / "data.txt.manifest.json").read_text())
         pools = _blas.pools()
-        assert manifest["blas"] == [
-            {"library": p.library, "threads_default": p.get(), "threads_per_record": 1}
-            for p in pools]
+        assert manifest["blas"] == [{"library": p.library, "threads": 1} for p in pools]
         if pools:  # numpy's and scipy's bundled OpenBLAS, one entry each
             names = [b["library"] for b in manifest["blas"]]
             assert len(names) == 2 and all(n.startswith("libscipy_openblas") for n in names)
@@ -256,7 +254,8 @@ class TestTrainCommand:
         model = tmp_path / "m.json"
         rc = run(["train", "--config", cfg, "--dataset", data, "--output", str(model)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("chanident train: layer sizes must be ")
+        assert capsys.readouterr().err.startswith(
+            "chanident train: hidden_sizes [16.7, True]: layer sizes must be ")
         assert not model.exists()
 
     def test_dataset_without_noiseless_fails(self, tmp_path, capsys):
@@ -305,6 +304,23 @@ class TestEvalCommand:
         assert rc != 0
         err = capsys.readouterr().err
         assert "10" in err and "4800" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        # a 4800-8 network whose file still says [4800, 8, 6]
+        (lambda doc: doc.update(weights=doc["weights"][:1], biases=doc["biases"][:1]),
+         "1 weights arrays for the 2 layers"),
+        (lambda doc: doc.pop("layer_sizes"), "no 'layer_sizes'"),
+    ], ids=["cut-to-first-layer", "no-layer_sizes"])
+    def test_model_that_does_not_fit_its_layer_sizes_refused(self, tmp_path, capsys,
+                                                              edit, message):
+        data, model = self._trained(tmp_path)
+        doc = json.loads(Path(model).read_text())
+        edit(doc)
+        Path(model).write_text(json.dumps(doc))
+        report = tmp_path / "r.txt"
+        assert run(["eval", "--model", model, "--dataset", data, "--output", str(report)]) == 1
+        assert capsys.readouterr().err.startswith(f"chanident eval: {model}: ")
+        assert not report.exists()
 
     def test_malformed_dataset_line_number(self, tmp_path, capsys):
         data, model = self._trained(tmp_path)
@@ -385,6 +401,13 @@ class TestSoundCommand:
         probe = self._probe_file(tmp_path, [1.0], [0])
         assert run(["sound", "--signal", probe]) == 0
         assert "estimated channel order: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("amp, phase", [(1 - 1e-12j, "0.0"), (-1 - 1e-12j, "180.0")])
+    def test_rounding_level_phase_prints_one_value(self, tmp_path, capsys, amp, phase):
+        probe = self._probe_file(tmp_path, [amp], [0])
+        assert run(["sound", "--signal", probe]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[-1] for row in rows if row[0] == "0"] == [phase]
 
     def test_zero_sample_rate_is_an_error_not_a_traceback(self, tmp_path):
         # 1 / rate raised ZeroDivisionError past the CLI's error handling
@@ -611,10 +634,10 @@ def tiny_dataset(tmp_path_factory):
     return _make_dataset(tmp)[0]
 
 
-@pytest.mark.parametrize("value", EDGE_VALUES, ids=json.dumps)
-@pytest.mark.parametrize("command, key", [
+_EDGE_KEYS = [
     ("dataset", "sim.normalized_doppler"), ("dataset", "snr_list_db"),
     ("dataset", "scenario_labels"), ("dataset", "window_len"),
+    ("dataset", "vectors_per_condition"), ("dataset", "samples_per_vector"),
     ("estimate", "normalized_doppler"), ("estimate", "delay_grid"),
     ("estimate", "window_len"),
     # not register_length: 2 is a valid register that the probe was not made
@@ -622,7 +645,17 @@ def tiny_dataset(tmp_path_factory):
     # signal rather than of the key
     ("sound", "threshold_factor"), ("sound", "normalized_doppler"),
     ("simulate", "normalized_doppler"), ("simulate", "seed"),
-    ("train", "seed"), ("train", "init_seed"),
+    ("train", "seed"), ("train", "init_seed"), ("train", "hidden_sizes"),
+    ("train", "epochs"), ("train", "batch_size"), ("train", "learning_rate"),
+    ("train", "momentum"), ("train", "plateau_patience"), ("train", "plateau_rel_tol"),
+]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(command, key, value, id=f"{command}-{key}-{json.dumps(value)}")
+    for command, key in _EDGE_KEYS for value in EDGE_VALUES
+    # a hidden layer of 100000 asks for 4800 x 100000 weights, 3.8 GB per copy
+    if (key, value) != ("hidden_sizes", [100000])
 ])
 def test_config_edge_value_runs_or_is_refused_by_name(tmp_path, capsys, tiny_dataset,
                                                       command, key, value):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,12 @@ def test_only_profiles_and_the_cli_name_the_sample_period():
                   if "SAMPLE_PERIOD_S" in text) == ["cli.py", "profiles.py"]
     assert [name for name, text in sources.items()
             if "sample_period_s" in text or "chip_period_s" in text] == []
+
+
+def test_the_blas_count_is_set_in_one_place():
+    # _blas drives the pools, and only the package's import pins them
+    package = Path(chanident.__file__).resolve().parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert [name for name, text in sources.items() if "set_num_threads" in text] == ["_blas.py"]
+    assert [name for name, text in sources.items()
+            if re.search(r"(?<!def )\bpin_one_thread\(", text)] == ["__init__.py"]

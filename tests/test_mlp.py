@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -392,4 +394,22 @@ class TestModelFile:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="format"):
+            load_mlp(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("layer_sizes"), "no 'layer_sizes'"),
+        (lambda doc: doc.pop("biases"), "no 'biases'"),
+        (lambda doc: doc.update(weights=doc["weights"][:1]), "1 weights arrays for the 2 layers"),
+        (lambda doc: doc.update(biases=doc["biases"] + [[0.0]]), "3 biases arrays"),
+        (lambda doc: doc["biases"][1].append(0.0), "layer 1 holds 12 weights and 4 biases"),
+        (lambda doc: doc["weights"][0].pop(), "layer 0 holds 19 weights"),
+    ], ids=["no-layer_sizes", "no-biases", "weights-short", "biases-long", "bias-long",
+            "weight-short"])
+    def test_refuses_parameters_that_do_not_fit_layer_sizes(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        save_mlp(init_mlp([5, 4, 3], seed=13), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
             load_mlp(path)

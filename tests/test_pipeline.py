@@ -237,6 +237,8 @@ class TestDatasetFile:
             "expected": " ".join(fields[:-1]),  # one value short
             "finite": " ".join(fields[:-1] + ["nan"]),
             "label must lie": " ".join(["7"] + fields[1:]),
+            "non-negative": " ".join(fields[:3] + ["-0.5", "7.25"] + fields[5:]),  # row sum 7.75
+            "sum to 1": " ".join(fields[:3] + ["0.25", "0.75"] + fields[5:]),
         }
         for message, bad in bad_lines.items():
             path.write_text("\n".join(good[:3] + [bad]) + "\n")
