@@ -18,7 +18,6 @@ override, and ``dataset`` and ``experiment`` a ``--threads`` worker cap.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _blas, pipeline, profiles
+from . import _blas, pipeline, profiles, sounding
 from .bem import DEFAULT_WINDOW_LEN, estimate_cir_windowed
 from .features import FEATURE_LENGTH, N_SCENARIOS
 from .mlp import TrainConfig, load_mlp, save_mlp
@@ -252,7 +251,7 @@ def _cmd_sound(args, config, timed) -> dict:
                        f"m-sequence, 2^{p} - 1 chips")
     mseq = generate_mseq(p)
     with timed("sound"):
-        order_est, delays = pipeline.sound_and_profile(
+        order_est, delays = sounding.sound_and_profile(
             received, mseq, threshold_factor=config["threshold_factor"],
             normalized_doppler=config["normalized_doppler"])
     _print_sounding(order_est, delays)
@@ -342,8 +341,7 @@ _COMMANDS = {
                            ("master_seed", "seed", "init_seed"), threads=True),
     "sound": _Command(_cmd_sound, "estimate channel order, delays and amplitudes from a probe",
                       {"register_length": 8,
-                       "threshold_factor": inspect.signature(
-                           pipeline.sound_and_profile).parameters["threshold_factor"].default,
+                       "threshold_factor": sounding.DEFAULT_THRESHOLD_FACTOR,
                        "normalized_doppler": None},  # used only for the quasi-static warning
                       ("signal",)),
     "estimate": _Command(_cmd_estimate, "BEM-LS gain estimation on a received signal",

@@ -6,10 +6,6 @@ class InsufficientSignalError(ValueError):
     clears the significance floor)."""
 
 
-class NoChannelDetectedError(ValueError):
-    """Sounding found no multipath component in the probe."""
-
-
 class IdentifiabilityError(ValueError):
     """A least-squares system has fewer independent equations than unknowns."""
 

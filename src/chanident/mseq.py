@@ -50,54 +50,17 @@ def periodic_autocorrelation(chips: np.ndarray) -> np.ndarray:
     return np.array([int(c @ np.roll(c, k)) for k in range(n)], dtype=np.int64)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def generate_mseq(register_length: int, taps: tuple[int, ...] | None = None,
-                  initial_state=None) -> MSequence:
-    """Run the LFSR for one full period and return the +/-1 chip sequence.
-
-    ``taps`` defaults to the registry entry for ``register_length``;
-    ``initial_state`` (a length-p 0/1 sequence, all-ones by default) must be
-    nonzero.  A tap set that is not primitive is detected by the register
-    revisiting a state early and rejected.
-    """
+def generate_mseq(register_length: int) -> MSequence:
+    """Run the LFSR of ``PRIMITIVE_TAPS[register_length]`` from the all-ones
+    state for one full period and return the +/-1 chip sequence."""
     p = register_length
-    if p < 2:
-        raise ValueError("register_length must be >= 2")
-    if taps is None:
-        if p not in PRIMITIVE_TAPS:
-            raise ValueError(f"no default primitive polynomial for register length {p}")
-        taps = PRIMITIVE_TAPS[p]
-    taps = tuple(taps)
-    if not all(_is_int(t) for t in taps):
-        raise ValueError(f"feedback taps {taps} must be integers")
-    taps = tuple(sorted(set(taps), reverse=True))
-    if not taps or taps[0] != p or taps[-1] < 1:
-        raise ValueError(f"feedback taps {taps} must be exponents in [1, {p}] including {p}")
-    if initial_state is None:
-        state = [1] * p
-    else:
-        state = list(initial_state)
-        if len(state) != p:
-            raise ValueError(f"initial_state must have {p} bits")
-        if not all(_is_int(b) and b in (0, 1) for b in state):
-            raise ValueError("initial_state bits must be the integers 0 or 1")
-    if not any(state):
-        raise ValueError("initial_state must not be all-zero")
-
+    if p not in PRIMITIVE_TAPS:
+        raise ValueError(f"register_length must be one of {sorted(PRIMITIVE_TAPS)}, not {p!r}")
+    taps = PRIMITIVE_TAPS[p]
     period = (1 << p) - 1
     bits = np.empty(period, dtype=np.int8)
-    # Tap p makes the step invertible, so the states form a cycle through the
-    # initial one: the first repeat is a return to it, and a return within
-    # ``period`` steps means the polynomial is not primitive.
-    s = list(state)
+    s = [1] * p
     for i in range(period):
-        if i and s == state:
-            raise ValueError(
-                f"feedback taps {taps} are not a primitive polynomial: "
-                f"state cycle of length {i} < {period}")
         bits[i] = s[-1]
         fb = 0
         for t in taps:

@@ -1,6 +1,6 @@
 """End-to-end orchestration: dataset generation, train/test split, classifier
-training, scenario evaluation, the experiment driver and the sounding front
-end.  This module owns the dataset and report file formats.
+training, scenario evaluation and the experiment driver.  This module owns
+the dataset and report file formats.
 
 Every record derives its own seed from the master seed and the record's
 (scenario, SNR, index) coordinates, so any single record is reproducible in
@@ -22,17 +22,13 @@ import numpy as np
 
 from . import profiles
 from .bem import DEFAULT_WINDOW_LEN, estimate_cir_windowed, window_plan
-from .errors import (IdentifiabilityError, InsufficientSignalError,
-                     InvalidSplitError, NoChannelDetectedError)
+from .errors import IdentifiabilityError, InvalidSplitError
 from .features import (DDPDP, ENVELOPE_BINS, FEATURE_LENGTH, N_SCENARIOS, FeatureVector,
                        build_ddpdp, flatten_ddpdp, one_hot)
 from .modulation import random_frame
-from .mseq import MSequence
 from .mlp import (MLPParams, TrainConfig, TrainReport, classify, config_fingerprint,
                   init_mlp, save_mlp, train)
-from .simulate import ComplexSignal, SimConfig, add_awgn, apply_channel, generate_fading
-from .sounding import (DelayAmplitudeEstimate, OrderEstimate, estimate_order, fold_periods,
-                       relax_estimate)
+from .simulate import SimConfig, add_awgn, apply_channel, generate_fading
 
 DATASET_FORMAT = "chanident-dataset v2"
 REPORT_FORMAT = "chanident-report v1"
@@ -368,40 +364,3 @@ def run_experiment(spec: DatasetSpec, out_dir, hidden_sizes, config: TrainConfig
     write_report(out_dir / "report.txt", report)
     return records, train_report, report
 
-
-def probe_signal(mseq: MSequence, periods: int = 4) -> ComplexSignal:
-    """The transmitted sounding signal: ``periods`` repetitions of the chips."""
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    chips = np.tile(mseq.chips.astype(np.complex128), periods)
-    return ComplexSignal(chips)
-
-
-def sound_and_profile(received: ComplexSignal, local: MSequence,
-                      threshold_factor: float = 0.05,
-                      normalized_doppler: float | None = None,
-                      ) -> tuple[OrderEstimate, DelayAmplitudeEstimate]:
-    """Run order estimation, then fit that many paths, at any delay in the
-    m-sequence period, to the period-folded probe.
-
-    ``threshold_factor`` defaults to 0.05 here (not the 0.5 of raw
-    ``estimate_order``) so taps up to 20 dB below the strongest - the COST
-    207 worst case - still count.  When ``normalized_doppler`` is given, it
-    must be one ``SimConfig`` takes, and a probe too long for the
-    quasi-static amplitude assumption (nu * length > 0.1) draws a warning.
-    """
-    if normalized_doppler is not None:
-        SimConfig(normalized_doppler)
-        if normalized_doppler * len(received) > 0.1:
-            warnings.warn(
-                f"probe spans {len(received)} samples at normalized Doppler "
-                f"{normalized_doppler:g}; amplitudes may not be static over the probe")
-    try:
-        order_est = estimate_order(received, local, threshold_factor=threshold_factor)
-    except InsufficientSignalError as exc:
-        raise NoChannelDetectedError(f"no multipath component detected: {exc}") from exc
-    if order_est.order == 0:
-        raise NoChannelDetectedError("no correlation peak cleared the threshold")
-    folded = fold_periods(received.samples, local.period)
-    delays = relax_estimate(folded, local, order_est.order, range(local.period))
-    return order_est, delays

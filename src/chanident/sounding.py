@@ -1,4 +1,5 @@
-"""Channel sounding: order estimation and iterative delay/amplitude fitting.
+"""Channel sounding: the m-sequence probe, order estimation and iterative
+delay/amplitude fitting, joined by ``sound_and_profile``.
 
 Order estimation correlates the period-folded complex baseband probe with
 the local chip sequence and detects peaks on the correlation magnitude.
@@ -20,15 +21,19 @@ delays are integer sample offsets.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSignalError
 from .mseq import MSequence
-from .simulate import ComplexSignal
+from .simulate import ComplexSignal, SimConfig
 
-DEFAULT_THRESHOLD_FACTOR = 0.5
+# A lag is a path when its correlation reaches this fraction of the strongest
+# peak: taps 20 dB below the strongest (amplitude ratio 0.1), the COST 207
+# worst case, still count.
+DEFAULT_THRESHOLD_FACTOR = 0.05
 FLOOR_FACTOR = 4.0       # significance floor, in medians of the correlation magnitude
 TOL = 1e-8               # relative cost decrease that ends a RELAX stage
 MAX_OUTER_ITERS = 50     # sweeps per RELAX stage
@@ -97,7 +102,7 @@ def _circular_corr(folded: np.ndarray, chips: np.ndarray) -> np.ndarray:
 
 
 def estimate_order(received: ComplexSignal, local: MSequence,
-                   threshold_factor: float = DEFAULT_THRESHOLD_FACTOR) -> OrderEstimate:
+                   threshold_factor: float) -> OrderEstimate:
     """Count the distinct delay paths visible in an m-sequence probe.
 
     A lag is a path when its correlation magnitude reaches
@@ -200,3 +205,34 @@ def relax_estimate(folded: np.ndarray, local: MSequence, order: int,
         iterations=sweeps,
         cost_trace=tuple(trace),
     )
+
+
+def probe_signal(mseq: MSequence, periods: int = 4) -> ComplexSignal:
+    """The transmitted sounding signal: ``periods`` repetitions of the chips."""
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+    chips = np.tile(mseq.chips.astype(np.complex128), periods)
+    return ComplexSignal(chips)
+
+
+def sound_and_profile(received: ComplexSignal, local: MSequence,
+                      threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
+                      normalized_doppler: float | None = None,
+                      ) -> tuple[OrderEstimate, DelayAmplitudeEstimate]:
+    """Run order estimation, then fit that many paths, at any delay in the
+    m-sequence period, to the period-folded probe.
+
+    When ``normalized_doppler`` is given, it must be one ``SimConfig``
+    takes, and a probe too long for the quasi-static amplitude assumption
+    (nu * length > 0.1) draws a warning.
+    """
+    if normalized_doppler is not None:
+        SimConfig(normalized_doppler)
+        if normalized_doppler * len(received) > 0.1:
+            warnings.warn(
+                f"probe spans {len(received)} samples at normalized Doppler "
+                f"{normalized_doppler:g}; amplitudes may not be static over the probe")
+    order_est = estimate_order(received, local, threshold_factor)
+    folded = fold_periods(received.samples, local.period)
+    delays = relax_estimate(folded, local, order_est.order, range(local.period))
+    return order_est, delays

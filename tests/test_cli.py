@@ -641,7 +641,7 @@ _EDGE_KEYS = [
     ("estimate", "normalized_doppler"), ("estimate", "delay_grid"),
     ("estimate", "window_len"),
     # not register_length: 2 is a valid register that the probe was not made
-    # with, refused as "no multipath component detected", a refusal of the
+    # with, refused as a probe that "looks like noise", a refusal of the
     # signal rather than of the key
     ("sound", "threshold_factor"), ("sound", "normalized_doppler"),
     ("simulate", "normalized_doppler"), ("simulate", "seed"),

@@ -5,15 +5,16 @@ import pytest
 
 from _oracles import static_probe
 from chanident import pipeline
-from chanident.errors import InvalidSplitError, NoChannelDetectedError
+from chanident.errors import InsufficientSignalError, InvalidSplitError
 from chanident.features import FEATURE_LENGTH, FeatureVector
 from chanident.mlp import TrainConfig
 from chanident.mseq import generate_mseq
 from chanident.pipeline import (DATASET_FORMAT, DatasetRecord, DatasetSpec, derive_seed,
-                                evaluate, generate_records, read_dataset, sound_and_profile,
-                                split_train_test, write_dataset, write_report)
+                                evaluate, generate_records, read_dataset, split_train_test,
+                                write_dataset, write_report)
 from chanident.profiles import load_profile
 from chanident.simulate import ComplexSignal, SimConfig
+from chanident.sounding import probe_signal, sound_and_profile
 
 TINY = DatasetSpec(scenario_labels=(1, 3), vectors_per_condition=2,
                    snr_list_db=(None, 10.0), samples_per_vector=400,
@@ -368,11 +369,11 @@ def test_write_report_format(tmp_path):
 
 def test_probe_signal_is_tiled_chips():
     mseq = generate_mseq(5)
-    probe = pipeline.probe_signal(mseq, periods=3)
+    probe = probe_signal(mseq, periods=3)
     assert len(probe) == 3 * mseq.period
     assert np.array_equal(probe.samples, np.tile(mseq.chips, 3).astype(complex))
     with pytest.raises(ValueError):
-        pipeline.probe_signal(mseq, periods=0)
+        probe_signal(mseq, periods=0)
 
 
 class TestSoundAndProfile:
@@ -403,7 +404,7 @@ class TestSoundAndProfile:
             probe = ComplexSignal(noise)
             try:
                 sound_and_profile(probe, self.MSEQ)
-            except NoChannelDetectedError:
+            except InsufficientSignalError:
                 rejected += 1
         assert rejected >= 95
 

@@ -16,26 +16,26 @@ N = MSEQ.period
 class TestEstimateOrder:
     def test_single_path_unit_channel(self):
         received = static_probe(MSEQ, [1.0], [0])
-        est = estimate_order(received, MSEQ)
+        est = estimate_order(received, MSEQ, threshold_factor=0.5)
         assert est.order == 1
         assert est.peak_lags == (0,)
 
     def test_four_path_channel(self):
         amps = np.array([1.0, 0.9j, -0.8, 0.7 * np.exp(1j)])
         received = static_probe(MSEQ, amps, [0, 3, 7, 11])
-        est = estimate_order(received, MSEQ)
+        est = estimate_order(received, MSEQ, threshold_factor=0.5)
         assert est.order == 4
         assert est.peak_lags == (0, 3, 7, 11)
 
     def test_all_zero_probe_rejected(self):
         received = ComplexSignal(np.zeros(2 * N))
         with pytest.raises(InsufficientSignalError):
-            estimate_order(received, MSEQ)
+            estimate_order(received, MSEQ, threshold_factor=0.5)
 
     def test_short_probe_rejected(self):
         received = ComplexSignal(np.ones(N - 1))
         with pytest.raises(ValueError, match="period"):
-            estimate_order(received, MSEQ)
+            estimate_order(received, MSEQ, threshold_factor=0.5)
 
     def test_weak_tap_below_threshold_not_counted(self):
         # |mu| ratio 0.3 < threshold_factor 0.5: expect only the strong tap
@@ -64,7 +64,7 @@ class TestEstimateOrder:
         noise = rng.standard_normal(4 * N) + 1j * rng.standard_normal(4 * N)
         received = ComplexSignal(noise)
         with pytest.raises(InsufficientSignalError):
-            estimate_order(received, MSEQ)
+            estimate_order(received, MSEQ, threshold_factor=0.5)
 
 
 def _folded_for(amplitudes, delays, snr_db=None, seed=0):
