@@ -34,9 +34,9 @@ class DDPDP:
         bins = np.array(self.bins, dtype=np.float64, copy=True)
         if bins.ndim != 2 or bins.shape[1] != ENVELOPE_BINS:
             raise ValueError(f"bins must be L x {ENVELOPE_BINS}")
-        if np.any(bins < 0):
-            raise ValueError("bin probabilities must be non-negative")
-        if np.any(np.abs(bins.sum(axis=1) - 1.0) > 1e-12):
+        if not np.all(bins >= 0):  # written so that NaN fails
+            raise ValueError("bin probabilities must be non-negative numbers")
+        if not np.all(np.abs(bins.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("every row must sum to 1 within 1e-12")
         bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)

@@ -15,6 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 MODEL_FORMAT = "chanident-mlp-v1"
+# The most weights a network may have: 134 MB per float64 copy, 54 times the
+# 312 720 of the experiment's network.
+MAX_WEIGHTS = 2 ** 24
 
 
 @dataclass
@@ -68,13 +71,22 @@ class TrainReport:
     stopped_on: str  # "plateau" or "epoch_limit"
 
 
+def _valid_sizes(sizes) -> bool:
+    """Two or more layer widths, each an int >= 1.  Not int(): the model's
+    fingerprint records the sizes as given, so 16.7 or True must not quietly
+    build a layer of 16 or 1."""
+    return len(sizes) >= 2 and all(type(s) is int and s >= 1 for s in sizes)
+
+
 def init_mlp(layer_sizes, seed: int) -> MLPParams:
     """Glorot-uniform weights (+/- sqrt(6/(fan_in+fan_out))), zero biases."""
     sizes = tuple(layer_sizes)
-    # Not int(): the model's fingerprint records the sizes as given, so 16.7
-    # or True must not quietly build a layer of 16 or 1.
-    if len(sizes) < 2 or any(type(s) is not int or s < 1 for s in sizes):
+    if not _valid_sizes(sizes):
         raise ValueError(f"layer sizes must be >= 2 ints >= 1, got {list(sizes)}")
+    count = sum(i * o for i, o in zip(sizes[:-1], sizes[1:]))
+    if count > MAX_WEIGHTS:
+        raise ValueError(f"layer sizes {list(sizes)} ask for {count} weights, "
+                         f"more than {MAX_WEIGHTS}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -276,22 +288,32 @@ def load_mlp(path) -> tuple[MLPParams, dict]:
     for key in ("layer_sizes", "weights", "biases"):
         if key not in doc:
             raise ValueError(f"{path}: model file has no {key!r}")
-    sizes = tuple(int(s) for s in doc["layer_sizes"])
+    sizes = doc["layer_sizes"]
+    if not (isinstance(sizes, list) and _valid_sizes(sizes)):
+        raise ValueError(f"{path}: layer_sizes must be a list of >= 2 ints >= 1, "
+                         f"got {json.dumps(sizes)}")
+    sizes = tuple(sizes)
     for key in ("weights", "biases"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{path}: {key} must be a list of per-layer lists")
         if len(doc[key]) != len(sizes) - 1:
             raise ValueError(f"{path}: {len(doc[key])} {key} arrays for the "
                              f"{len(sizes) - 1} layers of layer_sizes {list(sizes)}")
     weights, biases = [], []
     for h, (w, b, i, o) in enumerate(zip(doc["weights"], doc["biases"], sizes[:-1], sizes[1:])):
-        if len(w) != o * i or len(b) != o:
-            raise ValueError(f"{path}: layer {h} holds {len(w)} weights and {len(b)} "
+        try:  # once per layer, not per value: an entry that is no number fails here
+            w, b = np.array(w, dtype=np.float64), np.array(b, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: layer {h}: {exc}") from None
+        if w.shape != (o * i,) or b.shape != (o,):
+            raise ValueError(f"{path}: layer {h} holds {w.size} weights and {b.size} "
                              f"biases, layer_sizes {list(sizes)} gives {o * i} and {o}")
-        weights.append(np.array(w, dtype=np.float64).reshape(o, i))
-        biases.append(np.array(b, dtype=np.float64))
+        weights.append(w.reshape(o, i))
+        biases.append(b)
     params = MLPParams(sizes, weights, biases)
     for w in weights + biases:
         if not np.all(np.isfinite(w)):
-            raise ValueError("model file contains non-finite parameters")
+            raise ValueError(f"{path}: model file contains non-finite parameters")
     return params, doc.get("train_fingerprint", {})
 
 

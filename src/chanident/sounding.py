@@ -152,8 +152,8 @@ def relax_estimate(folded: np.ndarray, local: MSequence, order: int,
     re-fit correlates the residual with the chips, g = corr(r, chips), takes
     the free candidate delay d of the largest |g| and the amplitude
     g[d] / N, the exact least-squares step for +/-1 chips.  A sweep that
-    fails to decrease the cost (this only happens through the candidate
-    exclusion rule) rolls back and ends the stage early.
+    lowers the cost by no more than ``TOL`` times its previous value is
+    rolled back and ends the stage.
     """
     folded = np.asarray(folded, dtype=np.complex128)
     n = local.period
@@ -191,12 +191,10 @@ def relax_estimate(folded: np.ndarray, local: MSequence, order: int,
                 paths[j] = refit(paths[:j] + paths[j + 1:])
             new = cost(paths)
             sweeps += 1
-            if new > prev:
-                paths = snapshot  # non-decreasing cost guard
+            if prev - new <= TOL * prev:
+                paths = snapshot
                 break
             trace.append(new)
-            if prev - new <= TOL * max(prev, np.finfo(float).tiny):
-                break
             prev = new
     paths.sort(key=lambda p: p[0])
     return DelayAmplitudeEstimate(

@@ -12,23 +12,32 @@ import chanident
 HEAVY_MODULES = ("scipy.signal", "scipy.stats", "scipy.fft")
 
 
-def test_pipeline_and_cli_import_no_heavy_scipy_modules():
+def _loaded_after(imports: str, modules) -> list[str]:
+    """The ``modules`` that a fresh interpreter holds after ``import <imports>``."""
     src = str(Path(chanident.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = ("import sys, chanident.pipeline, chanident.cli; "
-            f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))")
+    code = (f"import sys, {imports}; "
+            f"print(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()
+
+
+def _sources() -> dict[str, str]:
+    package = Path(chanident.__file__).resolve().parent
+    return {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+
+
+def test_pipeline_and_cli_import_no_heavy_scipy_modules():
+    assert _loaded_after("chanident.pipeline, chanident.cli", HEAVY_MODULES) == []
 
 
 def test_only_profiles_and_the_cli_name_the_sample_period():
     # One sample per delay unit: profiles holds the grid and the CLI's signal
     # files carry it; no signal, channel or sequence keeps a copy.
-    package = Path(chanident.__file__).resolve().parent
-    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    sources = _sources()
     assert sorted(name for name, text in sources.items()
                   if "SAMPLE_PERIOD_S" in text) == ["cli.py", "profiles.py"]
     assert [name for name, text in sources.items()
@@ -37,8 +46,17 @@ def test_only_profiles_and_the_cli_name_the_sample_period():
 
 def test_the_blas_count_is_set_in_one_place():
     # _blas drives the pools, and only the package's import pins them
-    package = Path(chanident.__file__).resolve().parent
-    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    sources = _sources()
     assert [name for name, text in sources.items() if "set_num_threads" in text] == ["_blas.py"]
     assert [name for name, text in sources.items()
             if re.search(r"(?<!def )\bpin_one_thread\(", text)] == ["__init__.py"]
+
+
+def test_sounding_front_end_has_one_home():
+    # The dataset chain does not sound: pipeline loads neither the sounder
+    # nor the m-sequences, and the sound command reads sounding's default.
+    assert _loaded_after("chanident.pipeline", ("chanident.sounding", "chanident.mseq")) == []
+    sources = _sources()
+    assert [name for name, text in sources.items()
+            if re.search(r"^DEFAULT_THRESHOLD_FACTOR\s*=", text, re.M)] == ["sounding.py"]
+    assert [name for name, text in sources.items() if "inspect.signature" in text] == []

@@ -73,6 +73,17 @@ class TestInit:
         with pytest.raises(ValueError, match="layer sizes must be >= 2 ints >= 1"):
             init_mlp([5, hidden, 2], seed=0)
 
+    def test_refuses_more_than_max_weights_before_allocating(self, monkeypatch):
+        # [4800, 100000, 6] asks for 3.8 GB per copy
+        def no_draw(*args, **kwargs):
+            raise AssertionError("weights drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=f"ask for 480600000 weights, more than {2 ** 24}"):
+            init_mlp([4800, 100000, 6], seed=0)
+        with pytest.raises(ValueError, match=f"ask for {2 ** 24 + 1} weights"):
+            init_mlp([1, 2 ** 24 + 1], seed=0)
+
 
 class TestForward:
     def test_zero_params_give_zero_output(self):

@@ -182,6 +182,21 @@ class TestRelaxEstimate:
         trace = np.array(est.cost_trace)
         assert np.all(np.diff(trace) <= 1e-12 * trace[0])
 
+    def test_one_ulp_scaled_probe_gives_the_same_fit(self):
+        # On this 20 dB probe a sweep lowers the cost by a rounding-level
+        # amount; kept for the probe and rolled back for its copy, it moved
+        # the copy's amplitudes by 3.6e-10.
+        rng = np.random.default_rng(172)
+        count = int(rng.integers(1, 7))
+        delays = np.sort(rng.choice(24, count, replace=False))
+        amps = rng.uniform(0.1, 1.0, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+        folded = _folded_for(amps, delays, snr_db=20.0, seed=172)
+        est = relax_estimate(folded, MSEQ, count, range(N))
+        copy = relax_estimate(folded * (1 + 2.0 ** -52), MSEQ, count, range(N))
+        assert copy.delays == est.delays
+        assert copy.iterations == est.iterations
+        assert np.allclose(copy.amplitudes, est.amplitudes, rtol=0, atol=1e-12)
+
     def test_residual_cost_recomputable(self):
         folded = _folded_for([1.0, 0.4j], [2, 8], snr_db=15.0)
         est = relax_estimate(folded, MSEQ, 2, range(16))
