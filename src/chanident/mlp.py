@@ -8,13 +8,14 @@ Training steps the first layer in the row space of the training set, as
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-MODEL_FORMAT = "chanident-mlp-v1"
+MODEL_FORMAT = "chanident-mlp-v2"
 # The most weights a network may have: 134 MB per float64 copy, 54 times the
 # 312 720 of the experiment's network.
 MAX_WEIGHTS = 2 ** 24
@@ -259,16 +260,41 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _encode(a: np.ndarray) -> str:
+    """The standard base64, padded, of ``a``'s little-endian float64 bytes,
+    row-major: exact, and the same parameters give the same text."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode(payload, path, h: int, key: str) -> np.ndarray:
+    """The float64 array of one ``_encode`` payload, refused, naming the file
+    and the layer, unless it is a base64 string of whole float64 values."""
+    if not isinstance(payload, str):
+        raise ValueError(f"{path}: layer {h}: {key} must be a base64 string, "
+                         f"got {type(payload).__name__}")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{path}: layer {h}: {key} is not base64: {exc}") from None
+    if len(raw) % 8:
+        raise ValueError(f"{path}: layer {h}: {key} holds {len(raw)} bytes, "
+                         f"not a whole number of float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
 def save_mlp(params: MLPParams, path, train_fingerprint: dict | None = None) -> None:
-    """Versioned JSON model file; byte-stable for identical parameters."""
+    """Versioned JSON model file; byte-stable for identical parameters.
+
+    Each layer's weights (row-major) and biases are one ``_encode`` string.
+    """
     for a in params.weights + params.biases:
         if not np.all(np.isfinite(a)):
             raise ValueError("cannot save a model with non-finite parameters")
     doc = {
         "format": MODEL_FORMAT,
         "layer_sizes": list(params.layer_sizes),
-        "weights": [w.reshape(-1).tolist() for w in params.weights],  # row-major
-        "biases": [b.tolist() for b in params.biases],
+        "weights": [_encode(w) for w in params.weights],
+        "biases": [_encode(b) for b in params.biases],
         "train_fingerprint": train_fingerprint or {},
     }
     text = _canonical_json(doc)  # raises before the file is opened
@@ -280,9 +306,15 @@ def save_mlp(params: MLPParams, path, train_fingerprint: dict | None = None) -> 
 def load_mlp(path) -> tuple[MLPParams, dict]:
     """The parameters and training fingerprint of a ``save_mlp`` file,
     refused, naming the file, unless they fit its ``layer_sizes``."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: not a JSON model file: {exc}") from None
     found = doc.get("format") if isinstance(doc, dict) else None
+    if found == "chanident-mlp-v1":
+        raise ValueError(f"{path}: {found} file; this version reads {MODEL_FORMAT} "
+                         f"only, so retrain the model")
     if found != MODEL_FORMAT:
         raise ValueError(f"{path}: unsupported model format {found!r}")
     for key in ("layer_sizes", "weights", "biases"):
@@ -295,16 +327,13 @@ def load_mlp(path) -> tuple[MLPParams, dict]:
     sizes = tuple(sizes)
     for key in ("weights", "biases"):
         if not isinstance(doc[key], list):
-            raise ValueError(f"{path}: {key} must be a list of per-layer lists")
+            raise ValueError(f"{path}: {key} must be a list of per-layer strings")
         if len(doc[key]) != len(sizes) - 1:
             raise ValueError(f"{path}: {len(doc[key])} {key} arrays for the "
                              f"{len(sizes) - 1} layers of layer_sizes {list(sizes)}")
     weights, biases = [], []
     for h, (w, b, i, o) in enumerate(zip(doc["weights"], doc["biases"], sizes[:-1], sizes[1:])):
-        try:  # once per layer, not per value: an entry that is no number fails here
-            w, b = np.array(w, dtype=np.float64), np.array(b, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: layer {h}: {exc}") from None
+        w, b = _decode(w, path, h, "weights"), _decode(b, path, h, "biases")
         if w.shape != (o * i,) or b.shape != (o,):
             raise ValueError(f"{path}: layer {h} holds {w.size} weights and {b.size} "
                              f"biases, layer_sizes {list(sizes)} gives {o * i} and {o}")

@@ -36,6 +36,12 @@ from .simulate import ComplexSignal, SimConfig
 DEFAULT_THRESHOLD_FACTOR = 0.05
 FLOOR_FACTOR = 4.0       # significance floor, in medians of the correlation magnitude
 TOL = 1e-8               # relative cost decrease that ends a RELAX stage
+# A RELAX stage also ends once its residual is within this many ulps of the
+# folded probe, cost <= N * (RESIDUAL_ULPS * eps * ||folded||)^2.  A converged
+# noiseless fit leaves a residual of rounding size (at most 1.5 ulps over 300
+# probes of 1-6 paths), where the TOL test would compare rounding noise; the
+# floor is far above that and 5e-26 of the cost with no path.
+RESIDUAL_ULPS = 1024
 MAX_OUTER_ITERS = 50     # sweeps per RELAX stage
 
 
@@ -96,9 +102,14 @@ def fold_periods(samples: np.ndarray, period: int) -> np.ndarray:
     return blocks.mean(axis=0)
 
 
-def _circular_corr(folded: np.ndarray, chips: np.ndarray) -> np.ndarray:
-    """c[d] = sum_n folded[n] * chips[(n - d) mod N]."""
-    return np.fft.ifft(np.fft.fft(folded) * np.conj(np.fft.fft(chips)))
+def _chip_spectrum(chips: np.ndarray) -> np.ndarray:
+    """The conjugate DFT of the chips, the fixed factor of ``_circular_corr``."""
+    return np.conj(np.fft.fft(chips))
+
+
+def _circular_corr(folded: np.ndarray, chip_spectrum: np.ndarray) -> np.ndarray:
+    """c[d] = sum_n folded[n] * chips[(n - d) mod N], given ``_chip_spectrum(chips)``."""
+    return np.fft.ifft(np.fft.fft(folded) * chip_spectrum)
 
 
 def estimate_order(received: ComplexSignal, local: MSequence,
@@ -116,7 +127,7 @@ def estimate_order(received: ComplexSignal, local: MSequence,
     if not 0 < threshold_factor <= 1:
         raise ValueError("threshold_factor must lie in (0, 1]")
     folded = fold_periods(received.samples, local.period)
-    mag = np.abs(_circular_corr(folded, local.chips))
+    mag = np.abs(_circular_corr(folded, _chip_spectrum(local.chips)))
     peak = float(mag.max())
     if peak <= 0:
         raise InsufficientSignalError("received probe is identically zero")
@@ -153,7 +164,9 @@ def relax_estimate(folded: np.ndarray, local: MSequence, order: int,
     the free candidate delay d of the largest |g| and the amplitude
     g[d] / N, the exact least-squares step for +/-1 chips.  A sweep that
     lowers the cost by no more than ``TOL`` times its previous value is
-    rolled back and ends the stage.
+    rolled back and ends the stage.  A stage whose residual is within
+    ``RESIDUAL_ULPS`` ulps of the folded probe has converged and ends
+    without another sweep.
     """
     folded = np.asarray(folded, dtype=np.complex128)
     n = local.period
@@ -168,16 +181,18 @@ def relax_estimate(folded: np.ndarray, local: MSequence, order: int,
     if len(cand) and (cand.min() < 0 or cand.max() >= n):
         raise ValueError(f"candidate delays must lie in [0, {n})")
     chips = local.chips.astype(np.float64)
+    spectrum = _chip_spectrum(chips)
 
     def refit(others):
         free = cand[~np.isin(cand, [d for d, _ in others])]
-        g = _circular_corr(_residual(folded, chips, others), chips)
+        g = _circular_corr(_residual(folded, chips, others), spectrum)
         d = int(free[np.argmax(np.abs(g[free]))])
         return d, complex(g[d] / n)
 
     def cost(paths):  # N * sum |r|^2, which is sum |DFT(r)|^2 by Parseval
         return n * float(np.sum(np.abs(_residual(folded, chips, paths)) ** 2))
 
+    floor = (RESIDUAL_ULPS * np.finfo(np.float64).eps) ** 2 * cost([])
     paths: list[tuple[int, complex]] = []
     trace: list[float] = []
     sweeps = 0
@@ -186,6 +201,8 @@ def relax_estimate(folded: np.ndarray, local: MSequence, order: int,
         prev = cost(paths)
         trace.append(prev)
         for _ in range(MAX_OUTER_ITERS):
+            if prev <= floor:
+                break
             snapshot = list(paths)
             for j in range(len(paths)):
                 paths[j] = refit(paths[:j] + paths[j + 1:])

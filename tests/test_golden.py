@@ -33,24 +33,27 @@ TRAIN = TrainConfig(epochs=40, batch_size=4, seed=5)
 
 # The model digests moved, on purpose, when train came to keep the first
 # layer as W0_init + C X: the same parameters in real arithmetic, rounded
-# differently.  The model file's layout and format name did not change.
+# differently.  They moved again, on purpose, with the format bump to
+# chanident-mlp-v2, which stores each layer as base64 float64 bytes instead
+# of decimal lists: the parameters are the same bits, only the file's bytes
+# changed.
 GOLDEN = {
     "bem-ls nu=0.004": {
         "dataset": "ccad0dbfa52564bcca5e6151c7a8cf973b2cf99563fbe2f0d5b9399fa05c3d6f",
         "records": "8e95f6b85c7a218a0ccdc8c02d1ea23b9d16686d7dcd5002032fb5065fb2dae1",
-        "model": "c37d4ea9d2ad4afdecc5ee96e1e2b458726afdffe2a6d212da2abb4b825f536a",
+        "model": "f0d323d6619c9c9b51a9c6b3a9e301d97ad8b5ede2e02aa52c852bac5e2f86d6",
         "report": "5c26d9a4e7cc9afdd1ac95a87a96163cf22e860b684b7fec8ae4335cec9fe85a",
     },
     "bem-ls nu=0.02": {
         "dataset": "8cbedc52efe07abe75b6c1eb87b1895f04536509a5767cb9cd92bb0f77aab3aa",
         "records": "63c083882b615696ff537157c133bdb722b13c145a051586dd99f8b244733848",
-        "model": "aa45d768c3dacd797c1a11c267897b499e580b5e39529dbef4dc8d837615167f",
+        "model": "0febe519a3d747936703dc15ba44924c82cca3ba60b8fd45c7d91e21d39501c7",
         "report": "87d586076b1c9f8b3a754ecfae63e92753e08f9ff940d2dc7342b045cf880860",
     },
     "oracle-cir nu=0.004": {
         "dataset": "7d35132e115ed1ba2972d5b2d3c490eb0dbf9c9f668359440b8041a612f95fc6",
         "records": "5d22fecc76636157de1c97379888c40465d28b5447c8f353fb4199351e268d66",
-        "model": "c73f3de39020bbff2aa1878e9caed9764a01ceab0e82f86d700e948de46bbd96",
+        "model": "96b54168a8ef462e40aa2bdb2370fd9acbcf857e1240a9f03e30582a04355ae7",
         "report": "5c26d9a4e7cc9afdd1ac95a87a96163cf22e860b684b7fec8ae4335cec9fe85a",
     },
 }

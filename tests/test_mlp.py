@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import re
@@ -372,16 +373,37 @@ class TestComplexityCount:
         assert complexity_count(p, 34) == 2 * complexity_count(p, 17)
 
 
+def _floats(payload: str) -> np.ndarray:
+    """The values of one model-file payload: base64 of little-endian float64."""
+    return np.frombuffer(base64.b64decode(payload), dtype="<f8")
+
+
+def _payload(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _edit_payload(doc, key, h, change):
+    """Replace ``doc[key][h]`` by the payload of ``change(its values)``."""
+    doc[key][h] = _payload(change(_floats(doc[key][h])))
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
-        p = init_mlp([5, 4, 3], seed=13)
         path = tmp_path / "model.json"
-        save_mlp(p, path, config_fingerprint(TrainConfig()))
-        q, fp = load_mlp(path)
-        assert q.layer_sizes == p.layer_sizes
-        for a, b in zip(p.weights + p.biases, q.weights + q.biases):
-            assert np.array_equal(a, b)
-        assert fp["digest"] == config_fingerprint(TrainConfig())["digest"]
+        for sizes in ([5, 4, 3], [4800, 64, 48, 32, 24, 6]):  # the latter the experiment's
+            p = init_mlp(sizes, seed=13)
+            save_mlp(p, path, config_fingerprint(TrainConfig()))
+            doc = json.loads(path.read_text())
+            assert doc["format"] == "chanident-mlp-v2"
+            # each payload is the row-major values as little-endian float64, in base64
+            for a, payload in zip(p.weights + p.biases, doc["weights"] + doc["biases"]):
+                assert _floats(payload).tobytes() == a.astype("<f8").tobytes()
+            q, fp = load_mlp(path)
+            assert q.layer_sizes == p.layer_sizes
+            for a, b in zip(p.weights + p.biases, q.weights + q.biases):
+                assert b.dtype == np.float64 and b.shape == a.shape and b.flags.writeable
+                assert a.tobytes() == b.tobytes()
+            assert fp["digest"] == config_fingerprint(TrainConfig())["digest"]
 
     def test_byte_stable(self, tmp_path):
         x, t = _toy_blobs()
@@ -406,16 +428,50 @@ class TestModelFile:
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="format"):
             load_mlp(path)
+        # a file of the decimal-list format this version no longer reads
+        p = init_mlp([5, 4, 3], seed=13)
+        path.write_text(json.dumps({
+            "format": "chanident-mlp-v1", "layer_sizes": [5, 4, 3],
+            "weights": [w.reshape(-1).tolist() for w in p.weights],
+            "biases": [b.tolist() for b in p.biases], "train_fingerprint": {}}))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             "chanident-mlp-v1 .*retrain"):
+            load_mlp(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"", "Expecting value"),
+        (b'{"format": "chanident-mlp-v2"', "Expecting"),
+        (b"\xff\xfe", "codec can't decode"),
+    ], ids=["empty", "cut-short", "not-utf8"])
+    def test_refuses_unparsable_file_naming_it(self, tmp_path, content, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            load_mlp(path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("layer_sizes"), "no 'layer_sizes'"),
         (lambda doc: doc.pop("biases"), "no 'biases'"),
         (lambda doc: doc.update(weights=doc["weights"][:1]), "1 weights arrays for the 2 layers"),
-        (lambda doc: doc.update(biases=doc["biases"] + [[0.0]]), "3 biases arrays"),
-        (lambda doc: doc["biases"][1].append(0.0), "layer 1 holds 12 weights and 4 biases"),
-        (lambda doc: doc["weights"][0].pop(), "layer 0 holds 19 weights"),
+        (lambda doc: doc.update(biases=doc["biases"] + [_payload([0.0])]), "3 biases arrays"),
+        (lambda doc: _edit_payload(doc, "biases", 1, lambda v: np.append(v, 0.0)),
+         "layer 1 holds 12 weights and 4 biases"),
+        (lambda doc: _edit_payload(doc, "weights", 0, lambda v: v[:-1]), "layer 0 holds 19 weights"),
+        (lambda doc: _edit_payload(doc, "weights", 0, lambda v: np.append(v, 0.5)),
+         "layer 0 holds 21 weights"),
+        (lambda doc: doc["weights"].__setitem__(1, "not base64!"), "layer 1: weights is not base64"),
+        # the last four base64 characters of 4 biases hold 2 of their 32 bytes
+        (lambda doc: doc["biases"].__setitem__(0, doc["biases"][0][:-4]),
+         "layer 0: biases holds 30 bytes, not a whole number"),
+        # the v1 layout under the v2 name
+        (lambda doc: doc["weights"].__setitem__(0, _floats(doc["weights"][0]).tolist()),
+         "layer 0: weights must be a base64 string, got list"),
+        (lambda doc: _edit_payload(doc, "weights", 1, lambda v: np.where(v == v[3], np.nan, v)),
+         "non-finite"),
+        (lambda doc: _edit_payload(doc, "biases", 0, lambda v: v - np.inf), "non-finite"),
     ], ids=["no-layer_sizes", "no-biases", "weights-short", "biases-long", "bias-long",
-            "weight-short"])
+            "weight-short", "weight-long", "not-base64", "partial-float", "list-payload",
+            "nan-weight", "inf-bias"])
     def test_refuses_parameters_that_do_not_fit_layer_sizes(self, tmp_path, edit, message):
         path = tmp_path / "model.json"
         save_mlp(init_mlp([5, 4, 3], seed=13), path)
