@@ -1,24 +1,23 @@
 """Scenario registry: six COST 207-style tapped-delay-line profiles.
 
-Average path gains and Doppler spectrum shapes follow the COST 207 tap
-tables; tap delays sit on the fixed 10*l microsecond grid (one delay unit
-= 10 us).  The registry is read from the bundled data file, which is the
-single source of truth for the numbers.
+Average path gains and Doppler spectra are transcribed from the COST 207
+final report tap tables (GSM discrete variant, non-alternative settings),
+with the original COST 207 delays in comments.  Those delays are not used:
+tap l of every profile sits at 10*l us (delay unit l).  The Rician direct
+path of the Rural Area profiles is simplified to Rayleigh, and of the
+two-component GAUS1 and GAUS2 spectra only the dominant component is kept
+(the minor one, 10 dB and 15 dB down, is dropped), so every tap is a
+zero-mean complex Gaussian process with one Doppler spectrum.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 
 DELAY_UNIT_US = 10.0
 # One sample per delay unit: the 0.1 Ms/s grid of simulated signals and channels.
 SAMPLE_PERIOD_S = 1e-5
 MAX_DELAY_UNITS = 12  # largest scenario (cost207BUx12) spans 12 grid rows
-
-_GAUSS_RE = re.compile(r"^gaussian\((-?[0-9.]+),([0-9.]+)\)$")
 
 
 @dataclass(frozen=True)
@@ -34,114 +33,75 @@ class DopplerSpectrum:
     center: float = 0.0
     sigma: float = 0.0
 
-    @staticmethod
-    def parse(text: str) -> "DopplerSpectrum":
-        if text == "jakes":
-            return DopplerSpectrum("jakes")
-        m = _GAUSS_RE.match(text)
-        if m:
-            return DopplerSpectrum("gaussian", float(m.group(1)), float(m.group(2)))
-        raise ValueError(f"unknown doppler descriptor {text!r}")
-
-    def __str__(self) -> str:
-        if self.kind == "jakes":
-            return "jakes"
-        return f"gaussian({self.center:g},{self.sigma:g})"
-
 
 @dataclass(frozen=True)
 class ScenarioProfile:
-    """Static description of one channel scenario; ``label`` is the class."""
+    """Static description of one channel scenario; ``label`` is the class.
+
+    Tap l has average gain ``tap_gains_db[l]``, Doppler spectrum
+    ``doppler_spectra[l]`` and delay l units.
+    """
 
     label: int
     name: str
-    tap_count: int
-    tap_delays_us: tuple[float, ...]
     tap_gains_db: tuple[float, ...]
     doppler_spectra: tuple[DopplerSpectrum, ...]
 
     def __post_init__(self):
-        if self.tap_count < 1:
-            raise ValueError("tap_count must be >= 1")
-        for field in (self.tap_delays_us, self.tap_gains_db, self.doppler_spectra):
-            if len(field) != self.tap_count:
-                raise ValueError(f"profile {self.name}: per-tap lists must have length {self.tap_count}")
-        for l, d in enumerate(self.tap_delays_us):
-            if d != DELAY_UNIT_US * l:
-                raise ValueError(f"profile {self.name}: tap {l} delay {d} us violates the 10*l rule")
+        if not self.tap_gains_db:
+            raise ValueError(f"profile {self.name}: needs at least one tap")
+        if len(self.doppler_spectra) != len(self.tap_gains_db):
+            raise ValueError(f"profile {self.name}: needs one doppler spectrum per tap gain")
+
+    @property
+    def tap_count(self) -> int:
+        return len(self.tap_gains_db)
 
     @property
     def delay_units(self) -> tuple[int, ...]:
         """Tap delays as integer delay-grid units (1 unit = 10 us)."""
-        return tuple(int(round(d / DELAY_UNIT_US)) for d in self.tap_delays_us)
+        return tuple(range(self.tap_count))
 
     def gains_linear(self) -> tuple[float, ...]:
         """Average tap powers in linear units."""
         return tuple(10.0 ** (g / 10.0) for g in self.tap_gains_db)
 
 
-def _parse_registry(text: str) -> dict[int, ScenarioProfile]:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# chanident-profiles v1"):
-        raise ValueError("profile data file: missing or unsupported version header")
-    registry: dict[int, ScenarioProfile] = {}
-    current: dict | None = None
-
-    def close(cur):
-        prof = ScenarioProfile(
-            label=cur["label"],
-            name=cur["name"],
-            tap_count=cur["tap_count"],
-            tap_delays_us=tuple(t[0] for t in cur["taps"]),
-            tap_gains_db=tuple(t[1] for t in cur["taps"]),
-            doppler_spectra=tuple(t[2] for t in cur["taps"]),
-        )
-        if len(cur["taps"]) != cur["tap_count"]:
-            raise ValueError(f"profile {prof.name}: expected {cur['tap_count']} taps, found {len(cur['taps'])}")
-        if prof.label in registry:
-            raise ValueError(f"duplicate profile label {prof.label}")
-        registry[prof.label] = prof
-
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "profile":
-            if current is not None:
-                close(current)
-            if len(fields) != 4:
-                raise ValueError(f"profile data file line {lineno}: malformed profile record")
-            current = {
-                "label": int(fields[1]),
-                "name": fields[2],
-                "tap_count": int(fields[3]),
-                "taps": [],
-            }
-        elif fields[0] == "tap":
-            if current is None:
-                raise ValueError(f"profile data file line {lineno}: tap before any profile record")
-            if len(fields) != 4:
-                raise ValueError(f"profile data file line {lineno}: malformed tap record")
-            current["taps"].append(
-                (float(fields[1]), float(fields[2]), DopplerSpectrum.parse(fields[3]))
-            )
-        else:
-            raise ValueError(f"profile data file line {lineno}: unknown record {fields[0]!r}")
-    if current is not None:
-        close(current)
-    return registry
+_CLASS = DopplerSpectrum("jakes")
+_GAUS1 = DopplerSpectrum("gaussian", -0.8, 0.05)
+_GAUS2 = DopplerSpectrum("gaussian", 0.7, 0.1)
 
 
-@lru_cache(maxsize=1)
-def _registry() -> dict[int, ScenarioProfile]:
-    text = resources.files("chanident.data").joinpath("cost207_profiles.txt").read_text()
-    return _parse_registry(text)
+def _profile(label: int, name: str, *taps: tuple[float, DopplerSpectrum]) -> ScenarioProfile:
+    gains, spectra = zip(*taps)
+    return ScenarioProfile(label, name, gains, spectra)
+
+
+_PROFILES = {p.label: p for p in (
+    # cost207 delays: 0, 0.2, 0.4, 0.6 us
+    _profile(1, "cost207RAx4", (0.0, _CLASS), (-2.0, _CLASS), (-10.0, _CLASS), (-20.0, _CLASS)),
+    # cost207 delays: 0, 0.1, 0.2, 0.3, 0.4, 0.5 us
+    _profile(2, "cost207RAx6", (0.0, _CLASS), (-4.0, _CLASS), (-8.0, _CLASS), (-12.0, _CLASS),
+             (-16.0, _CLASS), (-20.0, _CLASS)),
+    # cost207 delays: 0, 0.2, 0.5, 1.6, 2.3, 5.0 us
+    _profile(3, "cost207TUx6", (-3.0, _CLASS), (0.0, _CLASS), (-2.0, _CLASS), (-6.0, _GAUS1),
+             (-8.0, _GAUS2), (-10.0, _GAUS2)),
+    # cost207 delays: 0, 0.3, 1.0, 1.6, 5.0, 6.6 us
+    _profile(4, "cost207BUx6", (-2.5, _CLASS), (0.0, _CLASS), (-3.0, _GAUS1), (-5.0, _GAUS1),
+             (-2.0, _GAUS2), (-4.0, _GAUS2)),
+    # cost207 delays: 0, 0.1, 0.3, 0.5, 15.0, 17.2 us
+    _profile(5, "cost207HTx6", (0.0, _CLASS), (-1.5, _CLASS), (-4.5, _CLASS), (-7.5, _CLASS),
+             (-8.0, _GAUS2), (-17.7, _GAUS2)),
+    # cost207 delays: 0, 0.1, 0.3, 0.7, 1.6, 2.2, 3.1, 5.0, 6.0, 7.2, 8.1, 10.0 us
+    _profile(6, "cost207BUx12", (-4.0, _CLASS), (-3.0, _CLASS), (0.0, _CLASS), (-2.6, _GAUS1),
+             (-3.0, _GAUS1), (-5.0, _GAUS2), (-7.0, _GAUS2), (-5.0, _GAUS2), (-6.5, _GAUS2),
+             (-8.6, _GAUS2), (-11.0, _GAUS2), (-10.0, _GAUS2)),
+)}
 
 
 def load_profile(label: int) -> ScenarioProfile:
     """Return the registered profile for ``label`` (1..6)."""
     try:
-        return _registry()[label]
+        return _PROFILES[label]
     except KeyError:
         raise KeyError(f"no channel profile registered for label {label}") from None

@@ -60,3 +60,13 @@ def test_sounding_front_end_has_one_home():
     assert [name for name, text in sources.items()
             if re.search(r"^DEFAULT_THRESHOLD_FACTOR\s*=", text, re.M)] == ["sounding.py"]
     assert [name for name, text in sources.items() if "inspect.signature" in text] == []
+
+
+def test_package_holds_only_python():
+    # The scenario profiles are a table in profiles.py, so the package reads
+    # no bundled data and ships no file but its modules.
+    assert [name for name, text in _sources().items()
+            if re.search(r"importlib\.resources|from importlib import resources", text)] == []
+    package = Path(chanident.__file__).resolve().parent
+    assert [str(path.relative_to(package)) for path in sorted(package.rglob("*"))
+            if path.is_file() and path.suffix != ".py" and "__pycache__" not in path.parts] == []

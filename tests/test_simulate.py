@@ -16,7 +16,7 @@ from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _gri
 
 def _single_tap_profile(gain_db=0.0, kind="jakes"):
     spec = DopplerSpectrum(kind) if kind == "jakes" else DopplerSpectrum("gaussian", 0.7, 0.1)
-    return ScenarioProfile(1, "test1", 1, (0.0,), (gain_db,), (spec,))
+    return ScenarioProfile(1, "test1", (gain_db,), (spec,))
 
 
 class TestSimConfig:
@@ -131,8 +131,7 @@ class TestGenerateFading:
         # oracle: a Gaussian power spectrum N(mu, sigma^2) has
         # autocorrelation exp(j 2 pi mu k) * exp(-2 pi^2 sigma^2 k^2)
         nu = 0.01
-        prof = ScenarioProfile(1, "t", 1, (0.0,), (0.0,),
-                               (DopplerSpectrum("gaussian", 0.7, 0.1),))
+        prof = ScenarioProfile(1, "t", (0.0,), (DopplerSpectrum("gaussian", 0.7, 0.1),))
         cfg = SimConfig(normalized_doppler=nu)
         n, lags = 4000, np.arange(0, 200, 10)
         acc = np.zeros(len(lags), complex)

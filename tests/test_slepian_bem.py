@@ -106,7 +106,7 @@ class TestBasisDimension:
 
 
 def _single_tap_profile():
-    return ScenarioProfile(1, "t", 1, (0.0,), (0.0,), (DopplerSpectrum("jakes"),))
+    return ScenarioProfile(1, "t", (0.0,), (DopplerSpectrum("jakes"),))
 
 
 def _received(gains, frame, snr_db=None, seed=0):
@@ -226,8 +226,7 @@ class TestWindowedEstimation:
         # fit over a 4-row grid when only rows 0 and 2 carry energy
         n, nu = 512, 0.004
         cfg = SimConfig(normalized_doppler=nu)
-        profile = ScenarioProfile(1, "t2", 2, (0.0, 10.0), (0.0, -3.0),
-                                  (DopplerSpectrum("jakes"),) * 2)
+        profile = ScenarioProfile(1, "t2", (0.0, -3.0), (DopplerSpectrum("jakes"),) * 2)
         true = generate_fading(profile, n, cfg, seed=41)
         frame = random_frame(n, seed=42)
         gains_full = np.zeros((4, n), dtype=complex)
