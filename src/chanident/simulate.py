@@ -126,18 +126,23 @@ def _band_mass(spectrum: DopplerSpectrum, lo: np.ndarray, hi: np.ndarray, fd: fl
     Frequencies are in cycles/sample; ``fd`` is the maximum Doppler in the
     same units.
     """
+    # At a tiny fd the scaled frequencies overflow to +-inf, where both
+    # CDFs saturate as intended.
     if spectrum.kind == "jakes":
         # CDF of S(f) = 1 / (pi fd sqrt(1 - (f/fd)^2)) on [-fd, fd]
-        lo_c = np.clip(lo / fd, -1.0, 1.0)
-        hi_c = np.clip(hi / fd, -1.0, 1.0)
+        with np.errstate(over="ignore"):
+            lo_c = np.clip(lo / fd, -1.0, 1.0)
+            hi_c = np.clip(hi / fd, -1.0, 1.0)
         return (np.arcsin(hi_c) - np.arcsin(lo_c)) / np.pi
     if spectrum.kind == "gaussian":
         mu = spectrum.center * fd
         sigma = spectrum.sigma * fd
         if sigma <= 0:
-            raise ValueError("gaussian doppler spectrum needs sigma > 0")
-        z_lo = (lo - mu) / (sigma * math.sqrt(2.0))
-        z_hi = (hi - mu) / (sigma * math.sqrt(2.0))
+            raise ValueError(f"gaussian doppler spectrum needs sigma * normalized_doppler > 0, "
+                             f"got sigma {spectrum.sigma!r} at normalized_doppler {fd!r}")
+        with np.errstate(over="ignore"):
+            z_lo = (lo - mu) / (sigma * math.sqrt(2.0))
+            z_hi = (hi - mu) / (sigma * math.sqrt(2.0))
         from scipy.special import erf
 
         return 0.5 * (erf(z_hi) - erf(z_lo))
@@ -147,7 +152,8 @@ def _band_mass(spectrum: DopplerSpectrum, lo: np.ndarray, hi: np.ndarray, fd: fl
 def _synthesis_grid(n_samples: int, fd: float) -> int:
     target = n_samples
     if fd > 0:
-        target = max(target, min(int(_MIN_BAND_BINS / fd), _MAX_FFT))
+        # Capped before int(): the quotient is inf for fd below ~1.4e-306.
+        target = max(target, int(min(_MIN_BAND_BINS / fd, _MAX_FFT)))
     return 1 << max(0, math.ceil(math.log2(target)))
 
 
@@ -288,10 +294,7 @@ def apply_channel(signal: ComplexSignal, cir: CIRMatrix) -> ComplexSignal:
     x = signal.samples
     out = np.zeros(n, dtype=np.complex128)
     for l, d in enumerate(cir.delay_units):
-        if d == 0:
-            out += cir.gains[l] * x
-        else:
-            out[d:] += cir.gains[l, d:] * x[:-d]
+        out[d:] += cir.gains[l, d:] * x[:n - d]
     return ComplexSignal(out)
 
 

@@ -10,8 +10,9 @@ from scipy.stats import chi2
 from chanident.mseq import MSequence
 from chanident.profiles import (DELAY_UNIT_US, SAMPLE_PERIOD_S, DopplerSpectrum,
                                 ScenarioProfile, load_profile)
-from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _grid_mass,
-                                _synthesis_grid, add_awgn, apply_channel, generate_fading)
+from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _band_mass,
+                                _grid_mass, _synthesis_grid, add_awgn, apply_channel,
+                                generate_fading)
 
 
 def _single_tap_profile(gain_db=0.0, kind="jakes"):
@@ -172,6 +173,34 @@ class TestGenerateFading:
         # numpy's "expected non-negative integer" named no key
         with pytest.raises(ValueError, match="^seed must be >= 0"):
             generate_fading(load_profile(1), 8, SimConfig(), seed=-1)
+
+    def test_rejects_unknown_doppler_kind(self):
+        profile = ScenarioProfile(1, "t", (0.0,), (DopplerSpectrum("rice"),))
+        with pytest.raises(ValueError, match="unsupported doppler spectrum kind 'rice'"):
+            generate_fading(profile, 64, SimConfig(), seed=0)
+
+
+class TestTinyDoppler:
+    """A positive Doppler so small that 1 / fd overflows still synthesises."""
+
+    @pytest.mark.parametrize("n, fd, nfft", [
+        (64, 5e-324, 1 << 22), (25600, 0.004, 65536), (25600, 0.02, 32768),
+        (25600, 0.003, 131072), (25600, 256 / 65536.5, 65536)])
+    def test_synthesis_grid(self, n, fd, nfft):
+        assert _synthesis_grid(n, fd) == nfft
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spectrum", [DopplerSpectrum("jakes"),
+                                          DopplerSpectrum("gaussian", 0.7, 0.1)])
+    def test_band_mass_saturates_silently(self, spectrum):
+        edges = np.array([-0.5, -1e-3, 1e-3, 0.5])
+        mass = _band_mass(spectrum, edges[:-1], edges[1:], 1e-310)
+        assert mass.tolist() == [0.0, 1.0, 0.0]
+
+    def test_gaussian_underflow_refused_by_name(self):
+        edges = np.array([-0.5, 0.0, 0.5])
+        with pytest.raises(ValueError, match="normalized_doppler 5e-324"):
+            _band_mass(DopplerSpectrum("gaussian", 0.7, 0.1), edges[:-1], edges[1:], 5e-324)
 
 
 class TestBandDraw:
