@@ -44,6 +44,8 @@ HIDDEN_SIZES = (64, 48, 32, 24)
 
 def _known_fields(cls, doc: dict) -> dict:
     """The entries of ``doc`` that name fields of the dataclass ``cls``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, not {doc!r}")
     return {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
 
 
@@ -205,6 +207,8 @@ def generate_records(spec: DatasetSpec, threads: int = 1) -> list[DatasetRecord]
     ``threads`` value.  The pool starts all its workers at once, so their
     count is capped at the record count and the CPU count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     coords = list(_record_coords(spec))
     workers = min(threads, len(coords), os.cpu_count() or 1)
     if workers <= 1:
@@ -237,7 +241,10 @@ def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
                          f"{DATASET_FORMAT} only, so regenerate the dataset")
     if len(lines) < 2 or not lines[1].startswith("# spec "):
         raise ValueError(f"{path}: missing spec header line")
-    spec = DatasetSpec.from_dict(json.loads(lines[1][len("# spec "):]))
+    try:
+        spec = DatasetSpec.from_dict(json.loads(lines[1][len("# spec "):]))
+    except (ValueError, TypeError) as exc:  # json's decode error is a ValueError
+        raise ValueError(f"{path}: line 2: {exc}") from None
     records = []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-DELAY_UNIT_US = 10.0
-# One sample per delay unit: the 0.1 Ms/s grid of simulated signals and channels.
+# One sample per 10 us delay unit: the 0.1 Ms/s grid of simulated signals and channels.
 SAMPLE_PERIOD_S = 1e-5
 MAX_DELAY_UNITS = 12  # largest scenario (cost207BUx12) spans 12 grid rows
 

@@ -126,26 +126,22 @@ def _band_mass(spectrum: DopplerSpectrum, lo: np.ndarray, hi: np.ndarray, fd: fl
     Frequencies are in cycles/sample; ``fd`` is the maximum Doppler in the
     same units.
     """
-    # At a tiny fd the scaled frequencies overflow to +-inf, where both
-    # CDFs saturate as intended.
-    if spectrum.kind == "jakes":
-        # CDF of S(f) = 1 / (pi fd sqrt(1 - (f/fd)^2)) on [-fd, fd]
-        with np.errstate(over="ignore"):
+    # At fd = 0, or at an fd so small that the scaled frequencies overflow or
+    # the Gaussian width underflows, the scaled edges are +-inf, where both
+    # CDFs saturate: all the mass falls in the bin that holds the centre,
+    # the frozen-channel limit.  No bin edge is 0 or the centre, so no 0 / 0.
+    with np.errstate(over="ignore", divide="ignore"):
+        if spectrum.kind == "jakes":
+            # CDF of S(f) = 1 / (pi fd sqrt(1 - (f/fd)^2)) on [-fd, fd]
             lo_c = np.clip(lo / fd, -1.0, 1.0)
             hi_c = np.clip(hi / fd, -1.0, 1.0)
-        return (np.arcsin(hi_c) - np.arcsin(lo_c)) / np.pi
-    if spectrum.kind == "gaussian":
-        mu = spectrum.center * fd
-        sigma = spectrum.sigma * fd
-        if sigma <= 0:
-            raise ValueError(f"gaussian doppler spectrum needs sigma * normalized_doppler > 0, "
-                             f"got sigma {spectrum.sigma!r} at normalized_doppler {fd!r}")
-        with np.errstate(over="ignore"):
-            z_lo = (lo - mu) / (sigma * math.sqrt(2.0))
-            z_hi = (hi - mu) / (sigma * math.sqrt(2.0))
-        from scipy.special import erf
+            return (np.arcsin(hi_c) - np.arcsin(lo_c)) / np.pi
+        if spectrum.kind == "gaussian":
+            mu = spectrum.center * fd
+            scale = spectrum.sigma * fd * math.sqrt(2.0)
+            from scipy.special import erf
 
-        return 0.5 * (erf(z_hi) - erf(z_lo))
+            return 0.5 * (erf((hi - mu) / scale) - erf((lo - mu) / scale))
     raise ValueError(f"unsupported doppler spectrum kind {spectrum.kind!r}")
 
 
@@ -158,30 +154,18 @@ def _synthesis_grid(n_samples: int, fd: float) -> int:
 
 
 @lru_cache(maxsize=8)
-def _grid_mass(spectrum: DopplerSpectrum, fd: float, nfft: int) -> tuple[np.ndarray, float]:
-    """Per-bin spectral mass on the ``nfft``-bin synthesis grid and its sum.
-
-    It depends only on (spectrum, fd, nfft), which every tap of a run with
-    that spectrum shares; the returned array is read-only.
-    """
-    k = np.arange(nfft, dtype=np.float64)
-    f = k / nfft
+def _band(spectrum: DopplerSpectrum, fd: float, nfft: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The band of bins with nonzero mass on the ``nfft``-bin grid: its lowest
+    signed bin k0, the offset from k0 of each band bin in ascending (unsigned)
+    bin index, and sqrt(mass / total) on them; the arrays are read-only.  At
+    fd = 0 the band is the DC bin alone, with weight 1."""
+    f = np.arange(nfft, dtype=np.float64) / nfft
     f[f >= 0.5] -= 1.0
     half = 0.5 / nfft
     mass = _band_mass(spectrum, f - half, f + half, fd)
     total = mass.sum()
     if total <= 0:
         raise ValueError("doppler spectrum has no mass on the frequency grid")
-    mass.flags.writeable = False
-    return mass, total
-
-
-@lru_cache(maxsize=8)
-def _band(spectrum: DopplerSpectrum, fd: float, nfft: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The band of bins with nonzero mass on the ``nfft``-bin grid: its lowest
-    signed bin k0, the offset from k0 of each band bin in ascending (unsigned)
-    bin index, and sqrt(mass / total) on them; the arrays are read-only."""
-    mass, total = _grid_mass(spectrum, fd, nfft)
     support = np.flatnonzero(mass)
     signed = np.where(support >= nfft // 2, support - nfft, support)
     k0 = int(signed.min())
@@ -212,40 +196,6 @@ def _ramp(k0: int, nfft: int, n_samples: int) -> np.ndarray:
     return _unit_phasors(k0 * np.arange(n_samples, dtype=np.int64), nfft)
 
 
-def _band_taps(n_samples: int, fd: float, powers, spectra,
-               rng: np.random.Generator) -> np.ndarray:
-    """The gain series of taps with Doppler band ``fd`` > 0, by one
-    decimated inverse transform for all of them.
-
-    Tap t is x[n] = sum_k a[k] exp(j 2 pi k n / nfft) over its band bins k,
-    a[k] = sqrt(power / 2) * weight[k] * (re + j im) from its 2m normals.
-    Every band fits in ``width`` bins (a power of two) from its lowest bin
-    k0, so with R = nfft / width and n = R j + s
-
-        x[R j + s] = exp(j 2 pi k0 n / nfft)
-                     * sum_{k' < width} a[k0 + k'] E[s, k'] exp(j 2 pi k' j / width),
-
-    one length-``width`` inverse transform per residue s.
-    """
-    nfft = _synthesis_grid(n_samples, fd)
-    bands = [_band(spectrum, fd, nfft) for spectrum in spectra]
-    width = 1 << int(max(offsets.max() for _, offsets, _ in bands)).bit_length()
-    amp = np.zeros((len(bands), 1, width), dtype=np.complex128)
-    for row, power, (_, offsets, weight) in zip(amp, powers, bands):
-        m = len(offsets)
-        draws = rng.standard_normal(2 * m)
-        row[0, offsets] = math.sqrt(power / 2.0) * weight * (draws[:m] + 1j * draws[m:])
-    # residues[t, s, j] = x_t[R j + s] / ramp; norm="forward" leaves the
-    # inverse transform unscaled, as the sum above is.
-    residues = amp * _twiddles(nfft, width)
-    np.fft.ifft(residues, axis=-1, norm="forward", out=residues)
-    rows = -(-n_samples // (nfft // width))
-    taps = residues[:, :, :rows].transpose(0, 2, 1).reshape(len(bands), -1)[:, :n_samples]
-    for tap, (k0, _, _) in zip(taps, bands):
-        tap *= _ramp(k0, nfft, n_samples)
-    return taps
-
-
 def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
                     seed: int) -> CIRMatrix:
     """Simulate the tap-gain series of ``profile`` for ``n_samples`` samples.
@@ -259,8 +209,20 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
     profile order.  Each tap takes 2m standard normals, where m is the
     number of synthesis-grid bins in which its Doppler spectrum has nonzero
     mass: first the real parts of those bins in ascending bin index
-    (negative frequencies last), then their imaginary parts.  A frozen tap
-    (zero Doppler) takes two: real, then imaginary.
+    (negative frequencies last), then their imaginary parts.  At zero
+    Doppler the band is the DC bin alone, so a tap takes two: real, then
+    imaginary, and is frozen.
+
+    One decimated inverse transform serves all taps.  Tap t is
+    x[n] = sum_k a[k] exp(j 2 pi k n / nfft) over its band bins k,
+    a[k] = sqrt(power / 2) * weight[k] * (re + j im) from its 2m normals.
+    Every band fits in ``width`` bins (a power of two) from its lowest bin
+    k0, so with R = nfft / width and n = R j + s
+
+        x[R j + s] = exp(j 2 pi k0 n / nfft)
+                     * sum_{k' < width} a[k0 + k'] E[s, k'] exp(j 2 pi k' j / width),
+
+    one length-``width`` inverse transform per residue s.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -268,16 +230,23 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     fd = config.normalized_doppler
-    powers = profile.gains_linear()
-    if fd == 0.0:
-        # Degenerate limit: all spectral mass at DC, i.e. frozen taps.
-        gains = np.empty((profile.tap_count, n_samples), dtype=np.complex128)
-        for row, power in zip(gains, powers):
-            re, im = rng.standard_normal(2)
-            row[:] = math.sqrt(power / 2.0) * (re + 1j * im)
-    else:
-        gains = _band_taps(n_samples, fd, powers, profile.doppler_spectra, rng)
-    return CIRMatrix._adopt(gains, profile.delay_units)
+    nfft = _synthesis_grid(n_samples, fd)
+    bands = [_band(spectrum, fd, nfft) for spectrum in profile.doppler_spectra]
+    width = 1 << int(max(offsets.max() for _, offsets, _ in bands)).bit_length()
+    amp = np.zeros((len(bands), 1, width), dtype=np.complex128)
+    for row, power, (_, offsets, weight) in zip(amp, profile.gains_linear(), bands):
+        m = len(offsets)
+        draws = rng.standard_normal(2 * m)
+        row[0, offsets] = math.sqrt(power / 2.0) * weight * (draws[:m] + 1j * draws[m:])
+    # residues[t, s, j] = x_t[R j + s] / ramp; norm="forward" leaves the
+    # inverse transform unscaled, as the sum above is.
+    residues = amp * _twiddles(nfft, width)
+    np.fft.ifft(residues, axis=-1, norm="forward", out=residues)
+    rows = -(-n_samples // (nfft // width))
+    taps = residues[:, :, :rows].transpose(0, 2, 1).reshape(len(bands), -1)[:, :n_samples]
+    for tap, (k0, _, _) in zip(taps, bands):
+        tap *= _ramp(k0, nfft, n_samples)
+    return CIRMatrix._adopt(taps, profile.delay_units)
 
 
 def apply_channel(signal: ComplexSignal, cir: CIRMatrix) -> ComplexSignal:

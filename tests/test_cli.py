@@ -76,6 +76,7 @@ class TestDatasetCommand:
         ("estimate", {"window_len": 600.5}, "window_len"),
         ("train", {"epochs": "10"}, "epochs"),
         ("train", {"learning_rate": True}, "learning_rate"),
+        ("dataset", [1], "top level"),
     ])
     def test_wrong_typed_value_rejected(self, tmp_path, capsys, command, payload, key):
         cfg = _write_cfg(tmp_path, "c.json", payload)
@@ -159,6 +160,14 @@ class TestDatasetCommand:
         out2 = str(tmp_path / "b.txt")
         assert run(["dataset", "--config", cfg, "--output", out2, "--threads", "2"]) == 0
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_threads_below_one_refused(self, tmp_path, capsys):
+        # it wrote the dataset serially and exited 0
+        cfg = _write_cfg(tmp_path, "ds.json", TINY_DATASET_CFG)
+        out = tmp_path / "d.txt"
+        assert run(["dataset", "--config", cfg, "--output", str(out), "--threads", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("chanident dataset: threads must be >= 1")
+        assert not out.exists()
 
     def test_manifest_records_blas_threads(self, tmp_path):
         _make_dataset(tmp_path)
@@ -365,6 +374,13 @@ class TestSignalFiles:
         path = tmp_path / "sig.txt"
         path.write_text("1.0 2.0\n")
         with pytest.raises(cli.CliError, match="header"):
+            read_signal_file(path)
+
+    @pytest.mark.parametrize("fields", ["sample_rate_hz=oops count=1", "sample_rate_hz=1e5"])
+    def test_malformed_header_refused(self, tmp_path, fields):
+        path = tmp_path / "sig.txt"
+        path.write_text(f"# chanident-signal v1 {fields}\n1.0 0.0\n")
+        with pytest.raises(cli.CliError, match=r"byte 0: malformed signal header "):
             read_signal_file(path)
 
     @pytest.mark.parametrize("rate", ["0.0", "-1e5", "inf", "nan", "2e5"])
@@ -605,6 +621,25 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg, "--output", a]) == 0
         assert run(["simulate", "--config", cfg, "--output", b]) == 0
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("sound", "cannot read signal file"), ("eval", "cannot read model")])
+def test_unreadable_input_refused_by_path(tmp_path, capsys, command, message):
+    absent = str(tmp_path / "absent")
+    # eval reads its model before its dataset
+    inputs = {"sound": ["--signal", absent], "eval": ["--model", absent, "--dataset", absent]}
+    out = tmp_path / "out"
+    assert run([command, *inputs[command], "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"chanident {command}: {message} {absent}: ")
+    assert not out.exists()
+
+
+def test_missing_file_option_named(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    assert run(["train", "--output", str(model)]) == 1
+    assert capsys.readouterr().err == "chanident train: train: missing required --dataset\n"
+    assert not model.exists()
 
 
 class TestFlagScope:

@@ -187,6 +187,11 @@ class TestGenerateRecords:
         generate_records(TINY, threads=5000)  # an unknown CPU count runs serially
         assert started == [2, 3]
 
+    def test_threads_below_one_refused_by_name(self):
+        # it ran serially, as threads=1 does
+        with pytest.raises(ValueError, match="^threads must be >= 1, got 0$"):
+            generate_records(TINY, threads=0)
+
     def test_bem_ls_mode_runs(self):
         spec = DatasetSpec(scenario_labels=(2,), vectors_per_condition=1,
                            snr_list_db=(30.0,), samples_per_vector=512,
@@ -222,6 +227,14 @@ class TestDatasetFile:
             assert a.label == b.label and a.snr_db == b.snr_db
             assert a.realization_seed == b.realization_seed
             assert np.array_equal(a.feature.values, b.feature.values)
+        # blank record lines are skipped
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:] + [""]) + "\n")
+        spec3, records3 = read_dataset(path)
+        assert spec3 == TINY
+        for a, b in zip(records2, records3, strict=True):
+            assert a.realization_seed == b.realization_seed
+            assert np.array_equal(a.feature.values, b.feature.values)
 
     def test_same_spec_identical_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -240,6 +253,7 @@ class TestDatasetFile:
             "label must lie": " ".join(["7"] + fields[1:]),
             "non-negative": " ".join(fields[:3] + ["-0.5", "7.25"] + fields[5:]),  # row sum 7.75
             "sum to 1": " ".join(fields[:3] + ["0.25", "0.75"] + fields[5:]),
+            "SNR must be finite, got nan": " ".join(fields[:1] + ["nan"] + fields[2:]),
         }
         for message, bad in bad_lines.items():
             path.write_text("\n".join(good[:3] + [bad]) + "\n")
@@ -250,6 +264,27 @@ class TestDatasetFile:
         path = tmp_path / "data.txt"
         path.write_text("not a dataset\n")
         with pytest.raises(ValueError, match="dataset"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("spec_line, message", [
+        # a list or a string read as the default spec
+        ("# spec [1, 2]", "line 2: DatasetSpec must be a JSON object, not [1, 2]"),
+        ('# spec "sim"', "line 2: DatasetSpec must be a JSON object, not 'sim'"),
+        # these four ended in a TypeError
+        ('# spec {"sim": 5}', "line 2: SimConfig must be a JSON object, not 5"),
+        ('# spec {"scenario_labels": 5}', "line 2: "),
+        ('# spec {"vectors_per_condition": "3"}', "line 2: "),
+        ('# spec {"sim": {"normalized_doppler": "x"}}', "line 2: "),
+        ('# spec {"sim": ', "line 2: Expecting value"),
+        ("label snr seed", "missing spec header line"),
+    ], ids=["list", "string", "sim-5", "labels-5", "vectors-str", "doppler-str", "json",
+            "no-spec-line"])
+    def test_bad_spec_line_refused_by_line(self, tmp_path, spec_line, message):
+        path = tmp_path / "data.txt"
+        write_dataset(path, TINY, [])
+        header = path.read_text().splitlines()[0]
+        path.write_text(f"{header}\n{spec_line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
             read_dataset(path)
 
     def test_v2_header_with_the_removed_sim_keys_reads(self, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -8,11 +9,9 @@ from scipy.special import j0
 from scipy.stats import chi2
 
 from chanident.mseq import MSequence
-from chanident.profiles import (DELAY_UNIT_US, SAMPLE_PERIOD_S, DopplerSpectrum,
-                                ScenarioProfile, load_profile)
+from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _band_mass,
-                                _grid_mass, _synthesis_grid, add_awgn, apply_channel,
-                                generate_fading)
+                                _synthesis_grid, add_awgn, apply_channel, generate_fading)
 
 
 def _single_tap_profile(gain_db=0.0, kind="jakes"):
@@ -48,9 +47,6 @@ class TestSimConfig:
     def test_signals_carry_no_sample_period(self, cls, names):
         # one sample per delay unit: the grid is profiles', not each value's
         assert [f.name for f in fields(cls)] == names
-
-    def test_one_sample_per_delay_unit(self):
-        assert SAMPLE_PERIOD_S * 1e6 == pytest.approx(DELAY_UNIT_US, rel=1e-15)
 
 
 class TestGenerateFading:
@@ -159,11 +155,12 @@ class TestGenerateFading:
         expected_angle = 2 * np.pi * 0.7 * nu * k
         assert abs(np.angle(c) - expected_angle) < 0.15
 
-    def test_grid_mass_cached_and_read_only(self):
-        mass, total = _grid_mass(DopplerSpectrum("jakes"), 0.01, 1 << 15)
-        assert _grid_mass(DopplerSpectrum("jakes"), 0.01, 1 << 15)[0] is mass
-        assert not mass.flags.writeable
-        assert total == pytest.approx(1.0)
+    def test_band_cached_and_read_only(self):
+        band = _band(DopplerSpectrum("jakes"), 0.01, 1 << 15)
+        assert _band(DopplerSpectrum("jakes"), 0.01, 1 << 15) is band
+        _, offsets, weight = band
+        assert not offsets.flags.writeable and not weight.flags.writeable
+        assert np.sum(weight ** 2) == pytest.approx(1.0)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -181,7 +178,8 @@ class TestGenerateFading:
 
 
 class TestTinyDoppler:
-    """A positive Doppler so small that 1 / fd overflows still synthesises."""
+    """A positive Doppler so small that 1 / fd overflows synthesises the
+    frozen limit of zero Doppler."""
 
     @pytest.mark.parametrize("n, fd, nfft", [
         (64, 5e-324, 1 << 22), (25600, 0.004, 65536), (25600, 0.02, 32768),
@@ -193,14 +191,17 @@ class TestTinyDoppler:
     @pytest.mark.parametrize("spectrum", [DopplerSpectrum("jakes"),
                                           DopplerSpectrum("gaussian", 0.7, 0.1)])
     def test_band_mass_saturates_silently(self, spectrum):
+        # at 5e-324 a Gaussian's width underflows to 0, and 0 is the frozen limit
         edges = np.array([-0.5, -1e-3, 1e-3, 0.5])
-        mass = _band_mass(spectrum, edges[:-1], edges[1:], 1e-310)
-        assert mass.tolist() == [0.0, 1.0, 0.0]
+        for fd in (1e-310, 5e-324, 0.0):
+            mass = _band_mass(spectrum, edges[:-1], edges[1:], fd)
+            assert mass.tolist() == [0.0, 1.0, 0.0], fd
 
-    def test_gaussian_underflow_refused_by_name(self):
-        edges = np.array([-0.5, 0.0, 0.5])
-        with pytest.raises(ValueError, match="normalized_doppler 5e-324"):
-            _band_mass(DopplerSpectrum("gaussian", 0.7, 0.1), edges[:-1], edges[1:], 5e-324)
+
+def _full_grid_mass(spectrum, fd, nfft):
+    """The spectral mass of each bin of the ``nfft``-bin grid, in FFT order."""
+    f = np.fft.fftfreq(nfft)
+    return _band_mass(spectrum, f - 0.5 / nfft, f + 0.5 / nfft, fd)
 
 
 class TestBandDraw:
@@ -214,7 +215,8 @@ class TestBandDraw:
         nfft = _synthesis_grid(n, fd)
         taps = []
         for power, spectrum in zip(profile.gains_linear(), profile.doppler_spectra):
-            mass, total = _grid_mass(spectrum, fd, nfft)
+            mass = _full_grid_mass(spectrum, fd, nfft)
+            total = mass.sum()
             support = np.flatnonzero(mass)
             m = len(support)
             draws = rng.standard_normal(2 * m)
@@ -262,7 +264,8 @@ class TestBandDraw:
     def test_consumes_two_normals_per_band_bin(self, kind, monkeypatch):
         profile = _single_tap_profile(kind=kind)
         fd, n = 0.004, 1000
-        m = np.count_nonzero(_grid_mass(profile.doppler_spectra[0], fd, _synthesis_grid(n, fd))[0])
+        m = np.count_nonzero(_full_grid_mass(profile.doppler_spectra[0], fd,
+                                             _synthesis_grid(n, fd)))
         assert 200 < m < 1000
         _, rng = self._fading_and_generator(monkeypatch, profile, n,
                                             SimConfig(normalized_doppler=fd), 5)
@@ -271,14 +274,16 @@ class TestBandDraw:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_zero_doppler_takes_one_complex_normal(self, monkeypatch):
-        profile = _single_tap_profile(gain_db=10.0 * np.log10(4.0))
-        (tap,), rng = self._fading_and_generator(monkeypatch, profile, 64,
-                                                 SimConfig(normalized_doppler=0.0), 8)
-        ref = np.random.default_rng(8)
-        re, im = ref.standard_normal(2)
-        assert np.all(tap == tap[0])
-        assert tap[0] == pytest.approx(np.sqrt(2.0) * (re + 1j * im))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        for label in range(1, 7):
+            profile = load_profile(label)
+            gains, rng = self._fading_and_generator(monkeypatch, profile, 64,
+                                                    SimConfig(normalized_doppler=0.0), 8)
+            ref = np.random.default_rng(8)
+            for tap, power in zip(gains, profile.gains_linear(), strict=True):
+                re, im = ref.standard_normal(2)
+                want = math.sqrt(power / 2.0) * (re + 1j * im)
+                assert np.array_equal(tap, np.full(64, want)), label
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestApplyChannel:
