@@ -54,6 +54,16 @@ def _pair_products(length: int, half_bandwidth: float, count: int) -> np.ndarray
 
 
 @lru_cache(maxsize=16)
+def _complex_sequences(length: int, half_bandwidth: float, count: int) -> np.ndarray:
+    """The basis sequences as a read-only complex array, keyed as
+    ``_pair_products`` is: a product with complex coefficients or samples
+    would otherwise cast the real basis to complex in every window."""
+    u = slepian.generate_dpss(length, half_bandwidth, count).sequences.astype(np.complex128)
+    u.flags.writeable = False
+    return u
+
+
+@lru_cache(maxsize=16)
 def _pair_index(count: int) -> np.ndarray:
     """index[d, e]: the column of the pair (min(d, e), max(d, e)) in the
     triu_indices(count) order of ``_pair_products``."""
@@ -100,7 +110,8 @@ def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
     conj_gram = np.empty((taps, count, taps, count), dtype=np.complex128)
     conj_gram[li, :, lj, :] = blocks.conj()
     conj_gram[lj, :, li, :] = blocks
-    rhs = (conj_shifts * samples) @ basis.sequences.T
+    sequences = _complex_sequences(basis.length, basis.time_half_bandwidth, count)
+    rhs = (conj_shifts * samples) @ sequences.T
     return conj_gram.reshape(taps * count, -1).T, rhs.reshape(-1)
 
 
@@ -207,5 +218,6 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
         coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
-        gains[:, w0:w1] = coeffs @ basis.sequences
+        gains[:, w0:w1] = coeffs @ _complex_sequences(basis.length,
+                                                      basis.time_half_bandwidth, count)
     return CIRMatrix._adopt(gains, delays)

@@ -3,7 +3,8 @@ mean-squared-error loss against {0,1} one-hot targets, mini-batch gradient
 descent with momentum.  Everything is plain numpy and deterministic per seed.
 
 Training steps the first layer in the row space of the training set, as
-``W0 = W0_init + C X`` with one coefficient per training row (see ``train``).
+``W0 = W0_init + C X`` with one coefficient per training row, and steps every
+parameter through one flat buffer (see ``train``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -120,27 +122,26 @@ def batch_loss(params: MLPParams, x: np.ndarray, t: np.ndarray) -> float:
     return float(np.mean((_output(params, x) - t) ** 2))
 
 
-def _backprop(params: MLPParams, z0: np.ndarray, t: np.ndarray):
+def _backprop(params: MLPParams, z0: np.ndarray, t: np.ndarray, grad_w, grad_b):
     """Backpropagation from the first layer's pre-activation ``z0``.
 
-    Returns the batch loss, delta1 = dloss/dz0, the gradients dloss/dW[h]
-    of the layers h >= 1 and dloss/dB[h] of every layer.  The first layer's
-    weight gradient is delta1^T x, which the caller forms from its own
-    inputs.
+    Writes dloss/dW[h] of the layers h >= 1 into ``grad_w[h - 1]`` and
+    dloss/dB[h] of every layer into ``grad_b[h]``, and returns the batch
+    loss and delta1 = dloss/dz0.  The first layer's weight gradient is
+    delta1^T x, which the caller forms from its own inputs.
     """
     acts = _activations(params, z0)
     out = acts[-1]
-    loss = float(np.mean((out - t) ** 2))
-    scale = 2.0 / out.size
-    delta = scale * (out - t) * (1.0 - out ** 2)
-    grad_w = [None] * (len(params.weights) - 1)
-    grad_b = [None] * len(params.biases)
+    err = out - t
+    sq = err ** 2
+    loss = float(np.add.reduce(sq, axis=None)) / sq.size  # np.mean's bits, faster
+    delta = 2.0 / out.size * err * (1.0 - out ** 2)
     for h in range(len(params.weights) - 1, 0, -1):
-        grad_w[h - 1] = delta.T @ acts[h - 1]
-        grad_b[h] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[h - 1], out=grad_w[h - 1])
+        np.add.reduce(delta, axis=0, out=grad_b[h])
         delta = (delta @ params.weights[h]) * (1.0 - acts[h - 1] ** 2)
-    grad_b[0] = delta.sum(axis=0)
-    return loss, delta, grad_w, grad_b
+    np.add.reduce(delta, axis=0, out=grad_b[0])
+    return loss, delta
 
 
 def _check_batch(params: MLPParams, x, t) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +164,9 @@ def _check_batch(params: MLPParams, x, t) -> tuple[np.ndarray, np.ndarray]:
 def gradients(params: MLPParams, x: np.ndarray, t: np.ndarray):
     """Analytic gradient of the mean-over-batch-and-output MSE loss."""
     x, t = _check_batch(params, x, t)
-    _, delta, grad_w, grad_b = _backprop(params, x @ params.weights[0].T + params.biases[0], t)
+    grad_w = [np.empty_like(w) for w in params.weights[1:]]
+    grad_b = [np.empty_like(b) for b in params.biases]
+    _, delta = _backprop(params, x @ params.weights[0].T + params.biases[0], t, grad_w, grad_b)
     return [delta.T @ x] + grad_w, grad_b
 
 
@@ -184,20 +187,30 @@ def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
     end.  The parameters are those of the direct form in real arithmetic;
     only the rounding differs.
 
+    ``C``, the later weights and every bias live in one flat buffer, as do
+    their velocities and gradients, so a step is four numpy calls over the
+    whole buffer: the per-element arithmetic of stepping each array on its
+    own, with a column of ``C`` outside ``idx`` given a zero gradient.
+
     A step costs O(batch * n * h1) for the first layer, against
     O(batch * d * h1) for the direct form, and holds the n x n Gram matrix
     in memory.  A training set with more rows than the input is wide
     (n > d) therefore costs more per step than the direct form would.
     """
     x, t = _check_batch(params, features, targets)
-    p = params.copy()
-    w0_init = p.weights[0]
+    w0_init = params.weights[0]
     h_init = x @ w0_init.T
     gram = x @ x.T
-    coef = np.zeros((w0_init.shape[0], len(x)))
-    coef_velocity = np.zeros_like(coef)
-    rest = p.weights[1:] + p.biases
-    velocities = [np.zeros_like(a) for a in rest]
+    arrays = params.weights[1:] + params.biases
+    shapes = [(w0_init.shape[0], len(x))] + [a.shape for a in arrays]
+    cuts = np.cumsum([math.prod(s) for s in shapes])
+    flat, vel, grad = np.zeros((3, cuts[-1]))
+    coef, *rest = [v.reshape(s) for v, s in zip(np.split(flat, cuts[:-1]), shapes)]
+    coef_grad, *grads = [v.reshape(s) for v, s in zip(np.split(grad, cuts[:-1]), shapes)]
+    flat[cuts[0]:] = np.concatenate([a.ravel() for a in arrays])
+    layers = len(params.weights) - 1
+    p = MLPParams(params.layer_sizes, [w0_init] + rest[:layers], rest[layers:])
+    grad_w, grad_b = grads[:layers], grads[layers:]
     rng = np.random.default_rng(config.seed)
     losses = []
     best = np.inf
@@ -210,17 +223,16 @@ def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
         for lo in range(0, len(x), config.batch_size):
             idx = order[lo:lo + config.batch_size]
             z0 = h_init[idx] + gram[idx] @ coef.T + p.biases[0]
-            loss, delta, grad_w, grad_b = _backprop(p, z0, t[idx])
+            loss, delta = _backprop(p, z0, t[idx], grad_w, grad_b)
             epoch_losses.append(loss)
-            coef_velocity *= config.momentum
-            coef_velocity[:, idx] -= config.learning_rate * delta.T
-            coef += coef_velocity
-            for a, v, g in zip(rest, velocities, grad_w + grad_b):
-                v *= config.momentum
-                g *= config.learning_rate
-                v -= g
-                a += v
-        loss = float(np.mean(epoch_losses))
+            if len(x) > config.batch_size:  # clear the last batch's columns
+                coef_grad.fill(0.0)
+            coef_grad[:, idx] = delta.T
+            vel *= config.momentum
+            grad *= config.learning_rate
+            vel -= grad
+            flat += vel
+        loss = float(np.add.reduce(epoch_losses)) / len(epoch_losses)
         losses.append(loss)
         if loss < best * (1.0 - config.plateau_rel_tol):
             best = loss
@@ -231,7 +243,8 @@ def train(params: MLPParams, features: np.ndarray, targets: np.ndarray,
             if since_best >= config.plateau_patience:
                 stopped_on = "plateau"
                 break
-    p.weights[0] = w0_init + coef @ x
+    p = MLPParams(params.layer_sizes, [w0_init + coef @ x] + [w.copy() for w in p.weights[1:]],
+                  [b.copy() for b in p.biases])
     out = _output(p, x)
     acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(t, axis=1)))
     return p, TrainReport(tuple(losses), acc, best_epoch, stopped_on)

@@ -63,6 +63,11 @@ class DatasetSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        # bool is an int subclass, and a str or float would fail below
+        # without naming its key, or build a record count of 2.5
+        for name in ("vectors_per_condition", "samples_per_vector", "master_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.vectors_per_condition < 1:
             raise ValueError("vectors_per_condition must be >= 1")
         if self.samples_per_vector < 400:
@@ -73,6 +78,8 @@ class DatasetSpec:
         if type(self.window_len) is not int or self.window_len < 2:
             raise ValueError(f"window_len must be an int >= 2, not {self.window_len!r}")
         for name in ("scenario_labels", "snr_list_db"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValueError(f"{name} must be a list, not {getattr(self, name)!r}")
             if not len(getattr(self, name)):
                 raise ValueError(f"{name} must not be empty")
         for label in self.scenario_labels:
@@ -119,7 +126,7 @@ class DatasetSpec:
     def from_dict(doc: dict) -> "DatasetSpec":
         """The spec of ``doc``; absent keys take the dataclass defaults."""
         kwargs = _known_fields(DatasetSpec, doc)
-        if "snr_list_db" in kwargs:
+        if isinstance(kwargs.get("snr_list_db"), (tuple, list)):
             kwargs["snr_list_db"] = tuple(None if s == NOISELESS else s
                                           for s in kwargs["snr_list_db"])
         if "sim" in kwargs:
@@ -359,9 +366,9 @@ def run_experiment(spec: DatasetSpec, out_dir, hidden_sizes, config: TrainConfig
     ``out_dir``, byte for byte the files of the CLI's ``dataset``, ``train``
     and ``eval`` run with the same settings.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = generate_records(spec, threads)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # not before a refusal
     write_dataset(out_dir / "dataset.txt", spec, records)
     train_records, test = split_train_test(records)
     params, train_report, fingerprint = train_classifier(train_records, hidden_sizes,

@@ -434,9 +434,9 @@ class TestSoundCommand:
     def test_zero_sample_rate_is_an_error_not_a_traceback(self, tmp_path):
         # 1 / rate raised ZeroDivisionError past the CLI's error handling
         probe = self._probe_file(tmp_path, [1.0], [0])
-        lines = open(probe).read().split("\n")
+        lines = Path(probe).read_text().split("\n")
         lines[0] = f"# {cli.SIGNAL_FORMAT} sample_rate_hz=0.0 count={len(lines) - 2}"
-        open(probe, "w").write("\n".join(lines))
+        Path(probe).write_text("\n".join(lines))
         proc = TestModuleEntryPoint._run_module("sound", "--signal", probe)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
@@ -517,8 +517,7 @@ class TestSoundCommand:
 
     def test_truncated_signal_file(self, tmp_path, capsys):
         probe = self._probe_file(tmp_path, [1.0], [0])
-        data = open(probe, "rb").read()
-        open(probe, "wb").write(data[:-40])
+        Path(probe).write_bytes(Path(probe).read_bytes()[:-40])
         rc = run(["sound", "--signal", probe])
         assert rc != 0
         assert "byte" in capsys.readouterr().err

@@ -22,8 +22,8 @@ from chanident.cli import run as cli_run, write_signal_file
 from chanident.features import FEATURE_LENGTH, N_SCENARIOS, one_hot
 from chanident.mlp import (TrainConfig, config_fingerprint, init_mlp, load_mlp, save_mlp,
                            train)
-from chanident.pipeline import (DatasetSpec, evaluate, generate_records, run_experiment,
-                                split_train_test, write_dataset, write_report)
+from chanident.pipeline import (HIDDEN_SIZES, DatasetSpec, evaluate, generate_records,
+                                run_experiment, split_train_test, write_dataset, write_report)
 from chanident.modulation import random_frame
 from chanident.profiles import load_profile
 from chanident.simulate import SimConfig, add_awgn, apply_channel, generate_fading
@@ -124,3 +124,43 @@ def test_estimate_trace_digest(tmp_path):
                     "--frame", str(tmp_path / "frame.txt"),
                     "--output", str(tmp_path / "trace.txt")]) == 0
     assert _sha256(tmp_path / "trace.txt") == TRACE_GOLDEN
+
+
+# The paper's 4800-64-48-32-24-6 network, trained on noiseless 1200-sample
+# records at nu = 0.004: the sha256 of the little-endian float64 bytes of the
+# weights, then the biases, that train returns, and of its epoch losses.  Six
+# vectors (one per scenario) run as one batch; 120 run in batches of 32, the
+# last of them partial.
+PAPER_TRAIN_GOLDEN = {
+    "n6": (1, TrainConfig(epochs=300, batch_size=32, seed=5), {
+        "params": "3a46101fcca84a3370446a5db98fcfe7b790e95856c8c1f1594c5f95592f1dfe",
+        "losses": "7bcd700a9663e691cb4c8f4601981cc3b96268a6ab4f984b54fa52127c877684",
+    }),
+    "n120": (20, TrainConfig(epochs=5, batch_size=32, seed=5), {
+        "params": "141ad2f0c2c2b7f3b5177015f72e301624db6ce0b14d086c505fe314e804d0b0",
+        "losses": "c121fd4f68eea5e2de4237ee3b2de875a931b1f0e8c194c8f2fa9c7b4e7034ea",
+    }),
+}
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PAPER_TRAIN_GOLDEN))
+def test_paper_network_training_digests(case):
+    per_class, config, want = PAPER_TRAIN_GOLDEN[case]
+    spec = DatasetSpec(vectors_per_condition=per_class, snr_list_db=(None,),
+                       samples_per_vector=1200, sim=SimConfig(normalized_doppler=0.004),
+                       master_seed=11)
+    records = generate_records(spec)
+    x = np.stack([r.feature.values for r in records])
+    t = np.stack([one_hot(r.label) for r in records])
+    sizes = (FEATURE_LENGTH, *HIDDEN_SIZES, N_SCENARIOS)
+    params, report = train(init_mlp(sizes, seed=3), x, t, config)
+    assert report.stopped_on == "epoch_limit"
+    assert {"params": _digest(params.weights + params.biases),
+            "losses": _digest([np.array(report.epoch_losses)])} == want

@@ -285,6 +285,17 @@ class TestTrainMatchesReference:
         for a, b in zip(params.weights + params.biases, before.weights + before.biases):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("case", ["paper-network", "paper-network-n120"])
+    def test_returned_arrays_own_their_data(self, case):
+        # train steps one flat buffer; what it returns must not be views of it
+        params, x, t, cfg = self._run(case)
+        got, _ = train(params, x, t, cfg)
+        assert all(a.base is None for a in got.weights + got.biases)
+        arrays = got.weights + got.biases + params.weights + params.biases
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
 
 class TestTrainReport:
     def test_epoch_limit(self):

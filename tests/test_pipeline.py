@@ -104,6 +104,24 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="window_len must be an int >= 2"):
             DatasetSpec(window_len=window_len)
 
+    @pytest.mark.parametrize("key, value", [
+        ("vectors_per_condition", "3"), ("vectors_per_condition", 2.5),
+        ("vectors_per_condition", True), ("samples_per_vector", "25600"),
+        ("samples_per_vector", 25600.0), ("samples_per_vector", np.int64(25600)),
+        ("master_seed", "x"), ("master_seed", 1.5), ("master_seed", False)])
+    def test_rejects_count_or_seed_not_int_by_name(self, key, value):
+        # "3" raised a bare "'<' not supported", and 2.5 or "x" were taken
+        with pytest.raises(ValueError, match=f"^{key} must be an int, not"):
+            DatasetSpec.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("scenario_labels", 1), ("scenario_labels", "12"), ("snr_list_db", 10.0),
+        ("snr_list_db", "noiseless"), ("snr_list_db", {"a": 1})])
+    def test_rejects_list_key_not_a_list_by_name(self, key, value):
+        # 10.0 raised a bare "'float' object is not iterable"
+        with pytest.raises(ValueError, match=f"^{key} must be a list, not"):
+            DatasetSpec.from_dict({key: value})
+
     @pytest.mark.parametrize("labels, window_len", [
         ((1, 2, 3, 4, 5, 6), 2), ((6,), 8), ((6,), 40), ((1,), 8)])
     def test_window_too_short_for_bem_ls_refused_by_name(self, labels, window_len):
@@ -343,6 +361,13 @@ class TestSplit:
         with pytest.warns(UserWarning, match="test set is empty"):
             train, test = split_train_test([_synthetic_record(1, None)])
         assert not test
+
+
+def test_refused_run_experiment_leaves_no_directory(tmp_path):
+    out = tmp_path / "run" / "nested"
+    with pytest.raises(ValueError, match="^threads must be >= 1"):
+        pipeline.run_experiment(TINY, out, (4,), TrainConfig(epochs=1), 0, threads=0)
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_classifier_rejects_negative_init_seed_by_name():
