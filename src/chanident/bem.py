@@ -39,8 +39,11 @@ def _shifted_frame(frame: np.ndarray, delays) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _pair_products(length: int, half_bandwidth: float, count: int) -> np.ndarray:
-    """P[n, k] = u_d[n] u_e[n] for the k-th pair (d, e) of triu_indices(count).
+def _basis_arrays(length: int, half_bandwidth: float,
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only products[n, k] = u_d[n] u_e[n] for the k-th pair (d, e) of
+    triu_indices(count), and the sequences u as complex, which a product with
+    complex coefficients or samples would otherwise cast in every window.
 
     Keyed by the basis parameters, never by a basis object: Slepian bases
     are themselves cached with eviction, so an object identity can return
@@ -49,24 +52,16 @@ def _pair_products(length: int, half_bandwidth: float, count: int) -> np.ndarray
     u = slepian.generate_dpss(length, half_bandwidth, count).sequences
     d, e = np.triu_indices(count)
     products = np.ascontiguousarray((u[d] * u[e]).T)
-    products.flags.writeable = False
-    return products
-
-
-@lru_cache(maxsize=16)
-def _complex_sequences(length: int, half_bandwidth: float, count: int) -> np.ndarray:
-    """The basis sequences as a read-only complex array, keyed as
-    ``_pair_products`` is: a product with complex coefficients or samples
-    would otherwise cast the real basis to complex in every window."""
-    u = slepian.generate_dpss(length, half_bandwidth, count).sequences.astype(np.complex128)
-    u.flags.writeable = False
-    return u
+    sequences = u.astype(np.complex128)
+    for a in (products, sequences):
+        a.flags.writeable = False
+    return products, sequences
 
 
 @lru_cache(maxsize=16)
 def _pair_index(count: int) -> np.ndarray:
     """index[d, e]: the column of the pair (min(d, e), max(d, e)) in the
-    triu_indices(count) order of ``_pair_products``."""
+    triu_indices(count) order of ``_basis_arrays``' products."""
     d, e = np.triu_indices(count)
     index = np.empty((count, count), dtype=np.intp)
     index[d, e] = index[e, d] = np.arange(len(d))
@@ -94,7 +89,7 @@ def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
     ordered l * D + d.  The Gram matrix is returned in Fortran order, the
     layout LAPACK solves in place.
     """
-    products = _pair_products(basis.length, basis.time_half_bandwidth, basis.count)
+    products, sequences = _basis_arrays(basis.length, basis.time_half_bandwidth, basis.count)
     taps, count = len(shifts), basis.count
     li, lj, diagonal = _tap_pairs(taps)
     conj_shifts = shifts.conj()
@@ -110,7 +105,6 @@ def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
     conj_gram = np.empty((taps, count, taps, count), dtype=np.complex128)
     conj_gram[li, :, lj, :] = blocks.conj()
     conj_gram[lj, :, li, :] = blocks
-    sequences = _complex_sequences(basis.length, basis.time_half_bandwidth, count)
     rhs = (conj_shifts * samples) @ sequences.T
     return conj_gram.reshape(taps * count, -1).T, rhs.reshape(-1)
 
@@ -218,6 +212,5 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
         coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
-        gains[:, w0:w1] = coeffs @ _complex_sequences(basis.length,
-                                                      basis.time_half_bandwidth, count)
+        gains[:, w0:w1] = coeffs @ _basis_arrays(wlen, basis.time_half_bandwidth, count)[1]
     return CIRMatrix._adopt(gains, delays)

@@ -155,10 +155,10 @@ def read_signal_file(path) -> ComplexSignal:
     return ComplexSignal(np.array(samples))
 
 
-def _write_manifest(path, doc: dict) -> None:
-    """The run's manifest: ``doc`` under the format tag, keys sorted."""
+def _write_json(path, doc: dict) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
-        json.dump({"format": MANIFEST_FORMAT, **doc}, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -256,7 +256,7 @@ def _cmd_sound(args, config, timed) -> dict:
             normalized_doppler=config["normalized_doppler"])
     _print_sounding(order_est, delays)
     if args.output:
-        _write_sounding(args.output, order_est, delays)
+        _write_json(args.output, _sounding_doc(order_est, delays))
     return {}
 
 
@@ -271,8 +271,9 @@ def _print_sounding(order_est: OrderEstimate, delays: DelayAmplitudeEstimate) ->
     print(f"residual cost {delays.residual_cost:.6g} after {delays.iterations} sweeps")
 
 
-def _write_sounding(path, order_est: OrderEstimate, delays: DelayAmplitudeEstimate) -> None:
-    doc = {
+def _sounding_doc(order_est: OrderEstimate, delays: DelayAmplitudeEstimate) -> dict:
+    """The document ``sound --output`` writes: the printed table, unrounded."""
+    return {
         "format": "chanident-sounding v1",
         "order": order_est.order,
         "peak_lags": list(order_est.peak_lags),
@@ -284,9 +285,6 @@ def _write_sounding(path, order_est: OrderEstimate, delays: DelayAmplitudeEstima
         "residual_cost": delays.residual_cost,
         "iterations": delays.iterations,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_estimate(args, config, timed) -> dict:
@@ -399,9 +397,9 @@ def _dispatch(args) -> int:
     fields = cmd.handler(args, config, timed)  # may replace "config"
     if args.output:
         # beside the output, also a directory given with a trailing separator
-        _write_manifest(f"{Path(args.output)}.manifest.json", {
-            "subcommand": name, "config_path": args.config, "config": config,
-            "outputs": [args.output],
+        _write_json(f"{Path(args.output)}.manifest.json", {
+            "format": MANIFEST_FORMAT, "subcommand": name, "config_path": args.config,
+            "config": config, "outputs": [args.output],
             "timings_s": {k: round(v, 6) for k, v in timings.items()}, **fields})
     return 0
 

@@ -26,39 +26,30 @@ N_SCENARIOS = 6
 
 @dataclass(frozen=True)
 class DDPDP:
-    """Row-stochastic envelope-probability matrix, one row per delay unit."""
+    """Row-stochastic envelope-probability matrix, one row per delay unit,
+    built from itself or from ``values``, its flattening and the classifier input."""
 
     bins: np.ndarray
 
     def __post_init__(self):
-        bins = np.array(self.bins, dtype=np.float64, copy=True)
-        if bins.ndim != 2 or bins.shape[1] != ENVELOPE_BINS:
-            raise ValueError(f"bins must be L x {ENVELOPE_BINS}")
-        if not np.all(bins >= 0):  # written so that NaN fails
-            raise ValueError("bin probabilities must be non-negative numbers")
+        bins = np.asarray(self.bins, dtype=np.float64)
+        if bins.shape == (FEATURE_LENGTH,):
+            bins = bins.reshape(MAX_DELAY_UNITS, ENVELOPE_BINS)
+        if bins.shape != (MAX_DELAY_UNITS, ENVELOPE_BINS):
+            raise ValueError(f"bins must be {MAX_DELAY_UNITS} x {ENVELOPE_BINS} or a flat "
+                             f"{FEATURE_LENGTH}, not shape {bins.shape}")
+        bins = bins.copy()  # C order, owning its data, so ``values`` is a view
+        if not np.all(np.isfinite(bins) & (bins >= 0)):
+            raise ValueError("bin probabilities must be finite, non-negative numbers")
         if not np.all(np.abs(bins.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("every row must sum to 1 within 1e-12")
         bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)
 
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Flattened D-DPDP plus (optionally) its scenario label."""
-
-    values: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.shape != (FEATURE_LENGTH,):
-            raise ValueError(f"feature length must be exactly {FEATURE_LENGTH}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("feature values must be finite")
-        if self.label is not None and not 1 <= self.label <= N_SCENARIOS:
-            raise ValueError(f"label must lie in 1..{N_SCENARIOS}")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+    @property
+    def values(self) -> np.ndarray:
+        """Row-major read-only view: element 400*l + b is bins[l, b]."""
+        return self.bins.reshape(-1)
 
 
 def build_ddpdp(cir: CIRMatrix) -> DDPDP:
@@ -79,11 +70,6 @@ def build_ddpdp(cir: CIRMatrix) -> DDPDP:
             idx = np.minimum((np.abs(gains) / BIN_WIDTH).astype(np.int64), ENVELOPE_BINS - 1)
             counts[delay] = np.bincount(idx, minlength=ENVELOPE_BINS)
     return DDPDP(counts / float(n))
-
-
-def flatten_ddpdp(ddpdp: DDPDP) -> np.ndarray:
-    """Row-major concatenation: element 400*l + b is bins[l, b]."""
-    return ddpdp.bins.reshape(-1).copy()
 
 
 def one_hot(label: int) -> np.ndarray:

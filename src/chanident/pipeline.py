@@ -23,8 +23,7 @@ import numpy as np
 from . import profiles
 from .bem import DEFAULT_WINDOW_LEN, estimate_cir_windowed, window_plan
 from .errors import IdentifiabilityError, InvalidSplitError
-from .features import (DDPDP, ENVELOPE_BINS, FEATURE_LENGTH, N_SCENARIOS, FeatureVector,
-                       build_ddpdp, flatten_ddpdp, one_hot)
+from .features import DDPDP, FEATURE_LENGTH, N_SCENARIOS, build_ddpdp, one_hot
 from .modulation import random_frame
 from .mlp import (MLPParams, TrainConfig, TrainReport, classify, config_fingerprint,
                   init_mlp, save_mlp, train)
@@ -140,7 +139,7 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    feature: FeatureVector
+    feature: DDPDP
     label: int
     snr_db: float | None
     realization_seed: int
@@ -192,8 +191,7 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
             raise IdentifiabilityError(
                 f"record (scenario {label}, snr {_snr_token(snr_db)}, index {index}): "
                 f"{exc}") from exc
-    feature = FeatureVector(flatten_ddpdp(build_ddpdp(cir)), label)
-    return DatasetRecord(feature, label, snr_db, seed)
+    return DatasetRecord(build_ddpdp(cir), label, snr_db, seed)
 
 
 def _record_coords(spec: DatasetSpec):
@@ -263,12 +261,13 @@ def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
                 f"got {len(fields)}")
         try:
             label = int(fields[0])
+            if not 1 <= label <= N_SCENARIOS:
+                raise ValueError(f"label must lie in 1..{N_SCENARIOS}, got {label}")
             snr = None if fields[1] == NOISELESS else float(fields[1])
             if snr is not None and not np.isfinite(snr):
                 raise ValueError(f"SNR must be finite, got {fields[1]}")
             seed = int(fields[2])
-            feature = FeatureVector(np.array([float(v) for v in fields[3:]]), label)
-            DDPDP(feature.values.reshape(-1, ENVELOPE_BINS))  # the row rule
+            feature = DDPDP(np.array([float(v) for v in fields[3:]]))
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         records.append(DatasetRecord(feature, label, snr, seed))

@@ -44,10 +44,12 @@ class SimConfig:
     normalized_doppler: float = 0.004
 
     def __post_init__(self):
-        # 0 is admitted as the degenerate frozen-channel limit.
-        if not 0 <= self.normalized_doppler < 0.5:
-            raise ValueError(f"normalized_doppler must be finite and in [0, 0.5), "
-                             f"got {self.normalized_doppler!r}")
+        nu = self.normalized_doppler
+        # 0 is admitted as the degenerate frozen-channel limit.  bool is an
+        # int subclass, and a str or None would raise a TypeError that names
+        # no key; numpy floats subclass float.
+        if isinstance(nu, bool) or not isinstance(nu, (int, float)) or not 0 <= nu < 0.5:
+            raise ValueError(f"normalized_doppler must be finite and in [0, 0.5), got {nu!r}")
 
     @property
     def doppler_per_sample(self) -> float:

@@ -16,7 +16,7 @@ from scipy.stats import chi2
 
 from _oracles import brute_force_paths, static_probe
 from chanident.cli import run as cli_run
-from chanident.features import FEATURE_LENGTH, build_ddpdp, flatten_ddpdp
+from chanident.features import FEATURE_LENGTH, build_ddpdp
 from chanident.mlp import TrainConfig, complexity_count, init_mlp
 from chanident.mseq import generate_mseq, periodic_autocorrelation
 from chanident.pipeline import HIDDEN_SIZES, DatasetSpec, run_experiment, split_train_test
@@ -180,7 +180,7 @@ def test_criterion_6_ddpdp():
         d = build_ddpdp(cir)
         assert np.all(np.abs(d.bins.sum(axis=1) - 1.0) < 1e-12)
         assert np.all(d.bins >= 0)
-        v = flatten_ddpdp(d)
+        v = d.values
         assert v.shape == (FEATURE_LENGTH,) and FEATURE_LENGTH == 4800
     a = build_ddpdp(_full_grid_cir(2, 10_000, seed=63))  # RAx6
     b = build_ddpdp(_full_grid_cir(3, 10_000, seed=64))  # TUx6

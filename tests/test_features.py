@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import zero_padded
 from chanident.bem import estimate_cir_windowed
-from chanident.features import (ENVELOPE_BINS, FEATURE_LENGTH, DDPDP,
-                                FeatureVector, build_ddpdp, flatten_ddpdp, one_hot)
+from chanident.features import ENVELOPE_BINS, FEATURE_LENGTH, DDPDP, build_ddpdp, one_hot
 from chanident.modulation import random_frame
 from chanident.profiles import MAX_DELAY_UNITS, load_profile
 from chanident.simulate import CIRMatrix, SimConfig, add_awgn, apply_channel, generate_fading
@@ -114,26 +113,54 @@ class TestDelayGrid:
 class TestFlatten:
     def test_length_4800_for_full_grid(self):
         d = build_ddpdp(_full_grid_cir(1, 600, seed=2))
-        v = flatten_ddpdp(d)
-        assert v.shape == (FEATURE_LENGTH,)
+        assert d.values.shape == (FEATURE_LENGTH,)
 
     def test_layout_row_major(self):
         rng = np.random.default_rng(0)
         gains = rng.standard_normal((MAX_DELAY_UNITS, 500)) + 0j
         d = build_ddpdp(_estimate_from(gains))
-        v = flatten_ddpdp(d)
         for l in (0, 5, 11):
             for b in (0, 146, 399):
-                assert v[ENVELOPE_BINS * l + b] == d.bins[l, b]
+                assert d.values[ENVELOPE_BINS * l + b] == d.bins[l, b]
 
     def test_round_trip(self):
         d = build_ddpdp(_full_grid_cir(2, 500, seed=3))
-        v = flatten_ddpdp(d)
-        assert np.array_equal(v.reshape(MAX_DELAY_UNITS, ENVELOPE_BINS), d.bins)
+        assert np.array_equal(d.values.reshape(MAX_DELAY_UNITS, ENVELOPE_BINS), d.bins)
+
+    def test_flat_and_matrix_forms_build_equal_bins(self):
+        d = build_ddpdp(_full_grid_cir(4, 500, seed=5))
+        flat, matrix = DDPDP(list(d.values)), DDPDP(d.bins.tolist())
+        assert flat.bins.shape == matrix.bins.shape == (MAX_DELAY_UNITS, ENVELOPE_BINS)
+        assert np.array_equal(flat.bins, matrix.bins)
+        assert np.array_equal(flat.bins, d.bins)
 
     def test_feature_vector_validates_length(self):
-        with pytest.raises(ValueError, match="4800"):
-            FeatureVector(np.zeros(4799))
+        with pytest.raises(ValueError, match=re.escape("a flat 4800, not shape (4799,)")):
+            DDPDP(np.zeros(FEATURE_LENGTH - 1))
+
+    @pytest.mark.parametrize("shape", [(ENVELOPE_BINS, MAX_DELAY_UNITS), (FEATURE_LENGTH, 1),
+                                       (1, ENVELOPE_BINS)])
+    def test_other_shapes_refused_by_name(self, shape):
+        # a transposed or column-shaped array must not be reshaped silently
+        bins = np.zeros(shape)
+        bins.reshape(-1)[::ENVELOPE_BINS] = 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                f"bins must be 12 x 400 or a flat 4800, not shape {shape}")):
+            DDPDP(bins)
+
+    def test_values_is_a_read_only_view_of_bins(self):
+        d = build_ddpdp(_full_grid_cir(1, 500, seed=6))
+        assert not d.values.flags.writeable and not d.bins.flags.writeable
+        assert np.shares_memory(d.values, d.bins)
+        with pytest.raises(ValueError, match="read-only"):
+            d.values[0] = 0.5
+
+    def test_keeps_its_own_copy(self):
+        bins = np.zeros(FEATURE_LENGTH)
+        bins[::ENVELOPE_BINS] = 1.0
+        d = DDPDP(bins)
+        bins[0] = 7.0
+        assert d.values[0] == 1.0 and not np.shares_memory(d.bins, bins)
 
 
 class TestOneHot:
@@ -167,18 +194,20 @@ def test_rax6_vs_tux6_rows_distinguishable():
 
 
 def test_ddpdp_validates_row_sums():
-    bad = np.zeros((1, ENVELOPE_BINS))
-    bad[0, 0] = 0.5
+    bad = np.zeros((MAX_DELAY_UNITS, ENVELOPE_BINS))
+    bad[:, 0] = 1.0
+    bad[7, 0] = 0.5
     with pytest.raises(ValueError, match="sum"):
         DDPDP(bad)
 
 
 def test_ddpdp_refuses_nan_bins():
     # a NaN compares false either way, so "any(bins < 0)" let it through
-    with pytest.raises(ValueError, match="non-negative numbers"):
+    with pytest.raises(ValueError, match="finite, non-negative numbers"):
         DDPDP(np.full((MAX_DELAY_UNITS, ENVELOPE_BINS), np.nan))
     bins = np.zeros((MAX_DELAY_UNITS, ENVELOPE_BINS))
     bins[:, 0] = 1.0
-    bins[3, 7] = np.nan
-    with pytest.raises(ValueError, match="non-negative numbers"):
-        DDPDP(bins)
+    for bad in (np.nan, np.inf):
+        bins[3, 7] = bad
+        with pytest.raises(ValueError, match="finite, non-negative numbers"):
+            DDPDP(bins)

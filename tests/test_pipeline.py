@@ -6,7 +6,7 @@ import pytest
 from _oracles import static_probe
 from chanident import pipeline
 from chanident.errors import InsufficientSignalError, InvalidSplitError
-from chanident.features import FEATURE_LENGTH, FeatureVector
+from chanident.features import DDPDP, ENVELOPE_BINS, FEATURE_LENGTH
 from chanident.mlp import TrainConfig
 from chanident.mseq import generate_mseq
 from chanident.pipeline import (DATASET_FORMAT, DatasetRecord, DatasetSpec, derive_seed,
@@ -23,9 +23,9 @@ TINY = DatasetSpec(scenario_labels=(1, 3), vectors_per_condition=2,
 
 def _synthetic_record(label, snr, tag=0):
     values = np.zeros(FEATURE_LENGTH)
-    values[0] = label / 10.0  # lets a stub classifier read the truth
-    values[1] = tag
-    return DatasetRecord(FeatureVector(values, label), label, snr, tag)
+    values[::ENVELOPE_BINS] = 1.0  # every row a point mass in bin 0 ...
+    values[:2] = label / 10.0, 1.0 - label / 10.0  # ... but row 0 lets a stub read the truth
+    return DatasetRecord(DDPDP(values), label, snr, tag)
 
 
 class TestDatasetSpec:
@@ -269,6 +269,7 @@ class TestDatasetFile:
             "expected": " ".join(fields[:-1]),  # one value short
             "finite": " ".join(fields[:-1] + ["nan"]),
             "label must lie": " ".join(["7"] + fields[1:]),
+            "label must lie in 1..6, got 0": " ".join(["0"] + fields[1:]),
             "non-negative": " ".join(fields[:3] + ["-0.5", "7.25"] + fields[5:]),  # row sum 7.75
             "sum to 1": " ".join(fields[:3] + ["0.25", "0.75"] + fields[5:]),
             "SNR must be finite, got nan": " ".join(fields[:1] + ["nan"] + fields[2:]),
@@ -293,10 +294,13 @@ class TestDatasetFile:
         ('# spec {"scenario_labels": 5}', "line 2: "),
         ('# spec {"vectors_per_condition": "3"}', "line 2: "),
         ('# spec {"sim": {"normalized_doppler": "x"}}', "line 2: "),
+        # read as 0 and written back as false
+        ('# spec {"sim": {"normalized_doppler": false}}',
+         "line 2: normalized_doppler must be finite and in [0, 0.5), got False"),
         ('# spec {"sim": ', "line 2: Expecting value"),
         ("label snr seed", "missing spec header line"),
-    ], ids=["list", "string", "sim-5", "labels-5", "vectors-str", "doppler-str", "json",
-            "no-spec-line"])
+    ], ids=["list", "string", "sim-5", "labels-5", "vectors-str", "doppler-str",
+            "doppler-false", "json", "no-spec-line"])
     def test_bad_spec_line_refused_by_line(self, tmp_path, spec_line, message):
         path = tmp_path / "data.txt"
         write_dataset(path, TINY, [])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -30,11 +31,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(normalized_doppler=-0.1)
 
-    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    # the str, list and None raised a bare TypeError, and the bools passed as 0 and 1
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf, "0.004", [0.004], None, False, True])
     def test_rejects_doppler_not_finite(self, nu):
-        with pytest.raises(ValueError,
-                           match=r"^normalized_doppler must be finite and in \[0, 0.5\)"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"normalized_doppler must be finite and in [0, 0.5), got {nu!r}")):
             SimConfig(normalized_doppler=nu)
+
+    @pytest.mark.parametrize("nu", [0, np.float64(0.004)])
+    def test_takes_an_int_or_a_numpy_float(self, nu):
+        assert SimConfig(normalized_doppler=nu).normalized_doppler == nu
 
     def test_the_doppler_is_the_only_field(self):
         # the symbol rate, samples per symbol and seed changed no record

@@ -346,8 +346,11 @@ class TestStructuredNormalEquations:
         for length in (40, 56):
             slepian._build.cache_clear()
             basis = generate_dpss(length, 0.05, 3)
-            products = bem._pair_products(length, 0.05, 3)
+            products, sequences = bem._basis_arrays(length, 0.05, 3)
             assert np.array_equal(products, (basis.sequences[d] * basis.sequences[e]).T)
+            assert np.array_equal(sequences, basis.sequences)
+            assert sequences.dtype == np.complex128
+            assert not (products.flags.writeable or sequences.flags.writeable)
             frame = rng.standard_normal(length) + 1j * rng.standard_normal(length)
             samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
             _assert_matches_dense(bem._shifted_frame(frame, (0, 2)), samples, basis)
