@@ -29,12 +29,15 @@ from .slepian import DPSSBasis, basis_dimension, generate_dpss
 DEFAULT_WINDOW_LEN = 512
 
 
-def _shifted_frame(frame: np.ndarray, delays) -> np.ndarray:
-    """Rows x[n - tau_l] for every frame index n, zeros before the frame."""
-    n = len(frame)
-    out = np.zeros((len(delays), n), dtype=np.complex128)
+def _shifted_frame(frame: np.ndarray, delays, start: int = 0,
+                   stop: int | None = None) -> np.ndarray:
+    """Rows x[n - tau_l] for start <= n < stop (the whole frame by default),
+    zeros before the frame."""
+    stop = len(frame) if stop is None else stop
+    out = np.zeros((len(delays), stop - start), dtype=np.complex128)
     for j, d in enumerate(delays):
-        out[j, min(d, n):] = frame[:max(n - d, 0)]
+        first = min(max(d, start), stop)  # the first n with n - tau_l >= 0
+        out[j, first - start:] = frame[first - d:stop - d]
     return out
 
 
@@ -205,12 +208,11 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
         raise ValueError("window_len must be >= 2")
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
-    shifts = _shifted_frame(frame, delays)
     gains = np.empty((len(delays), n), dtype=np.complex128)  # windows cover [0, n)
     for w0, w1, count in window_plan(n, window_len, normalized_doppler, len(delays)):
         wlen = w1 - w0
         basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
-        coeffs = _fit(shifts[:, w0:w1], received.samples[w0:w1], basis,
+        coeffs = _fit(_shifted_frame(frame, delays, w0, w1), received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
         gains[:, w0:w1] = coeffs @ _basis_arrays(wlen, basis.time_half_bandwidth, count)[1]
     return CIRMatrix._adopt(gains, delays)

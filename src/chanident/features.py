@@ -46,6 +46,11 @@ class DDPDP:
         bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)
 
+    def __reduce__(self):
+        # Unpickling rebuilds through the constructor, so a record from a
+        # worker process is checked and read-only like one made here.
+        return DDPDP, (self.bins,)
+
     @property
     def values(self) -> np.ndarray:
         """Row-major read-only view: element 400*l + b is bins[l, b]."""

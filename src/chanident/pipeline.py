@@ -179,18 +179,18 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     n = spec.samples_per_vector
     true_cir = generate_fading(profile, n, spec.sim, seed=derive_seed(seed, "fading"))
     frame = random_frame(n, seed=derive_seed(seed, "frame"))
-    received = apply_channel(frame, true_cir)
-    received = add_awgn(received, snr_db, seed=derive_seed(seed, "noise"))
+    received = add_awgn(apply_channel(frame, true_cir), snr_db,
+                        seed=derive_seed(seed, "noise"))
     if spec.estimation == "oracle-cir":
-        cir = true_cir
-    else:
-        try:
-            cir = estimate_cir_windowed(received, frame.samples, profile.delay_units,
-                                        spec.sim.normalized_doppler, spec.window_len)
-        except IdentifiabilityError as exc:
-            raise IdentifiabilityError(
-                f"record (scenario {label}, snr {_snr_token(snr_db)}, index {index}): "
-                f"{exc}") from exc
+        return DatasetRecord(build_ddpdp(true_cir), label, snr_db, seed)
+    del true_cir  # BEM-LS sees only the received signal; free L x n gains before the fit
+    try:
+        cir = estimate_cir_windowed(received, frame.samples, profile.delay_units,
+                                    spec.sim.normalized_doppler, spec.window_len)
+    except IdentifiabilityError as exc:
+        raise IdentifiabilityError(
+            f"record (scenario {label}, snr {_snr_token(snr_db)}, index {index}): "
+            f"{exc}") from exc
     return DatasetRecord(build_ddpdp(cir), label, snr_db, seed)
 
 
@@ -236,41 +236,43 @@ def write_dataset(path, spec: DatasetSpec, records: list[DatasetRecord]) -> None
 
 
 def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
+    """The spec and records of a dataset file, read one line at a time, so
+    that only the records, never the whole text, are held."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    head = lines[0].split()[:3] if lines else []
-    if head[:2] != ["#", DATASET_FORMAT.split()[0]]:
-        raise ValueError(f"{path}: not a {DATASET_FORMAT} file")
-    if head[1:] != DATASET_FORMAT.split():
-        raise ValueError(f"{path}: {' '.join(head[1:])} file; this version reads "
-                         f"{DATASET_FORMAT} only, so regenerate the dataset")
-    if len(lines) < 2 or not lines[1].startswith("# spec "):
-        raise ValueError(f"{path}: missing spec header line")
-    try:
-        spec = DatasetSpec.from_dict(json.loads(lines[1][len("# spec "):]))
-    except (ValueError, TypeError) as exc:  # json's decode error is a ValueError
-        raise ValueError(f"{path}: line 2: {exc}") from None
-    records = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 3 + FEATURE_LENGTH:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {3 + FEATURE_LENGTH} fields, "
-                f"got {len(fields)}")
+        head = fh.readline().split()[:3]
+        if head[:2] != ["#", DATASET_FORMAT.split()[0]]:
+            raise ValueError(f"{path}: not a {DATASET_FORMAT} file")
+        if head[1:] != DATASET_FORMAT.split():
+            raise ValueError(f"{path}: {' '.join(head[1:])} file; this version reads "
+                             f"{DATASET_FORMAT} only, so regenerate the dataset")
+        spec_line = fh.readline().rstrip("\n")
+        if not spec_line.startswith("# spec "):
+            raise ValueError(f"{path}: missing spec header line")
         try:
-            label = int(fields[0])
-            if not 1 <= label <= N_SCENARIOS:
-                raise ValueError(f"label must lie in 1..{N_SCENARIOS}, got {label}")
-            snr = None if fields[1] == NOISELESS else float(fields[1])
-            if snr is not None and not np.isfinite(snr):
-                raise ValueError(f"SNR must be finite, got {fields[1]}")
-            seed = int(fields[2])
-            feature = DDPDP(np.array([float(v) for v in fields[3:]]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        records.append(DatasetRecord(feature, label, snr, seed))
+            spec = DatasetSpec.from_dict(json.loads(spec_line[len("# spec "):]))
+        except (ValueError, TypeError) as exc:  # json's decode error is a ValueError
+            raise ValueError(f"{path}: line 2: {exc}") from None
+        records = []
+        for lineno, line in enumerate(fh, start=3):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 3 + FEATURE_LENGTH:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {3 + FEATURE_LENGTH} fields, "
+                    f"got {len(fields)}")
+            try:
+                label = int(fields[0])
+                if not 1 <= label <= N_SCENARIOS:
+                    raise ValueError(f"label must lie in 1..{N_SCENARIOS}, got {label}")
+                snr = None if fields[1] == NOISELESS else float(fields[1])
+                if snr is not None and not np.isfinite(snr):
+                    raise ValueError(f"SNR must be finite, got {fields[1]}")
+                seed = int(fields[2])
+                feature = DDPDP(np.array([float(v) for v in fields[3:]]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            records.append(DatasetRecord(feature, label, snr, seed))
     return spec, records
 
 

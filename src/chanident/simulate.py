@@ -11,9 +11,10 @@ that is a few hundred of the 65 536 grid bins.
 
 The inverse transform is split by polyphase: with the band inside ``width``
 bins and n = R j + s (R = nfft / width), each residue s is one
-length-``width`` inverse FFT after a twiddle and a phase ramp, so all taps
-of a record share one transform of short rows instead of one nfft-point
-transform each.  It agrees with the full-grid IDFT to rounding.
+length-``width`` inverse FFT after a twiddle and a phase ramp, so a tap is
+one batch of short transforms instead of one nfft-point transform, and only
+the first n / R outputs of each are kept.  It agrees with the full-grid
+IDFT to rounding.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
     Doppler the band is the DC bin alone, so a tap takes two: real, then
     imaginary, and is frozen.
 
-    One decimated inverse transform serves all taps.  Tap t is
+    Each tap is one decimated inverse transform, taken in turn.  Tap t is
     x[n] = sum_k a[k] exp(j 2 pi k n / nfft) over its band bins k,
     a[k] = sqrt(power / 2) * weight[k] * (re + j im) from its 2m normals.
     Every band fits in ``width`` bins (a power of two) from its lowest bin
@@ -235,19 +236,31 @@ def generate_fading(profile: ScenarioProfile, n_samples: int, config: SimConfig,
     nfft = _synthesis_grid(n_samples, fd)
     bands = [_band(spectrum, fd, nfft) for spectrum in profile.doppler_spectra]
     width = 1 << int(max(offsets.max() for _, offsets, _ in bands)).bit_length()
-    amp = np.zeros((len(bands), 1, width), dtype=np.complex128)
-    for row, power, (_, offsets, weight) in zip(amp, profile.gains_linear(), bands):
+    twiddles = _twiddles(nfft, width)
+    # n = R full + tail: rows j < full of every residue, then row full of the
+    # first ``tail`` residues.
+    residue_count = nfft // width
+    full, tail = divmod(n_samples, residue_count)
+    # One tap at a time through one residue buffer, so the working set is
+    # the nfft-point buffer and the L x n output, not L nfft-point grids.
+    amp = np.zeros(width, dtype=np.complex128)
+    residues = np.empty_like(twiddles)
+    taps = np.empty((len(bands), n_samples), dtype=np.complex128)
+    for tap, power, (k0, offsets, weight) in zip(taps, profile.gains_linear(), bands):
         m = len(offsets)
         draws = rng.standard_normal(2 * m)
-        row[0, offsets] = math.sqrt(power / 2.0) * weight * (draws[:m] + 1j * draws[m:])
-    # residues[t, s, j] = x_t[R j + s] / ramp; norm="forward" leaves the
-    # inverse transform unscaled, as the sum above is.
-    residues = amp * _twiddles(nfft, width)
-    np.fft.ifft(residues, axis=-1, norm="forward", out=residues)
-    rows = -(-n_samples // (nfft // width))
-    taps = residues[:, :, :rows].transpose(0, 2, 1).reshape(len(bands), -1)[:, :n_samples]
-    for tap, (k0, _, _) in zip(taps, bands):
+        amp[offsets] = math.sqrt(power / 2.0) * weight * (draws[:m] + 1j * draws[m:])
+        # residues[s, j] = x[R j + s] / ramp; norm="forward" leaves the
+        # inverse transform unscaled, as the sum above is.  A length-1
+        # transform is the identity, bit for bit.
+        np.multiply(amp, twiddles, out=residues)
+        if width > 1:
+            np.fft.ifft(residues, axis=-1, norm="forward", out=residues)
+        tap[:n_samples - tail].reshape(full, residue_count)[...] = residues[:, :full].T
+        if tail:
+            tap[n_samples - tail:] = residues[:tail, full]
         tap *= _ramp(k0, nfft, n_samples)
+        amp[offsets] = 0.0
     return CIRMatrix._adopt(taps, profile.delay_units)
 
 

@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -154,6 +155,15 @@ class TestFlatten:
         assert np.shares_memory(d.values, d.bins)
         with pytest.raises(ValueError, match="read-only"):
             d.values[0] = 0.5
+
+    def test_pickle_round_trip_is_checked_and_read_only(self):
+        d = build_ddpdp(_full_grid_cir(1, 500, seed=6))
+        back = pickle.loads(pickle.dumps(d))
+        assert np.array_equal(back.bins, d.bins)
+        assert not back.bins.flags.writeable and not back.values.flags.writeable
+        bad = np.zeros(FEATURE_LENGTH)
+        with pytest.raises(ValueError, match="every row must sum to 1"):
+            pickle.loads(pickle.dumps(d).replace(d.bins.tobytes(), bad.tobytes()))
 
     def test_keeps_its_own_copy(self):
         bins = np.zeros(FEATURE_LENGTH)

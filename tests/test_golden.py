@@ -126,6 +126,29 @@ def test_estimate_trace_digest(tmp_path):
     assert _sha256(tmp_path / "trace.txt") == TRACE_GOLDEN
 
 
+# generate_fading gains, little-endian complex128, for labels and lengths
+# (n = 1 and 3 included) at every regime of the synthesis grid: the frozen
+# width-1 band at nu = 0, the 2^22-bin cap at 1e-4, the desk and fast
+# Doppler, and a band that fills half the grid at 0.3.
+FADING_CASES = ((1, 1), (1, 3), (3, 1200), (6, 25600))
+FADING_GOLDEN = {
+    0.0: "133816114acec436a5fe60e2149519eb240e48ad41d84718c5320ee136520259",
+    1e-4: "96bf504472bf04b623cbf48356157cb42a2993f6a95a1070c50b6ce6e7eaa68f",
+    0.004: "201a48cd3340102cfa9f73f02c8dec9bd2b356821e0eb20fbcb41976c0f622d2",
+    0.02: "e0abb4e5bd60cc421ef4da5f2438610b46717714e2bda07afd80449f51bc515e",
+    0.3: "0638e9b9ff0668a585a8f7c390d1d858ad18be94ab7c3c43335d1857f989961c",
+}
+
+
+@pytest.mark.parametrize("nu", sorted(FADING_GOLDEN))
+def test_fading_digests(nu):
+    h = hashlib.sha256()
+    for label, n in FADING_CASES:
+        gains = generate_fading(load_profile(label), n, SimConfig(nu), seed=7).gains
+        h.update(np.ascontiguousarray(gains, dtype="<c16").tobytes())
+    assert h.hexdigest() == FADING_GOLDEN[nu]
+
+
 # The paper's 4800-64-48-32-24-6 network, trained on noiseless 1200-sample
 # records at nu = 0.004: the sha256 of the little-endian float64 bytes of the
 # weights, then the biases, that train returns, and of its epoch losses.  Six

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from chanident.features import DDPDP, ENVELOPE_BINS, FEATURE_LENGTH
 from chanident.mlp import TrainConfig
 from chanident.mseq import generate_mseq
 from chanident.pipeline import (DATASET_FORMAT, DatasetRecord, DatasetSpec, derive_seed,
-                                evaluate, generate_records, read_dataset, split_train_test,
-                                write_dataset, write_report)
+                                evaluate, generate_records, make_record, read_dataset,
+                                split_train_test, write_dataset, write_report)
 from chanident.profiles import load_profile
 from chanident.simulate import ComplexSignal, SimConfig
 from chanident.sounding import probe_signal, sound_and_profile
@@ -169,6 +170,26 @@ class TestGenerateRecords:
         b = generate_records(TINY, threads=2)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.feature.values, rb.feature.values)
+            # a record pickled back from a worker is as read-only as one made here
+            assert not (rb.feature.bins.flags.writeable or rb.feature.values.flags.writeable)
+
+    def test_record_working_set_bounded_by_the_record(self):
+        # BUx12 at 25 600 samples: the 12 x n gains are 4.9 MB.  Fading one tap
+        # at a time, BEM-LS regressors built per window and the true gains
+        # released before the fit keep the per-record peak near two copies of
+        # them; holding every tap's residues and a whole-record regressor copy
+        # peaked at 18 MB.  A first record fills the caches, so only the
+        # per-record working set is traced.
+        spec = DatasetSpec(scenario_labels=(6,), vectors_per_condition=1,
+                           snr_list_db=(20.0,), sim=SimConfig(0.004))
+        make_record(spec, 6, 20.0, 0)
+        tracemalloc.start()
+        try:
+            make_record(spec, 6, 20.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_worker_count_capped_by_records_and_cpus(self, monkeypatch):
         # the pool forks all max_workers processes at the first submit

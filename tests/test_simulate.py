@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.stats import chi2
 
 from chanident.mseq import MSequence
 from chanident.profiles import DopplerSpectrum, ScenarioProfile, load_profile
+from chanident import simulate
 from chanident.simulate import (CIRMatrix, ComplexSignal, SimConfig, _band, _band_mass,
                                 _synthesis_grid, add_awgn, apply_channel, generate_fading)
 
@@ -167,6 +169,21 @@ class TestGenerateFading:
         _, offsets, weight = band
         assert not offsets.flags.writeable and not weight.flags.writeable
         assert np.sum(weight ** 2) == pytest.approx(1.0)
+
+    def test_slow_doppler_working_set_bounded_by_the_record(self):
+        # At nu = 1e-4 the grid is 2^22 bins: holding every tap's residues at
+        # once took 12 x 67 MB; one tap at a time, the peak is the grid set-up
+        # (_band's spectral masses, the twiddles) plus one residue buffer.
+        for cached in (simulate._band, simulate._twiddles, simulate._ramp):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            cir = generate_fading(load_profile(6), 25600, SimConfig(1e-4), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cir.gains.shape == (12, 25600)
+        assert peak <= 260e6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

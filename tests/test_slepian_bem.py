@@ -335,6 +335,8 @@ class TestStructuredNormalEquations:
         frame = rng.standard_normal(start + length) + 1j * rng.standard_normal(start + length)
         samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         shifts = bem._shifted_frame(frame, delays)[:, start:]
+        # a window's own rows are the whole frame's, zero padding included
+        assert np.array_equal(bem._shifted_frame(frame, delays, start, start + length), shifts)
         basis = generate_dpss(length, half_bandwidth, count)
         _assert_matches_dense(shifts, samples, basis)
 
