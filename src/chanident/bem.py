@@ -10,7 +10,7 @@ The normal equations are assembled from their structure rather than from
 the dense regressor (Zemen & Mecklenbraeker, IEEE TSP 53(9), 2005): every
 Gram block is G[(l,d),(m,e)] = sum_n conj(x_l[n]) x_m[n] u_d[n] u_e[n],
 symmetric in (d, e), and G is Hermitian, so one real matrix product of the
-delay-pair products with the cached basis-pair products P[n, (d<=e)] =
+delay-pair products with the basis's pair products P[n, (d<=e)] =
 u_d[n] u_e[n] gives every distinct entry.
 """
 
@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import lapack
 
-from . import slepian
 from .errors import IdentifiabilityError
 from .simulate import CIRMatrix, ComplexSignal, SimConfig
 from .slepian import DPSSBasis, basis_dimension, generate_dpss
@@ -29,47 +28,13 @@ from .slepian import DPSSBasis, basis_dimension, generate_dpss
 DEFAULT_WINDOW_LEN = 512
 
 
-def _shifted_frame(frame: np.ndarray, delays, start: int = 0,
-                   stop: int | None = None) -> np.ndarray:
-    """Rows x[n - tau_l] for start <= n < stop (the whole frame by default),
-    zeros before the frame."""
-    stop = len(frame) if stop is None else stop
+def _shifted_frame(frame: np.ndarray, delays, start: int, stop: int) -> np.ndarray:
+    """Rows x[n - tau_l] for start <= n < stop, zeros before the frame."""
     out = np.zeros((len(delays), stop - start), dtype=np.complex128)
     for j, d in enumerate(delays):
         first = min(max(d, start), stop)  # the first n with n - tau_l >= 0
         out[j, first - start:] = frame[first - d:stop - d]
     return out
-
-
-@lru_cache(maxsize=16)
-def _basis_arrays(length: int, half_bandwidth: float,
-                  count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only products[n, k] = u_d[n] u_e[n] for the k-th pair (d, e) of
-    triu_indices(count), and the sequences u as complex, which a product with
-    complex coefficients or samples would otherwise cast in every window.
-
-    Keyed by the basis parameters, never by a basis object: Slepian bases
-    are themselves cached with eviction, so an object identity can return
-    for a different basis.
-    """
-    u = slepian.generate_dpss(length, half_bandwidth, count).sequences
-    d, e = np.triu_indices(count)
-    products = np.ascontiguousarray((u[d] * u[e]).T)
-    sequences = u.astype(np.complex128)
-    for a in (products, sequences):
-        a.flags.writeable = False
-    return products, sequences
-
-
-@lru_cache(maxsize=16)
-def _pair_index(count: int) -> np.ndarray:
-    """index[d, e]: the column of the pair (min(d, e), max(d, e)) in the
-    triu_indices(count) order of ``_basis_arrays``' products."""
-    d, e = np.triu_indices(count)
-    index = np.empty((count, count), dtype=np.intp)
-    index[d, e] = index[e, d] = np.arange(len(d))
-    index.flags.writeable = False
-    return index
 
 
 @lru_cache(maxsize=16)
@@ -92,23 +57,22 @@ def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
     ordered l * D + d.  The Gram matrix is returned in Fortran order, the
     layout LAPACK solves in place.
     """
-    products, sequences = _basis_arrays(basis.length, basis.time_half_bandwidth, basis.count)
     taps, count = len(shifts), basis.count
     li, lj, diagonal = _tap_pairs(taps)
     conj_shifts = shifts.conj()
     z = conj_shifts[li] * shifts[lj]
     z.imag[diagonal] = 0.0  # |x_l|^2 exactly, so diagonal blocks stay Hermitian
     # Real operands: a complex-by-real product would be promoted to complex.
-    w = np.concatenate((z.real, z.imag)) @ products
+    w = np.concatenate((z.real, z.imag)) @ basis.pair_products
     # blocks[k, d, e] = G[(li[k], d), (lj[k], e)]; the mirrored block
     # G[(lj[k], e), (li[k], d)] is its conjugate, and blocks are symmetric.
-    blocks = (w[:len(z)] + 1j * w[len(z):])[:, _pair_index(count)]
+    blocks = (w[:len(z)] + 1j * w[len(z):])[:, basis.pair_index]
     # Fill the C-order array with conj(G): its transpose is G (Hermitian) in
     # Fortran order.  Diagonal blocks are real and written last, as G's are.
     conj_gram = np.empty((taps, count, taps, count), dtype=np.complex128)
     conj_gram[li, :, lj, :] = blocks.conj()
     conj_gram[lj, :, li, :] = blocks
-    rhs = (conj_shifts * samples) @ sequences.T
+    rhs = (conj_shifts * samples) @ basis.complex_sequences.T
     return conj_gram.reshape(taps * count, -1).T, rhs.reshape(-1)
 
 
@@ -163,15 +127,18 @@ def bem_ls_estimate(received: ComplexSignal, frame: np.ndarray, delay_grid,
         raise ValueError(f"basis length {basis.length} != received length {n}")
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
-    coeffs = _fit(_shifted_frame(frame, delays), received.samples, basis)
-    return CIRMatrix._adopt(coeffs @ basis.sequences, delays)
+    coeffs = _fit(_shifted_frame(frame, delays, 0, n), received.samples, basis)
+    return CIRMatrix._adopt(coeffs @ basis.complex_sequences, delays)
 
 
 def window_plan(n: int, window_len: int, normalized_doppler: float,
-                taps: int) -> list[tuple[int, int, int]]:
+                taps: int) -> list[tuple[int, int, float, int]]:
     """The windows ``estimate_cir_windowed`` fits over ``n`` samples, as
-    (start, stop, basis size): ``window_len`` samples each, with a tail
-    shorter than half a window merged into the last one.
+    (start, stop, half-bandwidth, basis size) of each window's Slepian
+    basis: ``window_len`` samples each, with a tail shorter than half a
+    window merged into the last one.  The half-bandwidth is the Doppler,
+    floored at 1/(4 w) for a w-sample window: a Slepian basis needs a
+    positive band, and the floor lets nu = 0 fit.
 
     Raises ``IdentifiabilityError`` naming ``window_len`` when a window has
     fewer samples than the ``taps`` x basis-size unknowns of its fit.
@@ -179,9 +146,10 @@ def window_plan(n: int, window_len: int, normalized_doppler: float,
     starts = list(range(0, n, window_len))
     if len(starts) > 1 and n - starts[-1] < window_len // 2:
         starts.pop()
-    plan = [(w0, w1, min(basis_dimension(normalized_doppler, w1 - w0), w1 - w0))
+    plan = [(w0, w1, max(normalized_doppler, 1.0 / (4.0 * (w1 - w0))),
+             min(basis_dimension(normalized_doppler, w1 - w0), w1 - w0))
             for w0, w1 in zip(starts, starts[1:] + [n])]
-    for w0, w1, count in plan:
+    for w0, w1, _, count in plan:
         if w1 - w0 < taps * count:
             raise IdentifiabilityError(
                 f"window_len {window_len} leaves a {w1 - w0}-sample window, fewer "
@@ -195,11 +163,11 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
                           window_len: int = DEFAULT_WINDOW_LEN) -> CIRMatrix:
     """Windowed BEM-LS over a long frame.
 
-    Windows are fitted independently with a basis sized by
-    ``basis_dimension`` for the window length; a short tail is merged into
-    the final window.  The known ``frame`` is global, so regressors near a
-    window's start reach back into the previous window's symbols.
-    ``normalized_doppler`` must be one ``SimConfig`` takes.
+    Windows are fitted independently, each on the basis ``window_plan``
+    gives it; a short tail is merged into the final window.  The known
+    ``frame`` is global, so regressors near a window's start reach back
+    into the previous window's symbols.  ``normalized_doppler`` must be one
+    ``SimConfig`` takes.
     """
     SimConfig(normalized_doppler)
     n = len(received)
@@ -209,10 +177,10 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
     gains = np.empty((len(delays), n), dtype=np.complex128)  # windows cover [0, n)
-    for w0, w1, count in window_plan(n, window_len, normalized_doppler, len(delays)):
-        wlen = w1 - w0
-        basis = generate_dpss(wlen, max(normalized_doppler, 1.0 / (4.0 * wlen)), count)
+    for w0, w1, half_bandwidth, count in window_plan(n, window_len, normalized_doppler,
+                                                     len(delays)):
+        basis = generate_dpss(w1 - w0, half_bandwidth, count)
         coeffs = _fit(_shifted_frame(frame, delays, w0, w1), received.samples[w0:w1], basis,
                       where=f"window [{w0}, {w1}): ")
-        gains[:, w0:w1] = coeffs @ _basis_arrays(wlen, basis.time_half_bandwidth, count)[1]
+        gains[:, w0:w1] = coeffs @ basis.complex_sequences
     return CIRMatrix._adopt(gains, delays)

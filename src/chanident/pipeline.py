@@ -178,11 +178,11 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     profile = profiles.load_profile(label)
     n = spec.samples_per_vector
     true_cir = generate_fading(profile, n, spec.sim, seed=derive_seed(seed, "fading"))
+    if spec.estimation == "oracle-cir":
+        return DatasetRecord(build_ddpdp(true_cir), label, snr_db, seed)
     frame = random_frame(n, seed=derive_seed(seed, "frame"))
     received = add_awgn(apply_channel(frame, true_cir), snr_db,
                         seed=derive_seed(seed, "noise"))
-    if spec.estimation == "oracle-cir":
-        return DatasetRecord(build_ddpdp(true_cir), label, snr_db, seed)
     del true_cir  # BEM-LS sees only the received signal; free L x n gains before the fit
     try:
         cir = estimate_cir_windowed(received, frame.samples, profile.delay_units,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -21,25 +21,46 @@ from scipy.linalg import eigh_tridiagonal
 
 @dataclass(frozen=True)
 class DPSSBasis:
-    """The ``count`` most band-concentrated orthonormal sequences."""
+    """The ``count`` most band-concentrated orthonormal sequences, and the
+    read-only arrays a least-squares fit derives from them, computed once."""
 
     length: int
     time_half_bandwidth: float
     count: int
     sequences: np.ndarray  # (count, length), orthonormal rows, most concentrated first
 
+    @cached_property
+    def complex_sequences(self) -> np.ndarray:
+        """The sequences as complex128, cast once rather than in every product."""
+        return _read_only(self.sequences.astype(np.complex128))
 
-@lru_cache(maxsize=64)
+    @cached_property
+    def pair_products(self) -> np.ndarray:
+        """P[n, k] = u_d[n] u_e[n] for the k-th pair (d, e) of triu_indices(count)."""
+        d, e = np.triu_indices(self.count)
+        return _read_only(np.ascontiguousarray((self.sequences[d] * self.sequences[e]).T))
+
+    @cached_property
+    def pair_index(self) -> np.ndarray:
+        """index[d, e]: the column of pair (min(d, e), max(d, e)) in pair_products."""
+        d, e = np.triu_indices(self.count)
+        index = np.empty((self.count, self.count), dtype=np.intp)
+        index[d, e] = index[e, d] = np.arange(len(d))
+        return _read_only(index)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
 def _build(length: int, half_bandwidth: float, count: int) -> DPSSBasis:
     n = np.arange(length, dtype=np.float64)
     diag = ((length - 1) / 2.0 - n) ** 2 * math.cos(2 * math.pi * half_bandwidth)
     off = np.arange(1, length) * np.arange(length - 1, 0, -1) / 2.0
-    if length == 1:
-        seqs = np.ones((1, 1))
-    else:
-        _, vec = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(length - count, length - 1))
-        seqs = np.ascontiguousarray(vec[:, ::-1].T)  # most concentrated first
+    _, vec = eigh_tridiagonal(diag, off, select="i", select_range=(length - count, length - 1))
+    seqs = np.ascontiguousarray(vec[:, ::-1].T)  # most concentrated first
     for row in seqs:
         nonzero = row[np.abs(row) > 1e-13 * np.abs(row).max()]
         if len(nonzero) and nonzero[0] < 0:
@@ -47,8 +68,7 @@ def _build(length: int, half_bandwidth: float, count: int) -> DPSSBasis:
     gram = seqs @ seqs.T
     if np.max(np.abs(gram - np.eye(count))) >= 1e-9:
         raise AssertionError("Slepian sequences lost orthonormality")
-    seqs.flags.writeable = False
-    return DPSSBasis(length, half_bandwidth, count, seqs)
+    return DPSSBasis(length, half_bandwidth, count, _read_only(seqs))
 
 
 def generate_dpss(length: int, time_half_bandwidth: float, count: int) -> DPSSBasis:
@@ -56,7 +76,7 @@ def generate_dpss(length: int, time_half_bandwidth: float, count: int) -> DPSSBa
 
     Sign convention: the first element of visible magnitude in each sequence
     is positive.  Results are cached by (length, bandwidth, count); the
-    returned arrays are read-only.
+    basis's arrays, derived ones included, are read-only.
     """
     if not 0 < time_half_bandwidth < 0.5:
         raise ValueError("time_half_bandwidth must lie in (0, 0.5)")

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from chanident import mlp, pipeline
+from chanident.bem import window_plan
 from chanident.pipeline import DatasetSpec
+from chanident.profiles import load_profile
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,6 +47,10 @@ def test_trace_targets_resolve(monkeypatch):
                  "pipeline.estimate_cir_windowed", "pipeline.build_ddpdp",
                  "bem.generate_dpss"):
         assert name in names, f"no span named {name}; recorded {sorted(names)}"
+    # slepian.generate_dpss.calls_per_record counts one basis per window
+    plan = window_plan(spec.samples_per_vector, spec.window_len, spec.sim.normalized_doppler,
+                       len(load_profile(1).delay_units))
+    assert len(tracer.named("bem.generate_dpss")) == len(plan) == 2
 
 
 def test_trainer_spans_resolve(monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import _ctypes
 import json
 import multiprocessing
 import os
@@ -95,6 +96,14 @@ def test_no_library_found_is_a_no_op(prior, monkeypatch):
     assert _blas.find_pools([]) == ()
     assert _blas.find_pools(["/nonexistent/libscipy_openblas-0.so",
                              "/nonexistent/libm.so.6"]) == ()
+    # a loaded library with no thread controls, and a map that cannot be read
+    assert _blas._controls(_ctypes.__file__) is None
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError("maps")
+
+    monkeypatch.setattr(_blas, "open", unreadable, raising=False)
+    assert _blas._mapped_paths() == []
     real = _blas.pools()
     monkeypatch.setattr(_blas, "pools", lambda: ())
     _blas.pin_one_thread()

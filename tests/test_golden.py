@@ -18,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from chanident.bem import bem_ls_estimate, estimate_cir_windowed
 from chanident.cli import run as cli_run, write_signal_file
 from chanident.features import FEATURE_LENGTH, N_SCENARIOS, one_hot
 from chanident.mlp import (TrainConfig, config_fingerprint, init_mlp, load_mlp, save_mlp,
@@ -27,6 +28,7 @@ from chanident.pipeline import (HIDDEN_SIZES, DatasetSpec, evaluate, generate_re
 from chanident.modulation import random_frame
 from chanident.profiles import load_profile
 from chanident.simulate import SimConfig, add_awgn, apply_channel, generate_fading
+from chanident.slepian import basis_dimension, generate_dpss
 
 LAYER_SIZES = (FEATURE_LENGTH, 16, N_SCENARIOS)
 TRAIN = TrainConfig(epochs=40, batch_size=4, seed=5)
@@ -147,6 +149,39 @@ def test_fading_digests(nu):
         gains = generate_fading(load_profile(label), n, SimConfig(nu), seed=7).gains
         h.update(np.ascontiguousarray(gains, dtype="<c16").tobytes())
     assert h.hexdigest() == FADING_GOLDEN[nu]
+
+
+# BEM-LS gains, little-endian complex128, at 20 dB over labels 1-6 and
+# seeds 1, 2: estimate_cir_windowed at window_len 512 and 300 for n = 1200
+# (a merged tail) and 5000 (several windows), and bem_ls_estimate on the
+# whole 1200-sample record.  nu = 0 fits on the 1/(4 w) half-bandwidth floor.
+BEM_GOLDEN = {
+    0.0: "6d406f5d9883381cc3b39413b6d6a8783cd3eab2376ca23a6521c7628d5cd8d8",
+    0.001: "d1ccce6f27ccc1010e6c49a9c3ee42d0ea0d8e10d7ba6bb840b95b9631840a47",
+    0.004: "bb3694026037f34f55ee7cecba6a9a7098a720952c9852843dd2e72753c3dc08",
+    0.01: "ac26b771f36ca3bfb33334c56b3cb1d6f7a8887ac95542ad24cfd3c48a93b20d",
+    0.02: "852b556a5c9813f5f04cb9c62b8b873c643c4b791115950e12e8388f2899616e",
+}
+
+
+@pytest.mark.parametrize("nu", sorted(BEM_GOLDEN))
+def test_bem_ls_digests(nu):
+    h = hashlib.sha256()
+    for n in (1200, 5000):
+        for label in range(1, 7):
+            for seed in (1, 2):
+                delays = load_profile(label).delay_units
+                frame = random_frame(n, seed=seed)
+                cir = generate_fading(load_profile(label), n, SimConfig(nu), seed=seed + 100)
+                received = add_awgn(apply_channel(frame, cir), 20.0, seed=seed + 200)
+                fits = [estimate_cir_windowed(received, frame.samples, delays, nu, window_len)
+                        for window_len in (512, 300)]
+                if n == 1200:
+                    basis = generate_dpss(n, max(nu, 1 / (4 * n)), basis_dimension(nu, n))
+                    fits.append(bem_ls_estimate(received, frame.samples, delays, basis))
+                for fit in fits:
+                    h.update(np.ascontiguousarray(fit.gains, dtype="<c16").tobytes())
+    assert h.hexdigest() == BEM_GOLDEN[nu]
 
 
 # The paper's 4800-64-48-32-24-6 network, trained on noiseless 1200-sample

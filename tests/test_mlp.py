@@ -383,6 +383,10 @@ class TestComplexityCount:
         p = init_mlp([10, 8, 6, 4], seed=0)
         assert complexity_count(p, 34) == 2 * complexity_count(p, 17)
 
+    def test_rejects_no_training_samples(self):
+        with pytest.raises(ValueError, match="^n_training must be >= 1$"):
+            complexity_count(init_mlp([9, 1, 1], seed=0), 0)
+
 
 def _floats(payload: str) -> np.ndarray:
     """The values of one model-file payload: base64 of little-endian float64."""

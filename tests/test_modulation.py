@@ -37,6 +37,13 @@ def test_odd_bit_count_rejected():
         map_qpsk([0, 1, 0])
 
 
+@pytest.mark.parametrize("bits, message", [([[0, 1], [1, 0]], "bits must be one-dimensional"),
+                                           ([0, 2], "bits must be 0 or 1")])
+def test_malformed_bits_rejected(bits, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        map_qpsk(bits)
+
+
 def test_random_frame_known_everywhere():
     frame = random_frame(64, seed=5)
     assert len(frame) == 64

@@ -199,6 +199,13 @@ class TestGenerateFading:
         with pytest.raises(ValueError, match="unsupported doppler spectrum kind 'rice'"):
             generate_fading(profile, 64, SimConfig(), seed=0)
 
+    def test_rejects_spectrum_with_no_mass_on_the_grid(self):
+        # a Gaussian centred far outside the band puts zero mass in every bin
+        profile = ScenarioProfile(1, "t", (0.0,), (DopplerSpectrum("gaussian", 1e300, 1.0),))
+        with pytest.raises(ValueError, match="^doppler spectrum has no mass on the frequency "
+                                             "grid$"):
+            generate_fading(profile, 64, SimConfig(0.01), seed=0)
+
 
 class TestTinyDoppler:
     """A positive Doppler so small that 1 / fd overflows synthesises the
@@ -338,6 +345,12 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="length"):
             apply_channel(x, cir)
 
+    def test_delay_past_the_signal_raises(self):
+        cir = CIRMatrix(np.ones((1, 8)), (8,))
+        message = "delay_units must lie in [0, signal length)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_channel(ComplexSignal(np.ones(8)), cir)
+
     @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 15), min_size=1,
                                                  max_size=4, unique=True))
     @settings(max_examples=30, deadline=None)
@@ -396,6 +409,10 @@ class TestComplexSignal:
         with pytest.raises(ValueError, match="finite"):
             ComplexSignal(np.array([1.0, np.inf * 1j]))
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="^samples must be one-dimensional$"):
+            ComplexSignal(np.ones((2, 4)))
+
     def test_samples_read_only(self):
         sig = ComplexSignal(np.ones(4))
         with pytest.raises(ValueError):
@@ -403,6 +420,18 @@ class TestComplexSignal:
 
 
 class TestCIRMatrix:
+    @pytest.mark.parametrize("gains, delays, message", [
+        (np.ones((0, 4)), (), "gains must be a non-empty L x N matrix"),
+        (np.ones((1, 0)), (0,), "gains must be a non-empty L x N matrix"),
+        (np.ones(4), (0,), "gains must be a non-empty L x N matrix"),
+        (np.ones((2, 4)), (0,), "delay_units length must equal the tap count"),
+    ])
+    def test_rejects_malformed_shape(self, gains, delays, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CIRMatrix(gains, delays)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CIRMatrix._adopt(gains.astype(np.complex128), delays)
+
     def test_rejects_non_finite_gains(self):
         for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)):
             gains = np.ones((2, 4), dtype=complex)

@@ -104,6 +104,10 @@ class TestBasisDimension:
         with pytest.raises(ValueError):
             basis_dimension(-0.1, 64)
 
+    def test_rejects_empty_length(self):
+        with pytest.raises(ValueError, match="^length must be >= 1$"):
+            basis_dimension(0.01, 0)
+
 
 def _single_tap_profile():
     return ScenarioProfile(1, "t", (0.0,), (DopplerSpectrum("jakes"),))
@@ -190,6 +194,22 @@ class TestBemLs:
         lhs = np.abs(a.conj().T @ resid)
         scale = np.linalg.norm(a, axis=0) * np.linalg.norm(resid)
         assert np.all(lhs <= 1e-8 * scale)
+
+    def test_lengths_other_than_the_received_refused(self):
+        frame = random_frame(64, seed=1)
+        with pytest.raises(ValueError, match="^basis length 32 != received length 64$"):
+            bem_ls_estimate(frame, frame.samples, (0,), generate_dpss(32, 0.01, 3))
+        basis = generate_dpss(64, 0.01, 3)
+        for estimate in (lambda x: bem_ls_estimate(frame, x, (0,), basis),
+                         lambda x: estimate_cir_windowed(frame, x, (0,), 0.01)):
+            with pytest.raises(ValueError, match="^frame length 63 != received length 64$"):
+                estimate(frame.samples[:63])
+
+    def test_one_sample_basis_and_fit(self):
+        assert np.array_equal(generate_dpss(1, 0.25, 1).sequences, [[1.0]])
+        # nu = 0 fits a 1-sample window on one sequence at the 1/(4 w) floor
+        est = estimate_cir_windowed(ComplexSignal([2 + 1j]), np.array([1j]), (0,), 0.0)
+        assert np.allclose(est.gains, [[1 - 2j]], rtol=0, atol=1e-15)
 
     def test_identifiability_error_names_dimensions(self):
         n = 10
@@ -334,26 +354,27 @@ class TestStructuredNormalEquations:
         rng = np.random.default_rng(seed)
         frame = rng.standard_normal(start + length) + 1j * rng.standard_normal(start + length)
         samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        shifts = bem._shifted_frame(frame, delays)[:, start:]
+        shifts = bem._shifted_frame(frame, delays, 0, start + length)[:, start:]
         # a window's own rows are the whole frame's, zero padding included
         assert np.array_equal(bem._shifted_frame(frame, delays, start, start + length), shifts)
         basis = generate_dpss(length, half_bandwidth, count)
         _assert_matches_dense(shifts, samples, basis)
 
     def test_products_follow_basis_values_across_cache_eviction(self):
-        # An evicted basis is freed, and a later one may reuse its id: the
-        # products must follow the basis values, never the object identity.
+        # An evicted basis is freed, and a later one may reuse its id: each
+        # basis's products must follow its own sequences.
         rng = np.random.default_rng(4)
         d, e = np.triu_indices(3)
         for length in (40, 56):
             slepian._build.cache_clear()
             basis = generate_dpss(length, 0.05, 3)
-            products, sequences = bem._basis_arrays(length, 0.05, 3)
+            products, sequences = basis.pair_products, basis.complex_sequences
             assert np.array_equal(products, (basis.sequences[d] * basis.sequences[e]).T)
             assert np.array_equal(sequences, basis.sequences)
             assert sequences.dtype == np.complex128
-            assert not (products.flags.writeable or sequences.flags.writeable)
+            assert not (products.flags.writeable or sequences.flags.writeable
+                        or basis.pair_index.flags.writeable)
             frame = rng.standard_normal(length) + 1j * rng.standard_normal(length)
             samples = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            _assert_matches_dense(bem._shifted_frame(frame, (0, 2)), samples, basis)
+            _assert_matches_dense(bem._shifted_frame(frame, (0, 2), 0, length), samples, basis)
             del basis

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,11 @@ class TestEstimateOrder:
         received = ComplexSignal(np.ones(N - 1))
         with pytest.raises(ValueError, match="period"):
             estimate_order(received, MSEQ, threshold_factor=0.5)
+
+    def test_probe_of_partial_periods_rejected(self):
+        with pytest.raises(ValueError, match=f"^probe length {N + 1} is not a multiple "
+                                             f"of the period {N}$"):
+            estimate_order(ComplexSignal(np.ones(N + 1)), MSEQ, threshold_factor=0.5)
 
     def test_weak_tap_below_threshold_not_counted(self):
         # |mu| ratio 0.3 < threshold_factor 0.5: expect only the strong tap
@@ -215,6 +222,17 @@ class TestRelaxEstimate:
         folded = _folded_for([1.0], [0])
         with pytest.raises(ValueError, match="candidate"):
             relax_estimate(folded, MSEQ, 3, [0, 1])
+
+    @pytest.mark.parametrize("order, candidates, message", [
+        (0, range(N), "order must be >= 1"),
+        (1, [-1, 0], f"candidate delays must lie in [0, {N})"),
+        (1, [0, N], f"candidate delays must lie in [0, {N})"),
+    ])
+    def test_order_below_one_or_delay_outside_the_period_rejected(self, order, candidates,
+                                                                  message):
+        folded = _folded_for([1.0], [0])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            relax_estimate(folded, MSEQ, order, candidates)
 
     def test_delays_unique_and_sorted(self):
         folded = _folded_for([1.0, 0.9, 0.8], [3, 4, 5], snr_db=25.0)
