@@ -408,7 +408,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"chanident {args.subcommand}: {exc}", file=sys.stderr)
         return 1
 

@@ -48,6 +48,15 @@ class TrainConfig:
     plateau_rel_tol: float = 1e-4
 
     def __post_init__(self):
+        # bool is an int subclass, a str or float count would raise a TypeError
+        # that names no key, and a numpy int would not serialize into the fingerprint
+        for name in ("epochs", "batch_size", "seed", "plateau_patience"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
+        for name in ("learning_rate", "momentum", "plateau_rel_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, not {value!r}")
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and >= 0")
         if not 0 <= self.momentum < 1:

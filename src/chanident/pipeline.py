@@ -10,6 +10,7 @@ isolation and generation order (or parallelism) cannot change the output.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -139,10 +140,18 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class DatasetRecord:
+    """One dataset line; it refuses a label or SNR no file may hold."""
+
     feature: DDPDP
     label: int
-    snr_db: float | None
+    snr_db: float | None  # None: noiseless
     realization_seed: int
+
+    def __post_init__(self):
+        if not 1 <= self.label <= N_SCENARIOS:
+            raise ValueError(f"label must lie in 1..{N_SCENARIOS}, got {self.label}")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(f"SNR must be finite, got {self.snr_db}")
 
 
 @dataclass(frozen=True)
@@ -194,17 +203,6 @@ def make_record(spec: DatasetSpec, label: int, snr_db: float | None, index: int)
     return DatasetRecord(build_ddpdp(cir), label, snr_db, seed)
 
 
-def _record_coords(spec: DatasetSpec):
-    for label in spec.scenario_labels:
-        for snr in spec.snr_list_db:
-            for index in range(spec.vectors_per_condition):
-                yield label, snr, index
-
-
-def _make_record_star(args):
-    return make_record(*args)
-
-
 def generate_records(spec: DatasetSpec, threads: int = 1) -> list[DatasetRecord]:
     """All records of ``spec`` in canonical (scenario, SNR, index) order.
 
@@ -214,13 +212,14 @@ def generate_records(spec: DatasetSpec, threads: int = 1) -> list[DatasetRecord]
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    coords = list(_record_coords(spec))
-    workers = min(threads, len(coords), os.cpu_count() or 1)
+    labels, snrs, indices = zip(*itertools.product(
+        spec.scenario_labels, spec.snr_list_db, range(spec.vectors_per_condition)))
+    workers = min(threads, spec.record_count, os.cpu_count() or 1)
     if workers <= 1:
-        return [make_record(spec, *c) for c in coords]
+        return list(map(make_record, itertools.repeat(spec), labels, snrs, indices))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_make_record_star, [(spec, *c) for c in coords],
-                             chunksize=max(1, len(coords) // (8 * workers))))
+        return list(pool.map(make_record, itertools.repeat(spec), labels, snrs, indices,
+                             chunksize=max(1, spec.record_count // (8 * workers))))
 
 
 def write_dataset(path, spec: DatasetSpec, records: list[DatasetRecord]) -> None:
@@ -231,7 +230,7 @@ def write_dataset(path, spec: DatasetSpec, records: list[DatasetRecord]) -> None
         fh.write(f"# {DATASET_FORMAT} fingerprint={spec.fingerprint()}\n")
         fh.write(f"# spec {json.dumps(spec.to_dict(), sort_keys=True, separators=(',', ':'))}\n")
         for rec in records:
-            values = " ".join(repr(float(v)) for v in rec.feature.values)
+            values = " ".join(map(repr, rec.feature.values.tolist()))
             fh.write(f"{rec.label} {_snr_token(rec.snr_db)} {rec.realization_seed} {values}\n")
 
 
@@ -262,17 +261,11 @@ def read_dataset(path) -> tuple[DatasetSpec, list[DatasetRecord]]:
                     f"{path}: line {lineno}: expected {3 + FEATURE_LENGTH} fields, "
                     f"got {len(fields)}")
             try:
-                label = int(fields[0])
-                if not 1 <= label <= N_SCENARIOS:
-                    raise ValueError(f"label must lie in 1..{N_SCENARIOS}, got {label}")
-                snr = None if fields[1] == NOISELESS else float(fields[1])
-                if snr is not None and not np.isfinite(snr):
-                    raise ValueError(f"SNR must be finite, got {fields[1]}")
-                seed = int(fields[2])
-                feature = DDPDP(np.array([float(v) for v in fields[3:]]))
+                records.append(DatasetRecord(
+                    DDPDP(np.array([float(v) for v in fields[3:]])), int(fields[0]),
+                    None if fields[1] == NOISELESS else float(fields[1]), int(fields[2])))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            records.append(DatasetRecord(feature, label, snr, seed))
     return spec, records
 
 
@@ -299,12 +292,9 @@ def evaluate(params: MLPParams, test_by_snr: dict) -> EvalReport:
             warnings.warn(f"empty test group at SNR {snr}; skipped")
             continue
         confusion = np.zeros((N_SCENARIOS, N_SCENARIOS), dtype=np.int64)
-        correct = 0
         for rec in group:
-            pred = classify(params, rec.feature.values)
-            confusion[rec.label - 1, pred - 1] += 1
-            correct += int(pred == rec.label)
-        per_snr[snr] = correct / len(group)
+            confusion[rec.label - 1, classify(params, rec.feature.values) - 1] += 1
+        per_snr[snr] = int(np.trace(confusion)) / len(group)
         confusions[snr] = confusion
     average = float(np.mean(list(per_snr.values()))) if per_snr else float("nan")
     return EvalReport(per_snr, confusions, average)
@@ -342,6 +332,8 @@ def train_classifier(records: list[DatasetRecord], hidden_sizes, config: TrainCo
     Returns the trained parameters, the training report and the fingerprint
     that the model file carries.
     """
+    if type(init_seed) is not int:  # the fingerprint is JSON, and bool is an int
+        raise ValueError(f"init_seed must be an int, not {init_seed!r}")
     if init_seed < 0:
         raise ValueError(f"init_seed must be >= 0, got {init_seed}")
     x = np.stack([r.feature.values for r in records])

@@ -103,4 +103,4 @@ def load_profile(label: int) -> ScenarioProfile:
     try:
         return _PROFILES[label]
     except KeyError:
-        raise KeyError(f"no channel profile registered for label {label}") from None
+        raise ValueError(f"no channel profile registered for label {label}") from None

@@ -6,6 +6,10 @@ of them through that name leaves its layer reading 0 with no error, so this
 test runs one record under the benchmark's own wrappers and asserts that
 every layer recorded a span; the trainer and the model file get the same
 check.  It reads ``bench/`` and changes nothing there.
+
+The benchmark also keeps copies of a few library rules (the network's layer
+sizes, the BEM-LS window plan, the fading synthesis grid) to count work from
+a spec alone; the last tests hold those copies to the library's rules.
 """
 
 import importlib.util
@@ -13,11 +17,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chanident import mlp, pipeline
 from chanident.bem import window_plan
+from chanident.features import FEATURE_LENGTH, N_SCENARIOS
 from chanident.pipeline import DatasetSpec
 from chanident.profiles import load_profile
+from chanident.simulate import SimConfig, _synthesis_grid
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -68,3 +75,25 @@ def test_trainer_spans_resolve(monkeypatch, tmp_path):
     names = {span.name for span in tracer.spans}
     for name in ("mlp.train", "mlp.save_mlp", "mlp.load_mlp"):
         assert name in names, f"no span named {name}; recorded {sorted(names)}"
+
+
+def test_bench_layer_sizes_are_the_experiments(monkeypatch):
+    workloads = _load("workloads", monkeypatch)
+    assert workloads.LAYER_SIZES == (FEATURE_LENGTH, *pipeline.HIDDEN_SIZES, N_SCENARIOS)
+
+
+@pytest.mark.parametrize("window_len", [300, 512])
+@pytest.mark.parametrize("n", [400, 1200, 2048, 5000, 25600, 25856])
+def test_bench_windows_are_the_window_plans(monkeypatch, n, window_len):
+    counts = _load("counts", monkeypatch)
+    for nu in (0.0, 0.004, 0.02):
+        plan = window_plan(n, window_len, nu, 1)
+        assert counts.bem_windows(n, window_len) == [w1 - w0 for w0, w1, _, _ in plan]
+
+
+@pytest.mark.parametrize("nu", [0.0, 1e-4, 0.004, 0.02])
+@pytest.mark.parametrize("n", [400, 2048, 25600])
+def test_bench_fading_grid_is_the_synthesis_grid(monkeypatch, n, nu):
+    counts = _load("counts", monkeypatch)
+    spec = DatasetSpec(samples_per_vector=n, sim=SimConfig(nu), estimation="oracle-cir")
+    assert counts.fading_grid(spec) == _synthesis_grid(n, spec.sim.doppler_per_sample)

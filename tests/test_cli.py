@@ -621,6 +621,15 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg, "--output", b]) == 0
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
+    def test_unknown_label_refused_without_quotes(self, tmp_path, capsys):
+        # str(KeyError) quoted the message
+        cfg = _write_cfg(tmp_path, "sim.json", {"label": 7, "n_samples": 32})
+        out = tmp_path / "trace.txt"
+        assert run(["simulate", "--config", cfg, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "chanident simulate: no channel profile registered for label 7\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command, message", [
     ("sound", "cannot read signal file"), ("eval", "cannot read model")])

@@ -335,6 +335,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.5), ("epochs", "5"), ("batch_size", 2.0), ("batch_size", True),
+        ("seed", 1.5), ("seed", np.int64(0)), ("plateau_patience", 2.5),
+        ("learning_rate", True), ("momentum", "0.9"), ("plateau_rel_tol", None)])
+    def test_rejects_wrong_type_by_name(self, key, value):
+        # batch_size=True and plateau_patience=2.5 trained; the rest raised a
+        # bare TypeError that named no key
+        message = f"^{key} must be an? (int|number), not {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{key: value})
+
     def test_rejects_negative_seed_by_name(self):
         with pytest.raises(ValueError, match="^seed must be >= 0"):
             TrainConfig(seed=-1)
@@ -342,6 +353,7 @@ class TestTrainConfig:
     def test_accepts_the_edges(self):
         TrainConfig(plateau_patience=1, plateau_rel_tol=0.0, seed=0)
         TrainConfig(plateau_rel_tol=0.999)
+        TrainConfig(learning_rate=np.float64(0.01), momentum=np.float64(0.5))
 
 
 class TestClassify:

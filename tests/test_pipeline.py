@@ -143,6 +143,17 @@ class TestDatasetSpec:
             DatasetSpec(scenario_labels=(6,), window_len=60, samples_per_vector=400)
 
 
+@pytest.mark.parametrize("label, snr, message", [
+    (0, 10.0, "label must lie in 1..6, got 0"), (7, None, "label must lie in 1..6, got 7"),
+    (1, float("nan"), "SNR must be finite, got nan"),
+    (1, float("inf"), "SNR must be finite, got inf"),
+    (1, float("-inf"), "SNR must be finite, got -inf")])
+def test_record_refuses_label_or_snr_by_name(label, snr, message):
+    feature = _synthetic_record(1, None).feature
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DatasetRecord(feature, label, snr, 1)
+
+
 def test_derive_seed_stable():
     assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
     assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
@@ -207,8 +218,8 @@ class TestGenerateRecords:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 3)
@@ -225,6 +236,14 @@ class TestGenerateRecords:
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
         generate_records(TINY, threads=5000)  # an unknown CPU count runs serially
         assert started == [2, 3]
+
+    def test_one_record_spec_walks_to_one_record(self):
+        spec = DatasetSpec(scenario_labels=(4,), vectors_per_condition=1,
+                           snr_list_db=(20.0,), samples_per_vector=400,
+                           estimation="oracle-cir", master_seed=7)
+        (rec,) = generate_records(spec)
+        assert (rec.label, rec.snr_db) == (4, 20.0)
+        assert rec.realization_seed == derive_seed(7, 4, "20.0", 0)
 
     def test_threads_below_one_refused_by_name(self):
         # it ran serially, as threads=1 does
@@ -400,6 +419,14 @@ def test_train_classifier_rejects_negative_init_seed_by_name():
         pipeline.train_classifier([_synthetic_record(1, None)], (4,), TrainConfig(), -1)
 
 
+@pytest.mark.parametrize("init_seed", [True, 1.5, "0", np.int64(0)])
+def test_train_classifier_rejects_init_seed_not_int_by_name(init_seed):
+    # True trained and was written into the fingerprint as "init_seed": true
+    message = f"^init_seed must be an int, not {re.escape(repr(init_seed))}$"
+    with pytest.raises(ValueError, match=message):
+        pipeline.train_classifier([_synthetic_record(1, None)], (4,), TrainConfig(), init_seed)
+
+
 class TestEvaluate:
     def _grouped(self, labels=(1, 2, 3, 4, 5, 6), snrs=(0.0, 10.0), per=3):
         return {s: [_synthetic_record(l, s, i) for l in labels for i in range(per)]
@@ -431,6 +458,11 @@ class TestEvaluate:
         report = evaluate(None, self._grouped())
         assert report.average_accuracy == pytest.approx(
             np.mean(list(report.per_snr_accuracy.values())))
+
+    def test_label_zero_record_never_reaches_it(self):
+        # evaluate scored such a record into BUx12's row, confusion[-1]
+        with pytest.raises(ValueError, match="^label must lie in 1..6, got 0$"):
+            evaluate(None, {10.0: [_synthetic_record(0, 10.0)]})
 
     def test_empty_group_skipped_with_notice(self, monkeypatch):
         monkeypatch.setattr(pipeline, "classify", lambda params, f: 1)

@@ -26,7 +26,7 @@ def test_label_6_is_bux12():
 
 
 def test_unknown_label_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^no channel profile registered for label 7$"):
         load_profile(7)
 
 
