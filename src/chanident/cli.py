@@ -43,7 +43,7 @@ from .sounding import DelayAmplitudeEstimate, OrderEstimate
 SIGNAL_FORMAT = "chanident-signal v1"
 # Signal files are on the simulation grid, one sample per delay unit.
 SAMPLE_RATE_HZ = 1.0 / SAMPLE_PERIOD_S
-TRACE_FORMAT = "chanident-trace v1"
+TRACE_FORMAT = "chanident-trace v2"
 MANIFEST_FORMAT = "chanident-manifest v1"
 
 # Help text of the file options: --output, and those a _COMMANDS entry requires.

@@ -140,7 +140,7 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One dataset line; it refuses a label or SNR no file may hold."""
+    """One dataset line; it refuses a label, SNR or seed no file may hold."""
 
     feature: DDPDP
     label: int
@@ -148,6 +148,11 @@ class DatasetRecord:
     realization_seed: int
 
     def __post_init__(self):
+        # type(), not isinstance: a bool is an int, and a label of True or
+        # 1.5 would be written as a line read_dataset refuses
+        for name in ("label", "realization_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if not 1 <= self.label <= N_SCENARIOS:
             raise ValueError(f"label must lie in 1..{N_SCENARIOS}, got {self.label}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):

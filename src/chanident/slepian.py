@@ -18,11 +18,17 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+# The singular values of the pair products kept by DPSSBasis.pair_factor lie
+# above this fraction of the largest; the rest are rounding-sized.
+_PAIR_RANK_CUT = 1e-15
+
 
 @dataclass(frozen=True)
 class DPSSBasis:
     """The ``count`` most band-concentrated orthonormal sequences, and the
-    read-only arrays a least-squares fit derives from them, computed once."""
+    read-only arrays a least-squares fit derives from them, computed once:
+    the sequences as complex numbers and a low-rank factor of the products
+    of each sequence pair."""
 
     length: int
     time_half_bandwidth: float
@@ -34,19 +40,25 @@ class DPSSBasis:
         """The sequences as complex128, cast once rather than in every product."""
         return _read_only(self.sequences.astype(np.complex128))
 
-    @cached_property
+    @property
     def pair_products(self) -> np.ndarray:
-        """P[n, k] = u_d[n] u_e[n] for the k-th pair (d, e) of triu_indices(count)."""
+        """P[n, k] = u_d[n] u_e[n] for the k-th pair (d, e) of triu_indices(count),
+        built on each access: a fit reads only its factor, ``pair_factor``."""
         d, e = np.triu_indices(self.count)
         return _read_only(np.ascontiguousarray((self.sequences[d] * self.sequences[e]).T))
 
     @cached_property
-    def pair_index(self) -> np.ndarray:
-        """index[d, e]: the column of pair (min(d, e), max(d, e)) in pair_products."""
-        d, e = np.triu_indices(self.count)
-        index = np.empty((self.count, self.count), dtype=np.intp)
-        index[d, e] = index[e, d] = np.arange(len(d))
-        return _read_only(index)
+    def pair_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, R) with pair_products = Q @ R to rounding: Q (length x r) has
+        orthonormal columns, R (r x pairs) their singular values times the
+        right singular vectors.  Products of band-limited sequences are
+        band-limited too, so r is far below the pair count (62 of 300 pairs
+        for 24 sequences of 512 samples); only singular values at or below
+        _PAIR_RANK_CUT of the largest are dropped."""
+        u, s, vt = np.linalg.svd(self.pair_products, full_matrices=False)
+        r = int(np.count_nonzero(s > _PAIR_RANK_CUT * s[0]))
+        return (_read_only(np.ascontiguousarray(u[:, :r])),
+                _read_only(s[:r, None] * vt[:r]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

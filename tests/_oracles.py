@@ -8,8 +8,9 @@ convolution of frozen channels, the training reference is the textbook
 momentum loop that allocates every gradient and velocity afresh, the
 Slepian concentrations are Rayleigh quotients against the sinc kernel by
 ``scipy.signal.fftconvolve`` (the package computes none: its tridiagonal
-eigen-solve orders the sequences), and the 12-row feature grid is laid out
-by explicit zero-padding.
+eigen-solve orders the sequences), the 12-row feature grid is laid out
+by explicit zero-padding, and the BEM-LS Gram matrix is scattered block by
+block from its distinct entries (the package gathers it in one step).
 """
 
 from itertools import combinations
@@ -39,6 +40,22 @@ def fftconvolve_concentrations(sequences: np.ndarray, half_bandwidth: float) -> 
     n = sequences.shape[1]
     kernel = sinc_kernel_row(n, half_bandwidth)
     return np.array([float(u @ fftconvolve(kernel, u)[n - 1:2 * n - 1]) for u in sequences])
+
+
+def scattered_gram(w: np.ndarray, taps: int, count: int) -> np.ndarray:
+    """The Hermitian Gram matrix, in Fortran order, from w = [w_re; w_im]
+    (row k: delay pair k of triu_indices(taps); column p: basis pair p of
+    triu_indices(count)), built as complex blocks, then a C-order conj(G)
+    filled by two scatters, the real diagonal blocks written last."""
+    li, lj = np.triu_indices(taps)
+    d, e = np.triu_indices(count)
+    pair_index = np.empty((count, count), dtype=np.intp)
+    pair_index[d, e] = pair_index[e, d] = np.arange(len(d))
+    blocks = (w[:len(li)] + 1j * w[len(li):])[:, pair_index]
+    conj_gram = np.empty((taps, count, taps, count), dtype=np.complex128)
+    conj_gram[li, :, lj, :] = blocks.conj()
+    conj_gram[lj, :, li, :] = blocks
+    return conj_gram.reshape(taps * count, -1).T
 
 
 def zero_padded(cir: CIRMatrix) -> CIRMatrix:

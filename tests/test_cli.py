@@ -542,7 +542,7 @@ class TestEstimateCommand:
                     "--frame", str(tmp_path / "frame.txt"),
                     "--config", cfg, "--output", out]) == 0
         lines = (tmp_path / "cir.txt").read_text().splitlines()
-        assert lines[0].startswith("# chanident-trace v1 taps=4 count=512")
+        assert lines[0].startswith("# chanident-trace v2 taps=4 count=512")
         assert len(lines) == 1 + n
         # spot-check accuracy of the strongest tap
         row0 = np.array([float(lines[1].split()[0]), float(lines[1].split()[1])])
@@ -611,7 +611,7 @@ class TestSimulateCommand:
         out = str(tmp_path / "trace.txt")
         assert run(["simulate", "--config", cfg, "--output", out]) == 0
         lines = (tmp_path / "trace.txt").read_text().splitlines()
-        assert lines[0].startswith("# chanident-trace v1 taps=6 count=64")
+        assert lines[0].startswith("# chanident-trace v2 taps=6 count=64")
         assert len(lines[1].split()) == 12  # re/im per tap
 
     def test_deterministic_given_seed(self, tmp_path):

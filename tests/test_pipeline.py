@@ -154,6 +154,32 @@ def test_record_refuses_label_or_snr_by_name(label, snr, message):
         DatasetRecord(feature, label, snr, 1)
 
 
+@pytest.mark.parametrize("label, seed, message", [
+    (True, 5, "label must be an int, not True"), (1.5, 5, "label must be an int, not 1.5"),
+    (np.int64(2), 5, "label must be an int, not np.int64(2)"),
+    (1, 5.0, "realization_seed must be an int, not 5.0"),
+    (1, "5", "realization_seed must be an int, not '5'"),
+    (1, False, "realization_seed must be an int, not False")])
+def test_record_refuses_label_or_seed_of_another_type_by_name(label, seed, message):
+    # DatasetRecord(feature, True, None, 5) was written as "True noiseless 5 ...",
+    # a line read_dataset refuses
+    feature = _synthetic_record(1, None).feature
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DatasetRecord(feature, label, None, seed)
+
+
+def test_int_labels_and_seeds_round_trip_through_a_file(tmp_path):
+    records = [DatasetRecord(_synthetic_record(label, snr).feature, label, snr, seed)
+               for label, snr, seed in ((1, None, 0), (6, -3.5, 2 ** 63 - 1), (3, 20.0, 7))]
+    write_dataset(tmp_path / "data.txt", TINY, records)
+    _, back = read_dataset(tmp_path / "data.txt")
+    assert [(r.label, r.snr_db, r.realization_seed) for r in back] == [
+        (r.label, r.snr_db, r.realization_seed) for r in records]
+    assert all(type(r.label) is int and type(r.realization_seed) is int for r in back)
+    assert all(np.array_equal(a.feature.values, b.feature.values)
+               for a, b in zip(back, records))
+
+
 def test_derive_seed_stable():
     assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)
     assert derive_seed(1, "a", 2) != derive_seed(1, "a", 3)
