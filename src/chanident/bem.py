@@ -14,8 +14,8 @@ M delay-pair products with the basis's K pair products P[n, (d<=e)] =
 u_d[n] u_e[n] gives every distinct entry.  P is nearly rank-deficient, and
 the product runs through its factor P = Q R of rank r, at 2 (2M) (W + K) r
 flops for a W-sample window rather than 2 (2M) W K: r is 27 of K = 36 at
-nu = 0.004 and 62 of 300 at nu = 0.02, for 512-sample windows.  One gather
-then lays the distinct entries out as G.
+nu = 0.004 and 62 of 300 at nu = 0.02, for 512-sample windows.  The entries
+fill only G's upper block triangle, all that LAPACK's Cholesky xPOTRF reads.
 """
 
 from __future__ import annotations
@@ -42,47 +42,17 @@ def _shifted_frame(frame: np.ndarray, delays, start: int, stop: int) -> np.ndarr
 
 
 @lru_cache(maxsize=16)
-def _tap_pairs(taps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The delay pairs (li, lj) of triu_indices(taps), li <= lj, and the
-    mask of the diagonal pairs li == lj; all read-only."""
-    li, lj = np.triu_indices(taps)
-    diagonal = li == lj
-    for a in (li, lj, diagonal):
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j) of triu_indices(size), i <= j, the mask of the
+    diagonal pairs i == j, and the size x size matrix that holds the number
+    of pair (i, j) at both [i, j] and [j, i]; all read-only."""
+    i, j = np.triu_indices(size)
+    number = np.empty((size, size), dtype=np.intp)
+    number[i, j] = number[j, i] = np.arange(len(i))
+    pairs = (i, j, i == j, number)
+    for a in pairs:
         a.flags.writeable = False
-    return li, lj, diagonal
-
-
-@lru_cache(maxsize=16)
-def _gram_index(taps: int, count: int) -> np.ndarray:
-    """Where each float of G comes from, for ``_gather_gram``: read-only
-    positions into the flat rows [w_re; w_im; -w_im], two per complex entry,
-    in the order of G's Fortran layout.  One index holds 2 U^2 intp, as many
-    bytes as G itself (U = taps * count)."""
-    li, lj, _ = _tap_pairs(taps)
-    di, dj = np.triu_indices(count)
-    delay_pair = np.empty((taps, taps), dtype=np.intp)
-    delay_pair[li, lj] = delay_pair[lj, li] = np.arange(len(li))
-    basis_pair = np.empty((count, count), dtype=np.intp)
-    basis_pair[di, dj] = basis_pair[dj, di] = np.arange(len(di))
-    # G[(a, d), (b, e)] sits at [b, e, a, d] of the Fortran layout.  It is
-    # w[k, p] for the delay pair k of (a, b) and the basis pair p of (d, e),
-    # conjugated (row -w_im) below the block diagonal, where b < a.
-    b, e, a, d = np.ix_(*(np.arange(n) for n in (taps, count, taps, count)))
-    k, p = delay_pair[b, a], basis_pair[e, d]
-    imag = k + len(li) * np.where(b < a, 2, 1)
-    index = np.stack(np.broadcast_arrays(k * len(di) + p, imag * len(di) + p), axis=-1)
-    index.flags.writeable = False
-    return index.reshape(-1)
-
-
-def _gather_gram(w: np.ndarray, taps: int, count: int) -> np.ndarray:
-    """The Hermitian Gram matrix, in Fortran order, from the real and
-    imaginary parts w = [w_re; w_im] of its distinct entries: row k of each
-    half is delay pair k of triu_indices(taps), column p basis pair p of
-    triu_indices(count)."""
-    source = np.concatenate((w, -w[len(w) // 2:]))
-    flat = source.take(_gram_index(taps, count)).view(np.complex128)
-    return flat.reshape(taps * count, -1).T
+    return pairs
 
 
 def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
@@ -92,17 +62,25 @@ def _normal_equations(shifts: np.ndarray, samples: np.ndarray,
 
     ``shifts`` and ``samples`` cover the basis length.  The unknowns are
     ordered l * D + d.  The Gram matrix is returned in Fortran order, the
-    layout LAPACK solves in place.
+    layout LAPACK solves in place.  Only its upper block triangle is filled,
+    as the Cholesky solve reads no other entry; the blocks below are zero.
     """
-    li, lj, diagonal = _tap_pairs(len(shifts))
+    taps, count = len(shifts), basis.count
+    li, lj, diagonal, _ = _pairs(taps)
     conj_shifts = shifts.conj()
     z = conj_shifts[li] * shifts[lj]
     z.imag[diagonal] = 0.0  # |x_l|^2 exactly, so diagonal blocks stay Hermitian
     # Real operands: a complex-by-real product would be promoted to complex.
     q, r = basis.pair_factor
     w = (np.concatenate((z.real, z.imag)) @ q) @ r
+    *_, basis_pair = _pairs(count)
+    blocks = (w[:len(li)] + 1j * w[len(li):])[:, basis_pair]
+    # G^T in C order, so that its transpose is G in Fortran order: block
+    # (li, lj) of G, li <= lj, is block (lj, li) of G^T.
+    gram_t = np.zeros((taps, count, taps, count), dtype=np.complex128)
+    gram_t[lj, :, li, :] = blocks
     rhs = (conj_shifts * samples) @ basis.complex_sequences.T
-    return _gather_gram(w, len(shifts), basis.count), rhs.reshape(-1)
+    return gram_t.reshape(taps * count, -1).T, rhs.reshape(-1)
 
 
 def _fit(shifts: np.ndarray, samples: np.ndarray, basis: DPSSBasis,
@@ -201,8 +179,10 @@ def estimate_cir_windowed(received: ComplexSignal, frame: np.ndarray, delay_grid
     SimConfig(normalized_doppler)
     n = len(received)
     delays = _unique_delays(delay_grid, n)
-    if window_len < 2:
-        raise ValueError("window_len must be >= 2")
+    # bool is an int subclass, and a float fails in range() unnamed
+    if (isinstance(window_len, bool) or not isinstance(window_len, (int, np.integer))
+            or window_len < 2):
+        raise ValueError(f"window_len must be an int >= 2, not {window_len!r}")
     if len(frame) != n:
         raise ValueError(f"frame length {len(frame)} != received length {n}")
     gains = np.empty((len(delays), n), dtype=np.complex128)  # windows cover [0, n)
