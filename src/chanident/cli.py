@@ -92,14 +92,8 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 
 def _check_type(path: str, key: str, default, value) -> None:
     """``value`` must have the JSON type of ``default``; an integer may stand
-    for a number, and the one key whose default is null,
-    ``normalized_doppler``, takes null or a number.  JSON true and false
-    parse to bool, which is not an integer here."""
-    if default is None:
-        if value is not None and type(value) not in (float, int):
-            raise CliError(f"config file {path}: {key} must be null or a number, "
-                           f"got {json.dumps(value)}")
-        return
+    for a number.  JSON true and false parse to bool, which is not an integer
+    here."""
     allowed = (float, int) if type(default) is float else (type(default),)
     if type(value) not in allowed:
         raise CliError(f"config file {path}: {key} must be "
@@ -121,9 +115,8 @@ def read_signal_file(path) -> ComplexSignal:
             data = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read signal file {path}: {exc}") from exc
-    offset = 0
     lines = data.split(b"\n")
-    header = lines[0].decode("utf-8", "replace") if lines else ""
+    header = lines[0].decode("utf-8", "replace")
     if not header.startswith(f"# {SIGNAL_FORMAT}"):
         raise CliError(f"{path}: byte 0: missing '{SIGNAL_FORMAT}' header")
     try:
@@ -245,15 +238,13 @@ def _cmd_experiment(args, config, timed) -> dict:
 
 def _cmd_sound(args, config, timed) -> dict:
     received = read_signal_file(args.signal)
-    p, n = config["register_length"], len(received)
-    if p >= (n + 1).bit_length():  # 2^p - 1 > n, without forming 2^p for a huge p
-        raise CliError(f"{args.signal}: {n} samples hold no whole period of the "
-                       f"m-sequence, 2^{p} - 1 chips")
-    mseq = generate_mseq(p)
+    mseq = generate_mseq(config["register_length"])
+    if len(received) < mseq.period:
+        raise CliError(f"{args.signal}: {len(received)} samples hold no whole period of "
+                       f"the m-sequence, {mseq.period} chips")
     with timed("sound"):
         order_est, delays = sounding.sound_and_profile(
-            received, mseq, threshold_factor=config["threshold_factor"],
-            normalized_doppler=config["normalized_doppler"])
+            received, mseq, threshold_factor=config["threshold_factor"])
     _print_sounding(order_est, delays)
     if args.output:
         _write_json(args.output, _sounding_doc(order_est, delays))
@@ -290,8 +281,6 @@ def _sounding_doc(order_est: OrderEstimate, delays: DelayAmplitudeEstimate) -> d
 def _cmd_estimate(args, config, timed) -> dict:
     received = read_signal_file(args.signal)
     frame = read_signal_file(args.frame)
-    if len(frame) != len(received):
-        raise CliError(f"frame length {len(frame)} != received length {len(received)}")
     with timed("estimate"):
         cir = estimate_cir_windowed(received, frame.samples, config["delay_grid"],
                                     config["normalized_doppler"], config["window_len"])
@@ -339,8 +328,7 @@ _COMMANDS = {
                            ("master_seed", "seed", "init_seed"), threads=True),
     "sound": _Command(_cmd_sound, "estimate channel order, delays and amplitudes from a probe",
                       {"register_length": 8,
-                       "threshold_factor": sounding.DEFAULT_THRESHOLD_FACTOR,
-                       "normalized_doppler": None},  # used only for the quasi-static warning
+                       "threshold_factor": sounding.DEFAULT_THRESHOLD_FACTOR},
                       ("signal",)),
     "estimate": _Command(_cmd_estimate, "BEM-LS gain estimation on a received signal",
                          {"delay_grid": list(range(profiles.MAX_DELAY_UNITS)),

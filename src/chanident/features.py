@@ -67,13 +67,12 @@ def build_ddpdp(cir: CIRMatrix) -> DDPDP:
     if len(set(delays)) != len(delays) or not all(0 <= d < MAX_DELAY_UNITS for d in delays):
         raise ValueError(f"delay units {list(delays)} must be unique and lie in "
                          f"[0, {MAX_DELAY_UNITS})")
-    # A delay unit with no tap, or an all-zero tap, has every sample in bin 0.
+    # A delay unit with no tap has every sample in bin 0.
     counts = np.zeros((MAX_DELAY_UNITS, ENVELOPE_BINS))
     counts[:, 0] = n
     for delay, gains in zip(delays, cir.gains):
-        if gains.any():
-            idx = np.minimum((np.abs(gains) / BIN_WIDTH).astype(np.int64), ENVELOPE_BINS - 1)
-            counts[delay] = np.bincount(idx, minlength=ENVELOPE_BINS)
+        idx = np.minimum((np.abs(gains) / BIN_WIDTH).astype(np.int64), ENVELOPE_BINS - 1)
+        counts[delay] = np.bincount(idx, minlength=ENVELOPE_BINS)
     return DDPDP(counts / float(n))
 
 

@@ -21,14 +21,13 @@ delays are integer sample offsets.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSignalError
 from .mseq import MSequence
-from .simulate import ComplexSignal, SimConfig
+from .simulate import ComplexSignal
 
 # A lag is a path when its correlation reaches this fraction of the strongest
 # peak: taps 20 dB below the strongest (amplitude ratio 0.1), the COST 207
@@ -232,21 +231,10 @@ def probe_signal(mseq: MSequence, periods: int = 4) -> ComplexSignal:
 
 def sound_and_profile(received: ComplexSignal, local: MSequence,
                       threshold_factor: float = DEFAULT_THRESHOLD_FACTOR,
-                      normalized_doppler: float | None = None,
                       ) -> tuple[OrderEstimate, DelayAmplitudeEstimate]:
     """Run order estimation, then fit that many paths, at any delay in the
-    m-sequence period, to the period-folded probe.
-
-    When ``normalized_doppler`` is given, it must be one ``SimConfig``
-    takes, and a probe too long for the quasi-static amplitude assumption
-    (nu * length > 0.1) draws a warning.
-    """
-    if normalized_doppler is not None:
-        SimConfig(normalized_doppler)
-        if normalized_doppler * len(received) > 0.1:
-            warnings.warn(
-                f"probe spans {len(received)} samples at normalized Doppler "
-                f"{normalized_doppler:g}; amplitudes may not be static over the probe")
+    m-sequence period, to the period-folded probe.  Folding assumes a channel
+    that is static over the probe."""
     order_est = estimate_order(received, local, threshold_factor)
     folded = fold_periods(received.samples, local.period)
     delays = relax_estimate(folded, local, order_est.order, range(local.period))

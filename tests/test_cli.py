@@ -134,9 +134,6 @@ class TestDatasetCommand:
         cfg = _write_cfg(tmp_path, "c.json", {"sim": {"normalized_doppler": 0}})
         assert run(["dataset", "--config", cfg, "--print-config"]) == 0
         assert json.loads(capsys.readouterr().out)["sim"]["normalized_doppler"] == 0
-        cfg = _write_cfg(tmp_path, "s.json", {"normalized_doppler": 0.004})
-        assert run(["sound", "--config", cfg, "--print-config"]) == 0
-        assert json.loads(capsys.readouterr().out)["normalized_doppler"] == 0.004
 
     def test_print_config(self, tmp_path, capsys):
         assert run(["dataset", "--print-config"]) == 0
@@ -450,58 +447,53 @@ class TestSoundCommand:
         ("initial_state", [True] * 8), ("initial_state", [1.0] * 8),
         ("max_candidate_delay", 3.7), ("max_candidate_delay", True),
         ("max_candidate_delay", "7"), ("max_candidate_delay", -1),
-        # values the three removed keys took before they were removed
+        # values the removed keys took before they were removed
         ("feedback_taps", [8, 4, 3, 2]), ("initial_state", [1] * 8),
-        ("max_candidate_delay", 40),
+        ("max_candidate_delay", 40), ("normalized_doppler", 0.004),
+        ("normalized_doppler", None),
     ])
     def test_null_default_key_takes_only_its_type(self, tmp_path, capsys, key, value):
-        # normalized_doppler is sound's one null-default key: null, an integer and a
-        # float run, and "x" ended in a TypeError traceback. feedback_taps,
-        # initial_state and max_candidate_delay were null-default keys too; they are
-        # gone, and any value of them is refused as an unknown key, by name.
+        # Each of these was a null-default key of sound; normalized_doppler, the
+        # last, only switched on a quasi-static warning. They are gone, and any
+        # value of them, null included, is refused as an unknown key, by name.
         probe = self._probe_file(tmp_path, [1.0], [0])
         out = tmp_path / "sounding.json"
-        if key == "normalized_doppler":
-            for accepted in (None, 0, 1e-6):
-                cfg = _write_cfg(tmp_path, "s.json", {key: accepted})
-                assert run(["sound", "--config", cfg, "--signal", probe]) == 0
-            reason = f"{key} must be null or a number"
-        else:
-            reason = f"unknown key {key!r} for 'sound'\n"
         cfg = _write_cfg(tmp_path, "s.json", {key: value})
-        capsys.readouterr()
         assert run(["sound", "--config", cfg, "--signal", probe, "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"chanident sound: config file {cfg}: {reason}")
+        assert capsys.readouterr().err.startswith(
+            f"chanident sound: config file {cfg}: unknown key {key!r} for 'sound'\n")
         assert not out.exists()
 
-    def test_probe_shorter_than_a_period_refused_before_generating(self, tmp_path, capsys,
-                                                                   monkeypatch):
-        # generating first allocated 2^30 - 1 chips and 2^30 register states
-        def no_generation(*args, **kwargs):
-            raise AssertionError("generate_mseq called")
-
-        monkeypatch.setattr(cli, "generate_mseq", no_generation)
+    def test_probe_shorter_than_a_period_refused_before_generating(self, tmp_path, capsys):
+        # A register the table lacks is refused by name before any chip is
+        # made; 13 and 30 were both refused as a probe too short for them.
         probe = self._probe_file(tmp_path, [1.0], [0])
         out = tmp_path / "sounding.json"
-        for p in (10, 30):  # 1023 and 2^30 - 1 > 1020
+        for p, reason in [(10, f"{probe}: 1020 samples hold no whole period of the "
+                               "m-sequence, 1023 chips"),
+                          (13, "register_length must be one of [2, 3, 4, 5, 6, 7, 8, 9, "
+                               "10, 11, 12], not 13"),
+                          (30, "register_length must be one of [2, 3, 4, 5, 6, 7, 8, 9, "
+                               "10, 11, 12], not 30")]:
             cfg = _write_cfg(tmp_path, "s.json", {"register_length": p})
             assert run(["sound", "--config", cfg, "--signal", probe,
                         "--output", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"chanident sound: {probe}: 1020 samples")
-            assert err.rstrip().endswith(f"2^{p} - 1 chips")
+            assert capsys.readouterr().err == f"chanident sound: {reason}\n"
             assert not out.exists()
+            assert not (tmp_path / "sounding.json.manifest.json").exists()
 
     @pytest.mark.parametrize("literal", ["-1", "NaN", "0.7"])
     def test_normalized_doppler_out_of_range_refused(self, tmp_path, capsys, literal):
-        # -1 and NaN turned the quasi-static warning off; 0.7 is past SimConfig's range
+        # -1 and NaN turned the quasi-static warning off and 0.7 was past
+        # SimConfig's range; the key is gone, so each is refused as unknown
         probe = self._probe_file(tmp_path, [1.0], [0])
         cfg = tmp_path / "s.json"
         cfg.write_text(f'{{"normalized_doppler": {literal}}}')
         out = tmp_path / "sounding.json"
         assert run(["sound", "--config", str(cfg), "--signal", probe,
                     "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("chanident sound: normalized_doppler must be")
+        assert capsys.readouterr().err.startswith(
+            f"chanident sound: config file {cfg}: unknown key 'normalized_doppler' for 'sound'")
         assert not out.exists()
         assert not (tmp_path / "sounding.json.manifest.json").exists()
 
@@ -561,13 +553,17 @@ class TestEstimateCommand:
         assert not out.exists()
 
     def test_length_mismatch_fails(self, tmp_path, capsys):
-        write_signal_file(tmp_path / "rx.txt", ComplexSignal(np.ones(8)))
-        write_signal_file(tmp_path / "fr.txt", ComplexSignal(np.ones(9)))
+        # BEM-LS refuses the frame; the CLI keeps no check of its own
+        write_signal_file(tmp_path / "rx.txt", random_frame(1020, seed=1))
+        write_signal_file(tmp_path / "fr.txt", random_frame(1019, seed=2))
+        out = tmp_path / "o.txt"
         rc = run(["estimate", "--signal", str(tmp_path / "rx.txt"),
-                  "--frame", str(tmp_path / "fr.txt"),
-                  "--output", str(tmp_path / "o.txt")])
-        assert rc != 0
-        assert "length" in capsys.readouterr().err
+                  "--frame", str(tmp_path / "fr.txt"), "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "chanident estimate: frame length 1019 != received length 1020\n")
+        assert not out.exists()
+        assert not (tmp_path / "o.txt.manifest.json").exists()
 
 
     @pytest.mark.parametrize("grid", [[0.7, True, 2.9], [[1]], [0, "1"], [0, 1.0], [False]])
@@ -692,6 +688,7 @@ _EDGE_KEYS = [
     # not register_length: 2 is a valid register that the probe was not made
     # with, refused as a probe that "looks like noise", a refusal of the
     # signal rather than of the key
+    # sound's normalized_doppler is a removed key, refused as unknown by name
     ("sound", "threshold_factor"), ("sound", "normalized_doppler"),
     ("simulate", "normalized_doppler"), ("simulate", "seed"),
     ("train", "seed"), ("train", "init_seed"), ("train", "hidden_sizes"),

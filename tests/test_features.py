@@ -91,7 +91,7 @@ class TestDelayGrid:
         frame = random_frame(n, seed=70 + label)
         rx = add_awgn(apply_channel(frame, true), 10.0, seed=80 + label)
         est = estimate_cir_windowed(rx, frame.samples, profile.delay_units,
-                                    cfg.doppler_per_sample)
+                                    cfg.normalized_doppler)
         for cir in (true, est):
             assert cir.delay_units == profile.delay_units
             assert np.array_equal(build_ddpdp(cir).bins, build_ddpdp(zero_padded(cir)).bins)

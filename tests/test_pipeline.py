@@ -551,18 +551,6 @@ class TestSoundAndProfile:
                 rejected += 1
         assert rejected >= 95
 
-    def test_quasi_static_warning(self):
-        received = static_probe(self.MSEQ, [1.0], [0], periods=8)
-        with pytest.warns(UserWarning, match="static"):
-            sound_and_profile(received, self.MSEQ, normalized_doppler=0.004)
-
-    @pytest.mark.parametrize("nu", [-1.0, 0.5, float("nan")])
-    def test_normalized_doppler_outside_simconfig_range_refused(self, nu):
-        # -1 and NaN used to skip the quasi-static warning without a word
-        received = static_probe(self.MSEQ, [1.0], [0])
-        with pytest.raises(ValueError, match="normalized_doppler must be finite and in"):
-            sound_and_profile(received, self.MSEQ, normalized_doppler=nu)
-
     def test_delays_fitted_over_the_whole_period(self):
         received = static_probe(self.MSEQ, [1.0, 0.8], [2, self.MSEQ.period - 1])
         order, delays = sound_and_profile(received, self.MSEQ)

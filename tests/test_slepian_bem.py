@@ -268,7 +268,7 @@ class TestWindowedEstimation:
         frame = random_frame(n, seed=52)
         rx = add_awgn(apply_channel(frame, true), 10.0, seed=53)
         delays = profile.delay_units[::-1]
-        est = estimate_cir_windowed(rx, frame.samples, delays, cfg.doppler_per_sample)
+        est = estimate_cir_windowed(rx, frame.samples, delays, cfg.normalized_doppler)
         assert est.delay_units == delays
         assert est.gains.shape == (len(delays), n)
         assert est.gains.flags.c_contiguous and not est.gains.flags.writeable
